@@ -7,11 +7,13 @@ Single entry point with three subcommands:
 * ``convert``        -- polynomial <-> binomial-basis conversion on a JSON file.
 
 Reports are byte-deterministic for a fixed (config, seed); the process exits
-nonzero iff some check has verdict ``fail``.
+1 iff some check has verdict ``fail``, and 2 with a one-line error for a bad
+group tag or config.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import random
 import sys
@@ -21,9 +23,9 @@ from typing import List, Optional, Sequence
 from . import distributions as dist
 from .distributions import Distribution, convolve, random_dcoeff_distribution
 from .groups import (
+    BUILTIN_TAGS,
+    GroupConfigError,
     PValuedGroup,
-    builtin_abelian,
-    builtin_heisenberg,
     check_coefficient_bound,
     check_formal_group_axioms,
     check_model_consistency,
@@ -54,15 +56,28 @@ DEFAULT_SIGMAS = "1/4,1/2,3/4,1"
 
 
 def resolve_group(tag: str) -> PValuedGroup:
-    """A builtin tag like heisenberg(3) / abelian(3,2), or a JSON config path."""
+    """A builtin tag like heisenberg(3) / abelian(3,2), or a JSON config path.
+
+    A malformed tag, an unreadable file or invalid group data raises
+    :class:`GroupConfigError`.
+    """
     tag = tag.strip()
-    if tag.startswith("heisenberg(") and tag.endswith(")"):
-        return builtin_heisenberg(int(tag[len("heisenberg(") : -1]))
-    if tag.startswith("abelian(") and tag.endswith(")"):
-        p, d = (int(t) for t in tag[len("abelian(") : -1].split(","))
-        return builtin_abelian(p, d)
-    with open(tag) as fh:
-        return load_group(json.load(fh))
+    name, paren, rest = tag.partition("(")
+    if paren and name in BUILTIN_TAGS:
+        params = list(inspect.signature(BUILTIN_TAGS[name]).parameters)
+        try:
+            args = [int(a) for a in rest[:-1].split(",")] if rest.endswith(")") else []
+        except ValueError:
+            args = []
+        if len(args) != len(params):
+            raise GroupConfigError([f"malformed group tag {tag!r}, expected {name}({','.join(params)})"])
+        return BUILTIN_TAGS[name](*args)
+    try:
+        with open(tag) as fh:
+            text = fh.read()
+    except OSError as e:
+        raise GroupConfigError([f"cannot read group config {tag!r}: {e.strerror}"]) from e
+    return load_group(text)
 
 
 def _random_poly(rng: random.Random, dim: int, deg: int, p: int, cap: int) -> TruncatedSeries:
@@ -389,10 +404,14 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 0
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "describe-group":
-        return cmd_describe_group(args)
+    try:
+        if args.command == "verify":
+            return cmd_verify(args)
+        if args.command == "describe-group":
+            return cmd_describe_group(args)
+    except GroupConfigError as e:
+        sys.stderr.write(f"{parser.prog}: error: {e}\n")
+        return 2
     return cmd_convert(args)
 
 

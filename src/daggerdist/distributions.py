@@ -3,27 +3,32 @@ and the three norm families.
 
 A distribution carries truncated moment data mu_beta = lambda(Z^beta) as the
 primary representation; the coefficients d_alpha in the (g_i - 1)-monomial
-basis are derived by an exact triangular solve.  Convolution consumes the
-moment side through the expanded group-law monomials F^gamma; the basis side
-feeds every norm.  Norms computed from truncated data are certified lower
-bounds and are only ever placed on the small side of asserted inequalities.
+basis are derived exactly as d_alpha = lambda(binom(Z, alpha)).  Convolution
+consumes the moment side through the expanded group-law monomials F^gamma;
+the basis side feeds every norm.  Norms computed from truncated data are
+certified lower bounds and are only ever placed on the small side of asserted
+inequalities.  Both basis changes run in integer arithmetic over a common
+denominator, and the norm weights are tabled per multi-index.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groups import PValuedGroup, Point
-from .mahler import _stirling_product, multi_factorial
 from .padic import (
     LogMag,
     MultiIndex,
+    binom_value,
+    falling_coeff,
     format_fraction,
     grlex_key,
-    leq_with_integer_factor,
-    multi_binom_value,
     multi_factorial_valuation,
+    p_power_at_most,
+    stirling_second,
     valuation,
 )
 from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord
@@ -34,7 +39,8 @@ class InsufficientCap(ValueError):
     pass
 
 
-def _indices_up_to(d: int, cap: int):
+@lru_cache(maxsize=None)
+def _indices_up_to(d: int, cap: int) -> Tuple[MultiIndex, ...]:
     """All multi-indices of dimension d with total degree <= cap, grlex order."""
 
     def gen(rest: int, budget: int):
@@ -45,7 +51,61 @@ def _indices_up_to(d: int, cap: int):
             for tail in gen(rest - 1, budget - k):
                 yield (k,) + tail
 
-    return sorted(gen(d, cap), key=grlex_key)
+    return tuple(sorted(gen(d, cap), key=grlex_key))
+
+
+@lru_cache(maxsize=None)
+def _basis_table(size: int) -> Tuple[Tuple[int, ...], ...]:
+    """table[b][a] = s(b, a) * a!, the moment of the one-variable basis monomial b^a at Z^b.
+
+    Zero unless a <= b, so the product over coordinates is the multivariate
+    basis moment and vanishes unless alpha <= beta.
+    """
+    return tuple(
+        tuple(stirling_second(b, a) * math.factorial(a) if a <= b else 0 for a in range(size + 1))
+        for b in range(size + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _falling_table(size: int) -> Tuple[Tuple[int, ...], ...]:
+    """table[a][b] = coefficient of x^b in x(x-1)...(x-a+1), which inverts the basis table.
+
+    Zero unless b <= a; lambda(binom(Z, alpha)) = sum_beta prod_i table[alpha_i][beta_i] mu_beta / alpha!.
+    """
+    return tuple(
+        tuple(falling_coeff(a, b) if b <= a else 0 for b in range(size + 1)) for a in range(size + 1)
+    )
+
+
+def _tensor_transform(make_table, coeffs: Dict[MultiIndex, Fraction], d: int, cap: int):
+    """out_beta = sum_alpha c_alpha prod_i table[beta_i][alpha_i] for every |beta| <= cap.
+
+    Returns the nonzero out_beta as integer numerators over the common
+    denominator of the c_alpha, and that denominator.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    scaled = [(alpha, c.numerator * (den // c.denominator)) for alpha, c in coeffs.items()]
+    table = make_table(max([cap, *(max(alpha) for alpha in coeffs)]))
+    out: Dict[MultiIndex, int] = {}
+    for beta in _indices_up_to(d, cap):
+        rows = [table[b] for b in beta]
+        acc = 0
+        for alpha, num in scaled:
+            for row, a in zip(rows, alpha):
+                num *= row[a]
+                if not num:
+                    break
+            acc += num
+        if acc:
+            out[beta] = acc
+    return out, den
+
+
+def _ratio(num: int, den: int):
+    """num / den exactly: an int when den divides num, else a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def basis_moment(beta: MultiIndex, alpha: MultiIndex) -> int:
@@ -54,7 +114,22 @@ def basis_moment(beta: MultiIndex, alpha: MultiIndex) -> int:
         raise ValueError("length mismatch")
     if not all(a <= b for a, b in zip(alpha, beta)):
         return 0
-    return _stirling_product(beta, alpha) * multi_factorial(alpha)
+    table = _basis_table(max(beta, default=0))
+    return math.prod(table[b][a] for b, a in zip(beta, alpha))
+
+
+def _binomials(x, cap: int) -> list:
+    """binom(x, k) for k = 0..cap; at an int x by math.comb, using (-1)^k C(k - x - 1, k) for x < 0."""
+    if type(x) is not int:
+        return [binom_value(x, k) for k in range(cap + 1)]
+    if x >= 0:
+        return [math.comb(x, k) for k in range(cap + 1)]
+    return [(-1) ** k * math.comb(k - x - 1, k) for k in range(cap + 1)]
+
+
+def _exact(v):
+    """Ints are kept as they are (exact, and equal to the same Fraction); the rest become Fractions."""
+    return v if type(v) is int else Fraction(v)
 
 
 class Distribution:
@@ -63,7 +138,8 @@ class Distribution:
     ``exact`` means the stored data determines the whole distribution: either
     ``point`` is set (a Dirac, moments are monomial evaluations) or ``dcoeffs``
     is the complete finite basis expansion.  Exact distributions can produce
-    moments of any degree on demand.
+    moments of any degree on demand.  Moments and coefficients are exact
+    rationals, stored as ``int`` where they are integers.
     """
 
     def __init__(
@@ -77,8 +153,8 @@ class Distribution:
     ):
         self.group = group
         self.cap = cap
-        self.moments = {tuple(k): Fraction(v) for k, v in moments.items()}
-        self.dcoeffs = None if dcoeffs is None else {tuple(k): Fraction(v) for k, v in dcoeffs.items()}
+        self.moments = {tuple(k): _exact(v) for k, v in moments.items()}
+        self.dcoeffs = None if dcoeffs is None else {tuple(k): _exact(v) for k, v in dcoeffs.items()}
         self.exact = bool(exact)
         self.point = None if point is None else tuple(Fraction(c) for c in point)
         if self.exact and self.point is None and self.dcoeffs is None:
@@ -88,18 +164,26 @@ class Distribution:
 
     @classmethod
     def dirac(cls, G: PValuedGroup, x: Sequence, cap: int) -> "Distribution":
+        """The point mass at x: mu_beta = x^beta and d_beta = binom(x, beta) for |beta| <= cap.
+
+        It is exact, and so are its norms although ``dcoeffs`` stop at cap:
+        |binom(x, alpha)|_p <= 1 on Z_p with equality at alpha = 0, so every
+        norm with positive weights is p^0, attained at alpha = 0.
+        """
         x = G.check_point(x)
-        moments = {}
-        dcoeffs = {}
+        # per-coordinate tables of x_i^k and binom(x_i, k), in int arithmetic at integer coordinates
+        coords = [c.numerator if c.denominator == 1 else c for c in x]
+        powers = [[c**k for k in range(cap + 1)] for c in coords]
+        binoms = [_binomials(c, cap) for c in coords]
+        moments, dcoeffs = {}, {}
         for beta in _indices_up_to(G.d, cap):
-            mu = Fraction(1)
-            for c, b in zip(x, beta):
-                if b:
-                    mu *= c**b
-            if mu != 0:
+            mu = dv = 1
+            for pw, bn, b in zip(powers, binoms, beta):
+                mu *= pw[b]
+                dv *= bn[b]
+            if mu:
                 moments[beta] = mu
-            dv = multi_binom_value(x, beta)
-            if dv != 0:
+            if dv:
                 dcoeffs[beta] = dv
         return cls(G, cap, moments, dcoeffs, exact=True, point=x)
 
@@ -113,12 +197,9 @@ class Distribution:
     @classmethod
     def from_dcoeffs(cls, G: PValuedGroup, dcoeffs: Dict[MultiIndex, Fraction], cap: int) -> "Distribution":
         """A finite basis combination; exact by construction."""
-        dcoeffs = {tuple(k): Fraction(v) for k, v in dcoeffs.items() if v != 0}
-        moments: Dict[MultiIndex, Fraction] = {}
-        for beta in _indices_up_to(G.d, cap):
-            mu = sum((dv * basis_moment(beta, a) for a, dv in dcoeffs.items()), Fraction(0))
-            if mu != 0:
-                moments[beta] = mu
+        dcoeffs = {tuple(k): _exact(v) for k, v in dcoeffs.items() if v != 0}
+        nums, den = _tensor_transform(_basis_table, dcoeffs, G.d, cap)
+        moments = {beta: _ratio(num, den) for beta, num in nums.items()}
         return cls(G, cap, moments, dcoeffs, exact=True)
 
     # -- moments and basis coefficients ------------------------------------
@@ -126,7 +207,7 @@ class Distribution:
     def moment(self, beta: MultiIndex) -> Fraction:
         beta = tuple(beta)
         if sum(beta) <= self.cap:
-            return self.moments.get(beta, Fraction(0))
+            return self.moments.get(beta, 0)
         if self.point is not None:
             mu = Fraction(1)
             for c, b in zip(self.point, beta):
@@ -140,18 +221,12 @@ class Distribution:
         raise InsufficientCap(f"moment {beta} beyond cap {self.cap} of a truncated distribution")
 
     def ensure_dcoeffs(self) -> Dict[MultiIndex, Fraction]:
-        """Derive d_alpha from moments by the exact triangular solve."""
+        """Derive d_alpha = lambda(binom(Z, alpha)) from the moments, for |alpha| <= cap."""
         if self.dcoeffs is None:
-            solved: Dict[MultiIndex, Fraction] = {}
-            for beta in _indices_up_to(self.group.d, self.cap):
-                acc = self.moments.get(beta, Fraction(0))
-                for alpha, dv in solved.items():
-                    if all(a <= b for a, b in zip(alpha, beta)) and alpha != beta:
-                        acc -= dv * basis_moment(beta, alpha)
-                dv = acc / multi_factorial(beta)
-                if dv != 0:
-                    solved[beta] = dv
-            self.dcoeffs = solved
+            nums, den = _tensor_transform(_falling_table, self.moments, self.group.d, self.cap)
+            self.dcoeffs = {
+                alpha: _ratio(num, den * math.prod(map(math.factorial, alpha))) for alpha, num in nums.items()
+            }
         return self.dcoeffs
 
     def total_mass(self) -> Fraction:
@@ -205,16 +280,16 @@ def convolve(
     moments: Dict[MultiIndex, Fraction] = {}
     for gamma in _indices_up_to(d, cap_out):
         fg = G.f_monomial(gamma, cap=max(degmax * sum(gamma), 1))
-        acc = Fraction(0)
+        acc = 0
         for idx, c in fg.terms.items():
-            beta, beta2 = idx[:d], idx[d:]
-            m1 = lam.moment(beta)
+            m1 = lam.moment(idx[:d])
             if m1 == 0:
                 continue
-            m2 = mu.moment(beta2)
+            m2 = mu.moment(idx[d:])
             if m2 == 0:
                 continue
-            acc += c * m1 * m2
+            # the builtin laws have integer coefficients; int products skip Fraction arithmetic
+            acc += (c.numerator if c.denominator == 1 else c) * m1 * m2
         if acc != 0:
             moments[gamma] = acc
     point = None
@@ -228,70 +303,69 @@ def convolve(
 # -- norm families ---------------------------------------------------------
 
 
-def _sup_norm(entries, truncated_flag: bool) -> NormValue:
-    best = None
-    for e in entries:
-        if best is None or e > best:
-            best = e
-    mag = LogMag.bottom() if best is None else LogMag(best)
-    return NormValue(mag, truncated_flag)
+class _WeightTable(dict):
+    """alpha -> den * ([v_p(alpha!)] + sum_i w_i alpha_i) as an int, filled on first use.
+
+    ``den`` is the common denominator of the weights; v_p(alpha!) is an integer.
+    """
+
+    def __init__(self, weights: Tuple[Fraction, ...], p: Optional[int]):
+        super().__init__()
+        self.weights = weights
+        self.p = p
+        self.den = math.lcm(*(w.denominator for w in weights))
+
+    def __missing__(self, alpha: MultiIndex) -> int:
+        den = self.den
+        value = sum(w.numerator * (den // w.denominator) * a for w, a in zip(self.weights, alpha))
+        if self.p is not None:
+            value += den * int(multi_factorial_valuation(alpha, self.p))
+        self[alpha] = value
+        return value
+
+    def weight(self, alpha: MultiIndex) -> Fraction:
+        """The unscaled weight at alpha."""
+        return Fraction(self[alpha], self.den)
+
+    def exceeds(self, other: "_WeightTable", alpha: MultiIndex) -> bool:
+        """Whether this table's weight at alpha is larger than other's."""
+        return self[alpha] * other.den > other[alpha] * self.den
 
 
-def tau_weight(G: PValuedGroup, alpha: MultiIndex) -> Fraction:
-    """tau(alpha) = sum omega_i alpha_i."""
-    return sum((w * a for w, a in zip(G.omega, alpha)), Fraction(0))
+@lru_cache(maxsize=1024)
+def _weight_table(weights: Tuple[Fraction, ...], p: Optional[int]) -> _WeightTable:
+    """The weights of one norm on one group at one level or sigma; ``p`` adds v_p(alpha!)."""
+    return _WeightTable(weights, p)
+
+
+def _weighted_sup(lam: Distribution, weights: Sequence[Fraction], factorial: bool) -> NormValue:
+    """sup over the basis coefficients of -v(d_alpha) - [v(alpha!)] - sum_i w_i alpha_i."""
+    p = lam.group.p
+    table = _weight_table(tuple(weights), p if factorial else None)
+    den = table.den
+    best = max((-valuation(dv, p) * den - table[a] for a, dv in lam.ensure_dcoeffs().items()), default=None)
+    return NormValue(LogMag.bottom() if best is None else LogMag(Fraction(best, den)), lam.exact)
 
 
 def st_norm(lam: Distribution, sigma: Fraction) -> NormValue:
-    """sup |d_alpha| s^(tau alpha) with s = p^-sigma."""
+    """sup |d_alpha| s^(tau alpha) with s = p^-sigma and tau(alpha) = sum omega_i alpha_i."""
     sigma = Fraction(sigma)
-    G = lam.group
-    dcoeffs = lam.ensure_dcoeffs()
-    return _sup_norm(
-        (-valuation(dv, G.p) - sigma * tau_weight(G, a) for a, dv in dcoeffs.items()),
-        lam.exact,
-    )
+    return _weighted_sup(lam, [sigma * w for w in lam.group.omega], factorial=False)
 
 
 def st_norm_prime(lam: Distribution, sigma: Fraction) -> NormValue:
     """sup |d_alpha| s^|alpha|."""
-    sigma = Fraction(sigma)
-    G = lam.group
-    dcoeffs = lam.ensure_dcoeffs()
-    return _sup_norm(
-        (-valuation(dv, G.p) - sigma * sum(a) for a, dv in dcoeffs.items()),
-        lam.exact,
-    )
+    return _weighted_sup(lam, [Fraction(sigma)] * lam.group.d, factorial=False)
 
 
 def dagger_seminorm(lam: Distribution, sigma: Fraction) -> NormValue:
     """sup |alpha! d_alpha| s^|alpha|."""
-    sigma = Fraction(sigma)
-    G = lam.group
-    dcoeffs = lam.ensure_dcoeffs()
-    return _sup_norm(
-        (
-            -valuation(dv, G.p) - multi_factorial_valuation(a, G.p) - sigma * sum(a)
-            for a, dv in dcoeffs.items()
-        ),
-        lam.exact,
-    )
+    return _weighted_sup(lam, [Fraction(sigma)] * lam.group.d, factorial=True)
 
 
 def dagger_norm(lam: Distribution, N: int) -> NormValue:
     """Dual Banach norm at level N: sup |alpha! d_alpha| p^(-sum tau_{N,i} alpha_i)."""
-    G = lam.group
-    tau = G.neighborhood_params(N).tau
-    dcoeffs = lam.ensure_dcoeffs()
-    return _sup_norm(
-        (
-            -valuation(dv, G.p)
-            - multi_factorial_valuation(a, G.p)
-            - sum(t * ai for t, ai in zip(tau, a))
-            for a, dv in dcoeffs.items()
-        ),
-        lam.exact,
-    )
+    return _weighted_sup(lam, lam.group.neighborhood_params(N).tau, factorial=True)
 
 
 # -- randomized families for property checks -------------------------------
@@ -315,6 +389,17 @@ def random_dcoeff_distribution(
 
 
 # -- inequality checkers ---------------------------------------------------
+
+
+def _large_side(a: NormValue, b: NormValue) -> LogMag:
+    """The product ||a|| ||b|| on the large side of an inequality; both must be exact norms.
+
+    A truncated norm is only a lower bound, and a lower bound on the large
+    side would make a pass unsound.
+    """
+    if not (a.is_exact and b.is_exact):
+        raise ValueError("a truncated norm (a lower bound) cannot sit on the large side of an inequality")
+    return a.mag * b.mag
 
 
 def check_submultiplicative(
@@ -347,7 +432,7 @@ def check_submultiplicative(
         mu = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
         conv = convolve(G, lam, mu, cap_out=cap)
         lhs = st_norm(conv, sigma)
-        rhs = st_norm(lam, sigma).mag * st_norm(mu, sigma).mag
+        rhs = _large_side(st_norm(lam, sigma), st_norm(mu, sigma))
         if not lhs.mag <= rhs:
             bad.append(
                 {
@@ -384,7 +469,7 @@ def check_banach_submult_N(
             mu = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
         conv = convolve(G, lam, mu, cap_out=cap)
         lhs = dagger_norm(conv, N)
-        rhs = dagger_norm(lam, N).mag * dagger_norm(mu, N).mag
+        rhs = _large_side(dagger_norm(lam, N), dagger_norm(mu, N))
         if not lhs.mag <= rhs:
             bad.append({"trial": t, "lhs": lhs.mag, "rhs": rhs})
     return [
@@ -459,11 +544,14 @@ def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRec
                 params=params,
             )
         ]
+    small = _weight_table(tuple(sigma * w for w in G.omega), None)
+    large = _weight_table((-damping,) * G.d, G.p)
     bad = []
     for alpha, dv in lam.ensure_dcoeffs().items():
-        lhs = -valuation(dv, G.p) - sigma * tau_weight(G, alpha)
-        rhs = -valuation(dv, G.p) - multi_factorial_valuation(alpha, G.p) + damping * sum(alpha)
-        if not lhs <= rhs:
+        # lhs = -v(d_alpha) - small, rhs = -v(d_alpha) - large: the weights decide
+        if large.exceeds(small, alpha):
+            nv = -valuation(dv, G.p)
+            lhs, rhs = nv - small.weight(alpha), nv - large.weight(alpha)
             bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
     return [
         CheckRecord(
@@ -494,6 +582,8 @@ def check_comparison_maps(
     tau = G.neighborhood_params(N).tau
     min_omega, max_omega = min(G.omega), max(G.omega)
     dcoeffs = lam.ensure_dcoeffs()
+    completion = _weight_table(tuple(sigma * w for w in G.omega), None)
+    level = _weight_table(tuple(tau), G.p)
     records = []
 
     regime1 = [t - sigma * min_omega + eps for t in tau]
@@ -510,13 +600,10 @@ def check_comparison_maps(
     else:
         bad = []
         for alpha, dv in dcoeffs.items():
-            lhs = -valuation(dv, G.p) - sigma * tau_weight(G, alpha)
-            rhs = (
-                -valuation(dv, G.p)
-                - multi_factorial_valuation(alpha, G.p)
-                - sum(t * a for t, a in zip(tau, alpha))
-            )
-            if not lhs <= rhs:
+            # lhs = -v(d_alpha) - completion, rhs = -v(d_alpha) - level: the weights decide
+            if level.exceeds(completion, alpha):
+                nv = -valuation(dv, G.p)
+                lhs, rhs = nv - completion.weight(alpha), nv - level.weight(alpha)
                 bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
         records.append(
             CheckRecord(
@@ -546,21 +633,15 @@ def check_comparison_maps(
             )
         )
     else:
+        damped = _weight_table(tuple(sigma * w - r for w, r in zip(G.omega, regime2)), None)
         bad = []
         for alpha, dv in dcoeffs.items():
-            lhs = LogMag(
-                -valuation(dv, G.p)
-                - multi_factorial_valuation(alpha, G.p)
-                - sum(t * a for t, a in zip(tau, alpha))
-            )
-            rhs = LogMag(
-                -valuation(dv, G.p) - sigma * tau_weight(G, alpha) + sum(r * a for r, a in zip(regime2, alpha))
-            )
-            factor = 1
-            for a in alpha:
-                if a:
-                    factor *= G.p * a
-            if not leq_with_integer_factor(lhs, rhs, factor, G.p):
+            # lhs - rhs = damped.weight(alpha) - level.weight(alpha): -v(d_alpha) is on both sides
+            gap = Fraction(damped[alpha] * level.den - level[alpha] * damped.den, damped.den * level.den)
+            factor = math.prod(G.p * a for a in alpha if a)
+            if not p_power_at_most(gap, factor, G.p):
+                nv = -valuation(dv, G.p)
+                lhs, rhs = LogMag(nv - level.weight(alpha)), LogMag(nv - damped.weight(alpha))
                 bad.append({"alpha": list(alpha), "lhs": lhs, "rhs": rhs, "factor": factor})
         records.append(
             CheckRecord(

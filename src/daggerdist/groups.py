@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .padic import INFINITY, LogMag, format_fraction, valuation
+from .padic import INFINITY, LogMag, format_fraction, is_prime, valuation
 from .report import FAIL, PASS, CheckRecord
 from .series import TruncatedSeries, series_from_records, series_to_records
 
@@ -123,6 +123,10 @@ class PValuedGroup:
     def validate(self) -> List[str]:
         v: List[str] = []
         p, d = self.p, self.d
+        if not is_prime(p):
+            return [f"p={p} must be a prime"]
+        if d < 1:
+            return [f"d={d} must be positive"]
         eps = Fraction(1, p - 1)
         if len(self.omega) != d:
             v.append(f"expected {d} omega values, got {len(self.omega)}")
@@ -282,7 +286,7 @@ def builtin_abelian(p: int, d: int) -> PValuedGroup:
 def builtin_heisenberg(p: int) -> PValuedGroup:
     """Unitriangular 3x3 group over pZ_p with omega = (1, 1, 1); needs p >= 3."""
     if p < 3:
-        raise ValueError("the Heisenberg built-in requires p >= 3 (omega = 1 fails at p = 2)")
+        raise GroupConfigError(["the Heisenberg built-in requires p >= 3 (omega = 1 fails at p = 2)"])
     d, cap = 3, 2
     X = [TruncatedSeries.variable(i, 2 * d, cap) for i in range(d)]
     Y = [TruncatedSeries.variable(d + i, 2 * d, cap) for i in range(d)]
@@ -332,22 +336,27 @@ def load_group(config) -> PValuedGroup:
             config = json.loads(config)
         except json.JSONDecodeError as e:
             raise GroupConfigError([f"config is not valid JSON: {e}"]) from e
+    if not isinstance(config, dict):
+        raise GroupConfigError(["config must be a JSON object"])
     problems: List[str] = []
     for field in ("name", "p", "d", "omega", "F", "I"):
         if field not in config:
             problems.append(f"missing field {field!r}")
     if problems:
         raise GroupConfigError(problems)
-    p, d = int(config["p"]), int(config["d"])
+    try:
+        p, d = int(config["p"]), int(config["d"])
+    except (ValueError, TypeError) as e:
+        raise GroupConfigError([f"bad p or d: {e}"]) from e
     try:
         omega = [Fraction(w) for w in config["omega"]]
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, ZeroDivisionError) as e:
         raise GroupConfigError([f"bad omega entry: {e}"]) from e
-    cap = 0
-    for poly in list(config["F"]) + list(config["I"]):
-        for rec in poly:
-            cap = max(cap, sum(rec["index"]))
     try:
+        cap = 0
+        for poly in list(config["F"]) + list(config["I"]):
+            for rec in poly:
+                cap = max(cap, sum(rec["index"]))
         F = [series_from_records(poly, 2 * d, cap) for poly in config["F"]]
         I = [series_from_records(poly, d, cap) for poly in config["I"]]
     except (ValueError, KeyError, TypeError) as e:

@@ -33,11 +33,19 @@ def _int_valuation(n: int, p: int) -> int:
 
 
 def valuation(x: Rational, p: int):
-    """p-adic valuation of an exact rational, +inf for zero."""
-    x = Fraction(x)
+    """p-adic valuation of an exact rational: an int, or +inf for zero."""
+    if type(x) is int:
+        return _int_valuation(x, p) if x else INFINITY
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x == 0:
         return INFINITY
-    return Fraction(_int_valuation(x.numerator, p) - _int_valuation(x.denominator, p))
+    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division (the primes used here are small)."""
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -205,7 +213,11 @@ def leq_with_integer_factor(lhs: LogMag, rhs: LogMag, factor: int, p: int) -> bo
         return True
     if rhs.is_bottom:
         return False
-    q = lhs.exponent - rhs.exponent
+    return p_power_at_most(lhs.exponent - rhs.exponent, factor, p)
+
+
+def p_power_at_most(q: Fraction, factor: int, p: int) -> bool:
+    """Decide p^q <= factor exactly, for a rational q and a positive integer factor."""
     if q <= 0:
         return True
     return p ** q.numerator <= factor ** q.denominator

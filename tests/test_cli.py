@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -165,3 +166,38 @@ def test_emit_text_matches_json_verdicts():
     rep.extend([CheckRecord(check_id="a/b", anchor="anchor text", verdict="pass")])
     text = emit_text(rep).decode()
     assert "anchor text" in text and "PASS" in text
+
+
+@pytest.mark.parametrize("command", ["verify", "describe-group"])
+@pytest.mark.parametrize(
+    "tag",
+    ["heisenberg(3", "abelian(3)", "abelian(x,2)", "abelian(4,1)", "abelian(1,1)", "abelian(3,0)", "missing.json"],
+)
+def test_bad_group_gives_one_line_error(command, tag, capsys):
+    assert main([command, "--group", tag]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("daggerdist: error: ") and err.count("\n") == 1
+
+
+def test_bad_config_file_gives_one_line_error(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    bad_p = {"name": "g", "p": "x", "d": 1, "omega": [], "F": [], "I": []}
+    for text in ("{not json", "[1, 2]", json.dumps(bad_p)):
+        path.write_text(text)
+        assert main(["verify", "--group", str(path)]) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("daggerdist: error: ") and err.count("\n") == 1
+
+
+# sha256 of `verify --trials 5 --format json`, captured from the Fraction-only construction path
+PINNED_REPORTS = {
+    "heisenberg(3)": "5e6427b53534e700a4b3fdfb7962aa7e13a5e5c3667332b74e003b5222f42350",
+    "abelian(3,2)": "c56570c22713a0c19ddf2ea5b16995d58f8fdac50e2a84ba590159cdbe6410a3",
+}
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(group, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--group", group, "--trials", "5", "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[group]

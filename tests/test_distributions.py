@@ -1,8 +1,12 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from daggerdist import distributions as dist_module
 from daggerdist.distributions import (
     Distribution,
     InsufficientCap,
@@ -21,7 +25,7 @@ from daggerdist.distributions import (
     st_norm_prime,
 )
 from daggerdist.groups import builtin_abelian, builtin_heisenberg
-from daggerdist.padic import LogMag
+from daggerdist.padic import LogMag, multi_binom_value, stirling_second, valuation
 
 H3 = builtin_heisenberg(3)
 A32 = builtin_abelian(3, 2)
@@ -161,3 +165,133 @@ def test_comparison_maps_directions():
     assert recs["embeddings/comparison-continuity"].verdict == "pass"
     assert recs["embeddings/comparison-contraction"].verdict == "regime-unmet"
     assert recs["embeddings/comparison-continuity"].params["poly_factor_exponent"] == 1
+
+
+# -- integer construction against the Fraction formulas --------------------
+
+# Z_3 points: non-negative and negative integers, and rationals prime to 3
+zp_coords = st.one_of(
+    st.integers(0, 3**8),
+    st.integers(-(3**8), -1),
+    st.builds(Fraction, st.integers(-(10**4), 10**4), st.sampled_from([2, 4, 5, 7, 10])),
+)
+
+
+def _all_indices(d, cap):
+    return [b for b in product(range(cap + 1), repeat=d) if sum(b) <= cap]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(zp_coords, min_size=3, max_size=3), st.integers(0, 8))
+def test_dirac_matches_fraction_formula(point, cap):
+    lam = Distribution.dirac(H3, point, cap)
+    x = tuple(Fraction(c) for c in point)
+    moments, dcoeffs = {}, {}
+    for beta in _all_indices(3, cap):
+        mu = Fraction(1)
+        for c, b in zip(x, beta):
+            mu *= c**b
+        moments[beta] = mu
+        dcoeffs[beta] = multi_binom_value(x, beta)
+    assert lam.moments == {b: v for b, v in moments.items() if v != 0}
+    assert lam.dcoeffs == {b: v for b, v in dcoeffs.items() if v != 0}
+
+
+def _basis_moment_reference(beta, alpha):
+    if not all(a <= b for a, b in zip(alpha, beta)):
+        return 0
+    out = 1
+    for b, a in zip(beta, alpha):
+        out *= stirling_second(b, a) * math.factorial(a)
+    return out
+
+
+dcoeff_maps = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.builds(Fraction, st.integers(-(3**4), 3**4), st.sampled_from([1, 3, 9, 2, 6])),
+    max_size=5,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(dcoeff_maps, st.integers(0, 8))
+def test_from_dcoeffs_matches_basis_moment_sum(dcoeffs, cap):
+    lam = Distribution.from_dcoeffs(H3, dcoeffs, cap)
+    expect = {}
+    for beta in _all_indices(3, cap):
+        mu = sum((d * _basis_moment_reference(beta, a) for a, d in dcoeffs.items()), Fraction(0))
+        if mu != 0:
+            expect[beta] = mu
+    assert lam.moments == expect
+    assert basis_moment((3, 1, 2), (2, 1, 0)) == _basis_moment_reference((3, 1, 2), (2, 1, 0))
+    # the moments determine the coefficients of degree <= cap
+    solved = Distribution(H3, cap, lam.moments).ensure_dcoeffs()
+    assert solved == {a: d for a, d in dcoeffs.items() if d != 0 and sum(a) <= cap}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(zp_coords, min_size=3, max_size=3), st.sampled_from([0, 3, 8]))
+def test_dirac_norms_are_one_at_zp_points(point, cap):
+    # |binom(x, alpha)|_p <= 1 with equality at alpha = 0, which certifies exact=True
+    lam = Distribution.dirac(H3, point, cap)
+    for norm in (
+        dagger_norm(lam, 1),
+        dagger_norm(lam, 8),
+        st_norm(lam, Fraction(1, 4)),
+        st_norm_prime(lam, Fraction(1)),
+        dagger_seminorm(lam, Fraction(1, 2)),
+    ):
+        assert norm.is_exact and norm.mag == LogMag(0)
+
+
+def test_truncated_norm_rejected_on_large_side(monkeypatch):
+    def truncated(G, rng, cap, **kwargs):
+        lam = random_dcoeff_distribution(G, rng, cap, **kwargs)
+        return Distribution(G, lam.cap, lam.moments)
+
+    monkeypatch.setattr(dist_module, "random_dcoeff_distribution", truncated)
+    with pytest.raises(ValueError, match="large side"):
+        check_submultiplicative(H3, Fraction(1, 2), trials=1, cap=2)
+    with pytest.raises(ValueError, match="large side"):
+        check_banach_submult_N(H3, 1, trials=2, cap=2)
+
+
+@pytest.mark.parametrize("shift", [100, -100])
+def test_embedding_checks_fail_with_witnesses_on_a_broken_factorial(monkeypatch, shift):
+    # v(alpha!) replaced by shift * |alpha|: +100 breaks the two checks that carry it on the
+    # large side, -100 breaks the one that carries it on the small side
+    def broken(alpha):
+        return Fraction(shift * sum(alpha))
+
+    monkeypatch.setattr(dist_module, "multi_factorial_valuation", lambda alpha, p: broken(alpha))
+    dist_module._weight_table.cache_clear()
+    try:
+        dcoeffs = {(1, 0, 0): Fraction(1, 3), (0, 2, 1): Fraction(9)}
+        lam = Distribution.from_dcoeffs(H3, dcoeffs, 4)
+        found = {
+            "contact": check_contact_embedding(lam, Fraction(3, 4))[0],
+            "contraction": check_comparison_maps(H3, 4, Fraction(1), lam)[0],
+            "continuity": check_comparison_maps(H3, 1, Fraction(1, 4), lam)[1],
+        }
+    finally:
+        dist_module._weight_table.cache_clear()
+    # p = 3, omega = 1, 1/(p-1) = 1/2; the exponents as the checks state them
+    expected = {"contact": {}, "contraction": {}, "continuity": {}}
+    for alpha, d in dcoeffs.items():
+        nv, n, f = -valuation(d, 3), sum(alpha), broken(alpha)
+        damping = -Fraction(3, 4) + Fraction(1, 2)
+        expected["contact"][alpha] = (nv - Fraction(3, 4) * n, nv - f + damping * n)
+        tau = Fraction(1, 2) / 5
+        expected["contraction"][alpha] = (nv - n, nv - f - tau * n)
+        tau, regime = Fraction(1, 4), Fraction(1, 4) - Fraction(1, 4) - Fraction(1, 2)
+        expected["continuity"][alpha] = (nv - f - tau * n, nv - Fraction(1, 4) * n + regime * n)
+    failing = {"contact", "contraction"} if shift > 0 else {"continuity"}
+    for name, rec in found.items():
+        if name not in failing:
+            assert rec.verdict == "pass"
+            continue
+        assert rec.verdict == "fail"
+        for v in rec.witness["violations"]:
+            lhs, rhs = expected[name][tuple(v["alpha"])]
+            assert (v["lhs"], v["rhs"]) == (LogMag(lhs), LogMag(rhs))
+        assert len(rec.witness["violations"]) == len(dcoeffs)

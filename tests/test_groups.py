@@ -44,6 +44,16 @@ def test_heisenberg_rejects_p2():
         builtin_heisenberg(2)
 
 
+@pytest.mark.parametrize("p", [4, 1, 0, -3])
+def test_non_prime_p_rejected(p):
+    with pytest.raises(GroupConfigError, match="must be a prime"):
+        builtin_abelian(p, 1)
+    cfg = group_to_config(builtin_abelian(3, 1))
+    cfg["p"] = p
+    with pytest.raises(GroupConfigError, match="must be a prime"):
+        load_group(cfg)
+
+
 def test_omega_of():
     assert H3.omega_of([0, 0, 0]) == INFINITY
     assert H3.omega_of([3, 0, 0]) == 2

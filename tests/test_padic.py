@@ -30,6 +30,8 @@ def test_valuation_basics():
     assert valuation(Fraction(1, 9), 3) == -2
     assert valuation(Fraction(18, 5), 3) == 2
     assert valuation(-12, 2) == 2
+    # a valuation is an integer, for int and Fraction input alike
+    assert type(valuation(-12, 2)) is int and type(valuation(Fraction(1, 9), 3)) is int
 
 
 @given(nonzero_rationals, nonzero_rationals, st.sampled_from([2, 3, 5, 7]))
