@@ -10,17 +10,19 @@ inequality is decided by exact rational-exponent comparison.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .padic import INFINITY, LogMag, format_fraction, is_prime, valuation
-from .report import FAIL, PASS, CheckRecord
+from .padic import INFINITY, LogMag, Rational, format_fraction, is_prime, valuation
+from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord
 from .series import TruncatedSeries, series_from_records, series_to_records
 
-Point = Tuple[Fraction, ...]
+# Coordinates are p-adic integers: ints, or Fractions whose denominator is prime to p.
+Point = Tuple[Rational, ...]
 
 
 class GroupConfigError(ValueError):
@@ -173,16 +175,25 @@ class PValuedGroup:
 
     @property
     def identity(self) -> Point:
-        return (Fraction(0),) * self.d
+        return (0,) * self.d
 
     def check_point(self, x: Sequence) -> Point:
-        x = tuple(Fraction(c) for c in x)
+        """x as a tuple of ints and, where a coordinate is a real fraction, Fractions."""
+        x = tuple(x)
         if len(x) != self.d:
             raise ValueError(f"point has {len(x)} coordinates, expected {self.d}")
+        if all(type(c) is int for c in x):
+            return x
+        out = []
         for c in x:
-            if c != 0 and valuation(c, self.p) < 0:
-                raise ValueError(f"coordinate {c} is not a p-adic integer")
-        return x
+            if type(c) is not int:
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
+                elif valuation(c, self.p) < 0:
+                    raise ValueError(f"coordinate {c} is not a p-adic integer")
+            out.append(c)
+        return tuple(out)
 
     def multiply(self, x: Sequence, y: Sequence) -> Point:
         x, y = self.check_point(x), self.check_point(y)
@@ -429,7 +440,7 @@ def check_formal_group_axioms(G: PValuedGroup, cap: Optional[int] = None) -> Lis
 def sample_points(G: PValuedGroup, rng: random.Random, count: int, precision: int) -> List[Point]:
     """Seeded pseudorandom points with integer coordinates mod p^precision."""
     bound = G.p**precision
-    return [tuple(Fraction(rng.randrange(bound)) for _ in range(G.d)) for _ in range(count)]
+    return [tuple(rng.randrange(bound) for _ in range(G.d)) for _ in range(count)]
 
 
 def check_model_consistency(
@@ -509,52 +520,97 @@ def check_pvaluation(
     return records
 
 
-def _congruent(x: Fraction, y: Fraction, p: int, k: int) -> bool:
+def _congruent(x, y, p: int, k: int) -> bool:
     diff = x - y
+    if type(diff) is int:
+        return diff % p**k == 0
     return diff == 0 or valuation(diff, p) >= k
+
+
+#: Candidates a p-th root search may try before it gives up.
+ROOT_SEARCH_BUDGET = 20000
+
+
+class RootSearchExhausted(Exception):
+    """A p-th root search spent its budget before it found a root or ran out of digits."""
+
+
+def _linear_digit(x: Point, yp: Point, p: int, j: int) -> Optional[Tuple[int, ...]]:
+    """The digit e solving p^(j+1) e = x - y^p (mod p^(j+2)), or None if x - y^p is not 0 mod p^(j+1)."""
+    scale = p ** (j + 1)
+    digit = []
+    for a, b in zip(x, yp):
+        q = Fraction(a - b, scale)
+        if q.denominator % p == 0:
+            return None
+        digit.append(q.numerator * pow(q.denominator, -1, p) % p)
+    return tuple(digit)
 
 
 def pth_root_mod(G: PValuedGroup, x: Point, precision: int) -> Optional[Point]:
     """Find y with y^p = x mod p^precision by digit-wise lifting through F.
 
-    Returns None if the depth-first lifting stalls (counterexample at this
-    precision).
+    y is built one p-adic digit tuple e at a time, y -> y + p^j e, keeping
+    y^p = x mod p^min(j+2, precision) at level j.
+
+    * Linear step first.  Where the target is p^(j+2), the digit solving the
+      linearized congruence P(y + p^j e) = P(y) + p^(j+1) e (mod p^(j+2)) of
+      the p-power map P is read off x - P(y) and tried before any other.
+      The congruence holds exactly on the abelian and Heisenberg laws, where
+      the linear digit is then the only one that meets the target.
+    * Then the search: the remaining p^d digit tuples, depth first, with
+      backtracking.  Each candidate's p-th power is computed once, exactly
+      through F, and reused by the next level's check, so a returned y is a
+      certificate whichever way it was found.
+    * The top digit is unconstrained: at target == precision, i.e. at the
+      last level j = precision - 1, every digit meets p^(j+1), and the
+      search keeps e = 0.
+
+    When the linear digit is the only one meeting its target at every level,
+    this returns the same root as the search alone.
+
+    Returns None if every branch dead-ends, i.e. no digit tuple meets its
+    target (a counterexample at this precision).  Raises
+    :class:`RootSearchExhausted`, a distinct outcome, once
+    ``ROOT_SEARCH_BUDGET`` candidates have been tried without either result.
     """
     p, d = G.p, G.d
-    digits = [tuple(e) for e in _digit_tuples(p, d)]
+    x = G.check_point(x)
+    zero = (0,) * d
+    budget = [ROOT_SEARCH_BUDGET]
 
-    def matches(y: Point, k: int) -> bool:
-        yp = G.power(y, p)
-        return all(_congruent(a, b, p, k) for a, b in zip(yp, x))
+    def candidates(guess: Optional[Tuple[int, ...]]):
+        if guess is not None:
+            yield guess
+        for e in itertools.product(range(p), repeat=d):
+            e = e[::-1]  # the search order lets the first coordinate vary fastest
+            if e != guess:
+                yield e
 
-    budget = [20000]
-
-    def extend(y: Point, j: int) -> Optional[Point]:
+    def extend(y: Point, yp: Point, j: int) -> Optional[Point]:
+        # yp = y^p, computed once per candidate and reused at the next level
         if j >= precision:
-            return y if matches(y, precision) else None
+            return y if all(_congruent(a, b, p, precision) for a, b in zip(yp, x)) else None
         target = min(j + 2, precision)
-        scale = Fraction(p**j)
-        for e in digits:
+        guess = _linear_digit(x, yp, p, j) if target == j + 2 else None
+        scale = p**j
+        for e in candidates(guess):
             budget[0] -= 1
             if budget[0] <= 0:
-                return None
-            cand = tuple(c + scale * ei for c, ei in zip(y, e))
-            if matches(cand, target):
-                found = extend(cand, j + 1)
+                raise RootSearchExhausted(f"no p-th root settled within {ROOT_SEARCH_BUDGET} candidates")
+            if e == zero:
+                cand, cand_p = y, yp
+            else:
+                cand = tuple(c + scale * ei for c, ei in zip(y, e))
+                cand_p = G.power(cand, p)
+            if all(_congruent(a, b, p, target) for a, b in zip(cand_p, x)):
+                found = extend(cand, cand_p, j + 1)
                 if found is not None:
                     return found
         return None
 
-    return extend(G.identity, 0)
-
-
-def _digit_tuples(p: int, d: int):
-    if d == 0:
-        yield ()
-        return
-    for rest in _digit_tuples(p, d - 1):
-        for c in range(p):
-            yield (c,) + rest
+    # the unit axioms validated on F make the identity its own p-th power
+    return extend(G.identity, G.identity, 0)
 
 
 def check_saturation(
@@ -562,34 +618,48 @@ def check_saturation(
 ) -> List[CheckRecord]:
     """Finite-precision p-th root lifting for sampled x with omega(x) > p/(p-1).
 
-    This is a mod-p^precision certificate, never a proof over Z_p.
+    This is a mod-p^precision certificate, never a proof over Z_p.  A sample
+    on which no digit works makes the check ``fail``; a sample whose root
+    search spent its budget makes it ``inconclusive``, never ``fail``.
     """
     rng = random.Random(f"{seed}:sat:{G.name}")
     threshold = Fraction(G.p, G.p - 1)
-    stalls = []
+    stalls, spent = [], []
     found = 0
     skipped = 0
     attempts = 0
-    while found + len(stalls) < samples and attempts < 20 * samples:
+    while found + len(stalls) + len(spent) < samples and attempts < 20 * samples:
         attempts += 1
         # bias sampling into the deep filtration so the hypothesis holds
-        x = tuple(Fraction(G.p * rng.randrange(G.p ** (precision - 1))) for _ in range(G.d))
+        x = tuple(G.p * rng.randrange(G.p ** (precision - 1)) for _ in range(G.d))
         if not G.omega_of(x) > threshold:
             skipped += 1
             continue
-        y = pth_root_mod(G, x, precision)
+        try:
+            y = pth_root_mod(G, x, precision)
+        except RootSearchExhausted:
+            spent.append([format_fraction(c) for c in x])
+            continue
         if y is None:
             stalls.append([format_fraction(c) for c in x])
         else:
             found += 1
+    witness: Dict[str, list] = {}
+    if stalls:
+        witness["stalled"] = stalls[:3]
+    if spent:
+        witness["budget_spent"] = spent[:3]
+    details = {"roots_found": found, "skipped": skipped}
+    if spent:
+        details["budget_spent"] = len(spent)
     return [
         CheckRecord(
             check_id="saturation/pth-roots",
             anchor="omega(x) > p/(p-1) admits a p-th root mod p^precision (finite-precision only)",
-            verdict=PASS if not stalls else FAIL,
+            verdict=FAIL if stalls else INCONCLUSIVE if spent else PASS,
             params={"group": G.name, "samples": samples, "seed": seed, "precision": precision},
-            witness={"stalled": stalls[:3]} if stalls else None,
-            details={"roots_found": found, "skipped": skipped},
+            witness=witness or None,
+            details=details,
         )
     ]
 

@@ -16,7 +16,6 @@ from .padic import (
     LogMag,
     MultiIndex,
     Rational,
-    dominates,
     falling_coeff,
     grlex_key,
     multi_factorial_valuation,
@@ -87,43 +86,37 @@ def multi_factorial(alpha: MultiIndex) -> int:
 
 
 def taylor_to_mahler(f: TruncatedSeries) -> MahlerFamily:
-    """m_alpha = sum_{beta >= alpha} c_beta * prod_i s(beta_i, alpha_i) * alpha!"""
+    """m_alpha = sum_{beta >= alpha} c_beta * prod_i s(beta_i, alpha_i) * alpha!
+
+    Summed as ints over the common denominator of the c_beta.
+    """
     if not f.exact:
         raise ValueError("only exact polynomials admit Mahler conversion")
-    coeffs: Dict[MultiIndex, Fraction] = {}
-    support = list(f.terms.items())
-    seen = set()
-    for beta, _ in support:
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    scaled = [(beta, c.numerator * (den // c.denominator)) for beta, c in f.terms.items()]
+    totals: Dict[MultiIndex, int] = {}
+    for beta, num in scaled:
         for alpha in _indices_below(beta):
-            seen.add(alpha)
-    for alpha in seen:
-        total = Fraction(0)
-        for beta, c in support:
-            if dominates(beta, alpha):
-                total += c * _stirling_product(beta, alpha)
-        total *= multi_factorial(alpha)
-        if total != 0:
-            coeffs[alpha] = total
+            totals[alpha] = totals.get(alpha, 0) + num * _stirling_product(beta, alpha)
+    coeffs = {alpha: Fraction(t * multi_factorial(alpha), den) for alpha, t in totals.items() if t}
     return MahlerFamily(f.dim, f.cap, coeffs, exact=True)
 
 
 def mahler_to_taylor(m: MahlerFamily) -> TruncatedSeries:
-    """c_beta = sum_{alpha >= beta} m_alpha / alpha! * prod_i a(alpha_i, beta_i)"""
+    """c_beta = sum_{alpha >= beta} m_alpha / alpha! * prod_i a(alpha_i, beta_i)
+
+    Summed as ints over the common denominator of the m_alpha / alpha!.
+    """
     if not m.exact:
         raise ValueError("only exact Mahler families admit conversion")
-    terms: Dict[MultiIndex, Fraction] = {}
-    support = list(m.coeffs.items())
-    seen = set()
-    for alpha, _ in support:
+    dens = {alpha: ma.denominator * multi_factorial(alpha) for alpha, ma in m.coeffs.items()}
+    den = math.lcm(*dens.values())
+    scaled = [(alpha, ma.numerator * (den // dens[alpha])) for alpha, ma in m.coeffs.items()]
+    totals: Dict[MultiIndex, int] = {}
+    for alpha, num in scaled:
         for beta in _indices_below(alpha):
-            seen.add(beta)
-    for beta in seen:
-        total = Fraction(0)
-        for alpha, ma in support:
-            if dominates(alpha, beta):
-                total += Fraction(ma, multi_factorial(alpha)) * _falling_product(alpha, beta)
-        if total != 0:
-            terms[beta] = total
+            totals[beta] = totals.get(beta, 0) + num * _falling_product(alpha, beta)
+    terms = {beta: Fraction(t, den) for beta, t in totals.items() if t}
     return TruncatedSeries(m.dim, m.cap, terms, exact=True)
 
 

@@ -134,11 +134,6 @@ def total_degree(alpha: MultiIndex) -> int:
     return sum(alpha)
 
 
-def dominates(beta: MultiIndex, alpha: MultiIndex) -> bool:
-    """Componentwise beta >= alpha."""
-    return all(b >= a for b, a in zip(beta, alpha))
-
-
 def grlex_key(alpha: MultiIndex):
     """Graded lexicographic sort key, used for deterministic iteration."""
     return (sum(alpha), alpha)

@@ -7,7 +7,12 @@ A report is a flat list of check records.  Verdicts are:
                          lower bound computed from truncated data;
 * ``regime-unmet``    -- the hypothesis of a conditional statement failed
                          (reported with the exact arithmetic, not as a failure);
+* ``inconclusive``    -- a bounded search spent its budget before it settled
+                         the question (never reported as a failure);
 * ``fail``            -- an exact comparison failed; a witness is attached.
+
+The process exit status is 1 for ``fail`` only.  ``counts`` lists
+``inconclusive`` only when some record has that verdict.
 
 Emission is byte-deterministic: records are sorted, fields have a fixed
 order, and all rationals are rendered as "num/den" strings.
@@ -25,6 +30,7 @@ PASS = "pass"
 FAIL = "fail"
 REGIME_UNMET = "regime-unmet"
 LOWER_BOUND_PASS = "lower-bound-pass"
+INCONCLUSIVE = "inconclusive"
 
 SCHEMA_VERSION = 1
 
@@ -91,16 +97,17 @@ class Report:
             self.records,
             key=lambda r: (r.check_id, json.dumps(render(r.params), sort_keys=True)),
         )
+        counts = {
+            verdict: sum(r.verdict == verdict for r in self.records)
+            for verdict in (PASS, LOWER_BOUND_PASS, REGIME_UNMET, INCONCLUSIVE, FAIL)
+        }
+        if not counts[INCONCLUSIVE]:
+            del counts[INCONCLUSIVE]
         return {
             "schema": SCHEMA_VERSION,
             "group": self.group,
             "seed": self.seed,
-            "counts": {
-                "pass": sum(r.verdict == PASS for r in self.records),
-                "lower-bound-pass": sum(r.verdict == LOWER_BOUND_PASS for r in self.records),
-                "regime-unmet": sum(r.verdict == REGIME_UNMET for r in self.records),
-                "fail": sum(r.verdict == FAIL for r in self.records),
-            },
+            "counts": counts,
             "checks": [r.to_dict() for r in ordered],
         }
 
@@ -118,9 +125,5 @@ def emit_text(report: Report) -> bytes:
         lines.append(f"{'':>18} {rec['anchor']}")
         if "witness" in rec:
             lines.append(f"{'':>18} witness: {json.dumps(rec['witness'], sort_keys=True)}")
-    c = data["counts"]
-    lines.append(
-        f"totals: pass={c['pass']} lower-bound-pass={c['lower-bound-pass']} "
-        f"regime-unmet={c['regime-unmet']} fail={c['fail']}"
-    )
+    lines.append("totals: " + " ".join(f"{verdict}={n}" for verdict, n in data["counts"].items()))
     return ("\n".join(lines) + "\n").encode()

@@ -212,14 +212,21 @@ class TruncatedSeries:
         exact = out.exact and self.exact
         return TruncatedSeries(edim, cap, out.terms, exact)
 
-    def evaluate(self, xs: Sequence[Rational]) -> Fraction:
-        """Exact sum over the stored terms at the point ``xs``."""
+    def evaluate(self, xs: Sequence[Rational]) -> Rational:
+        """Exact sum over the stored terms at the point ``xs``.
+
+        The sum is an ``int`` exactly when the point and the coefficients are
+        integers, and a ``Fraction`` otherwise.
+        """
         if len(xs) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(xs)}")
-        xs = [Fraction(x) for x in xs]
-        total = Fraction(0)
+        if all(type(x) is int for x in xs):
+            total = 0
+        else:
+            xs = [Fraction(x) for x in xs]
+            total = Fraction(0)
         for idx, c in self.terms.items():
-            term = c
+            term = c.numerator if c.denominator == 1 else c
             for x, k in zip(xs, idx):
                 if k:
                     term *= x**k

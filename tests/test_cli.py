@@ -189,15 +189,42 @@ def test_bad_config_file_gives_one_line_error(tmp_path, capsys):
         assert err.startswith("daggerdist: error: ") and err.count("\n") == 1
 
 
-# sha256 of `verify --trials 5 --format json`, captured from the Fraction-only construction path
+# sha256 of `verify --group G --format json` with the listed options.  The heisenberg(3) and
+# abelian(3,2) digests were captured from the Fraction-only construction path, the other two
+# from the Fraction-only pointwise path with the plain depth-first p-th root search.
 PINNED_REPORTS = {
-    "heisenberg(3)": "5e6427b53534e700a4b3fdfb7962aa7e13a5e5c3667332b74e003b5222f42350",
-    "abelian(3,2)": "c56570c22713a0c19ddf2ea5b16995d58f8fdac50e2a84ba590159cdbe6410a3",
+    "heisenberg(3)": (
+        ["--trials", "5"],
+        "5e6427b53534e700a4b3fdfb7962aa7e13a5e5c3667332b74e003b5222f42350",
+    ),
+    "abelian(3,2)": (
+        ["--trials", "5"],
+        "c56570c22713a0c19ddf2ea5b16995d58f8fdac50e2a84ba590159cdbe6410a3",
+    ),
+    "heisenberg(5)": (
+        ["--trials", "5"],
+        "74153c1867874d7d08f59ff4ac509227b8f9fa8f4e94730c26854b67f0db7470",
+    ),
+    "abelian(11,3)": (
+        ["--suites", "saturation", "--trials", "30"],
+        "2901ca4f68b2c3522420da4ac907054fb9a371db9cf4e0ec8e46b8bb66510278",
+    ),
 }
 
 
 @pytest.mark.parametrize("group", sorted(PINNED_REPORTS))
 def test_report_bytes_pinned(group, tmp_path):
+    options, digest = PINNED_REPORTS[group]
     out = tmp_path / "report.json"
-    assert main(["verify", "--group", group, "--trials", "5", "--format", "json", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[group]
+    assert main(["verify", "--group", group, *options, "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_inconclusive_counted_only_when_present():
+    rep = Report(group="g", seed=0)
+    rep.extend([CheckRecord(check_id="a/b", anchor="a", verdict="pass")])
+    assert list(rep.to_dict()["counts"]) == ["pass", "lower-bound-pass", "regime-unmet", "fail"]
+    rep.extend([CheckRecord(check_id="a/c", anchor="a", verdict="inconclusive")])
+    assert rep.to_dict()["counts"]["inconclusive"] == 1
+    assert not rep.failed
+    assert "regime-unmet=0 inconclusive=1 fail=0" in emit_text(rep).decode()

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daggerdist.mahler import (
     MahlerFamily,
@@ -12,7 +14,7 @@ from daggerdist.mahler import (
     taylor_to_mahler,
     verify_norm_identity,
 )
-from daggerdist.padic import LogMag
+from daggerdist.padic import LogMag, falling_coeff, stirling_second
 from daggerdist.series import TruncatedSeries
 
 
@@ -99,3 +101,56 @@ def test_norm_identity_requires_positive_radii():
 def test_mahler_family_validation():
     with pytest.raises(ValueError):
         MahlerFamily(1, 2, {(3,): 1})
+
+
+def _below(idx):
+    if not idx:
+        yield ()
+        return
+    for rest in _below(idx[1:]):
+        for k in range(idx[0] + 1):
+            yield (k,) + rest
+
+
+def _fraction_taylor_to_mahler(terms):
+    out = {}
+    for beta, c in terms.items():
+        for alpha in _below(beta):
+            weight = Fraction(1)
+            for b, a in zip(beta, alpha):
+                weight *= stirling_second(b, a) * math.factorial(a)
+            out[alpha] = out.get(alpha, Fraction(0)) + Fraction(c) * weight
+    return {a: v for a, v in out.items() if v != 0}
+
+
+def _fraction_mahler_to_taylor(coeffs):
+    out = {}
+    for alpha, m in coeffs.items():
+        for beta in _below(alpha):
+            weight = Fraction(1)
+            for a, b in zip(alpha, beta):
+                weight *= Fraction(falling_coeff(a, b), math.factorial(a))
+            out[beta] = out.get(beta, Fraction(0)) + Fraction(m) * weight
+    return {b: v for b, v in out.items() if v != 0}
+
+
+@st.composite
+def _suite_polys(draw):
+    """Polynomials as the mahler suite draws them: numerators up to p^3 over p^0..p^2."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim, deg = draw(st.sampled_from([(1, 12), (2, 6)]))
+    index = st.lists(st.integers(0, deg), min_size=dim, max_size=dim).filter(lambda i: sum(i) <= deg)
+    coeff = st.builds(Fraction, st.integers(-(p**3), p**3), st.sampled_from([1, p, p * p]))
+    terms = draw(st.dictionaries(index.map(tuple), coeff, min_size=1, max_size=5))
+    return TruncatedSeries(dim, deg, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_suite_polys())
+def test_conversions_match_fraction_formulas(f):
+    m = taylor_to_mahler(f)
+    assert m.coeffs == _fraction_taylor_to_mahler(f.terms)
+    assert mahler_to_taylor(m).terms == _fraction_mahler_to_taylor(m.coeffs)
+    # a family whose denominators are not all absorbed by alpha!
+    divided = MahlerFamily(f.dim, f.cap, {a: c / 7 for a, c in m.coeffs.items()})
+    assert mahler_to_taylor(divided).terms == _fraction_mahler_to_taylor(divided.coeffs)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daggerdist.padic import LogMag
 from daggerdist.series import (
@@ -75,6 +76,31 @@ def test_evaluate_and_partial_evaluate():
     g = f.partial_evaluate({1: Fraction(2)})
     assert g.dim == 1
     assert g.terms == {(1,): 4, (0,): 4}
+
+
+_values = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 2, 3, 9, 25])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3))
+def test_evaluate_matches_fraction_sum(data, dim):
+    index = st.tuples(*[st.integers(0, 3)] * dim)
+    terms = data.draw(st.dictionaries(index, _values, max_size=6))
+    xs = data.draw(st.lists(_values, min_size=dim, max_size=dim))
+    f = TruncatedSeries(dim, 3 * dim, terms)
+    expect = Fraction(0)
+    for idx, c in terms.items():
+        term = Fraction(c)
+        for x, k in zip(xs, idx):
+            term *= Fraction(x) ** k
+        expect += term
+    value = f.evaluate(xs)
+    assert value == expect
+    integral = all(type(x) is int for x in xs) and all(Fraction(c).denominator == 1 for c in terms.values())
+    assert type(value) is (int if integral else Fraction)
 
 
 def test_embed_and_reverse():
