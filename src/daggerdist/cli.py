@@ -8,7 +8,7 @@ Single entry point with three subcommands:
 
 Reports are byte-deterministic for a fixed (config, seed); the process exits
 1 iff some check has verdict ``fail``, and 2 with a one-line error for a bad
-group tag or config.
+group tag or config, or a ``convert`` input that cannot be read or parsed.
 """
 from __future__ import annotations
 
@@ -35,10 +35,10 @@ from .groups import (
     group_to_config,
     load_group,
 )
-from .mahler import mahler_to_taylor, taylor_to_mahler, verify_norm_identity
+from .mahler import MahlerFamily, mahler_to_taylor, taylor_to_mahler, verify_norm_identity
 from .padic import format_fraction, parse_fraction
 from .report import FAIL, PASS, CheckRecord, Report, emit_json, emit_text
-from .series import TruncatedSeries, series_from_records, series_to_records
+from .series import TruncatedSeries, series_to_records
 
 ALL_SUITES = [
     "group-axioms",
@@ -103,10 +103,11 @@ def suite_mahler(G: PValuedGroup, trials: int, seed: int) -> List[CheckRecord]:
         dim, deg = (1, 12) if t % 2 == 0 else (2, 6)
         f = _random_poly(rng, dim, deg, G.p, cap=deg)
         rho = [rng.choice(radii)] * dim
-        equal, gmag, mmag = verify_norm_identity(f, rho, G.p)
+        m = taylor_to_mahler(f)
+        equal, gmag, mmag = verify_norm_identity(f, rho, G.p, m)
         if not equal:
             bad_norm.append({"trial": t, "gauss": gmag, "mahler": mmag})
-        if mahler_to_taylor(taylor_to_mahler(f)) != f:
+        if mahler_to_taylor(m) != f:
             bad_round.append({"trial": t})
     return [
         CheckRecord(
@@ -378,22 +379,42 @@ def cmd_describe_group(args) -> int:
     return 0
 
 
-def cmd_convert(args) -> int:
-    from .mahler import MahlerFamily
+class InputError(ValueError):
+    """A subcommand's input file cannot be read or parsed."""
 
-    with open(args.infile) as fh:
-        payload = json.load(fh)
-    dim, cap = int(payload["dim"]), int(payload["cap"])
-    if args.direction == "taylor-to-mahler":
-        f = series_from_records(payload["terms"], dim, cap)
-        m = taylor_to_mahler(f)
-        terms = [
-            {"index": list(a), "coeff": format_fraction(c)} for a, c in m.sorted_coeffs()
-        ]
+
+def _read_terms(path: str):
+    """(dim, cap, {index: coeff}) from a convert input file {dim, cap, terms: [{index, coeff}]}."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as e:
+        raise InputError(f"cannot read {path!r}: {e.strerror}") from e
+    except json.JSONDecodeError as e:
+        raise InputError(f"{path!r} is not valid JSON: {e}") from e
+    try:
+        dim, cap = int(payload["dim"]), int(payload["cap"])
+        terms = {tuple(r["index"]): Fraction(r["coeff"]) for r in payload["terms"]}
+    except KeyError as e:
+        raise InputError(f"{path!r} lacks the key {e}") from e
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise InputError(f"bad record in {path!r}: {e}") from e
+    return dim, cap, terms
+
+
+def cmd_convert(args) -> int:
+    dim, cap, terms = _read_terms(args.infile)
+    to_mahler = args.direction == "taylor-to-mahler"
+    try:
+        source = TruncatedSeries(dim, cap, terms) if to_mahler else MahlerFamily(dim, cap, terms)
+    except (ValueError, TypeError) as e:
+        raise InputError(f"bad polynomial in {args.infile!r}: {e}") from e
+    if to_mahler:
+        m = taylor_to_mahler(source)
+        records = [{"index": list(a), "coeff": format_fraction(c)} for a, c in m.sorted_coeffs()]
     else:
-        m = MahlerFamily(dim, cap, {tuple(r["index"]): Fraction(r["coeff"]) for r in payload["terms"]})
-        terms = series_to_records(mahler_to_taylor(m))
-    out = json.dumps({"dim": dim, "cap": cap, "terms": terms}, indent=2) + "\n"
+        records = series_to_records(mahler_to_taylor(source))
+    out = json.dumps({"dim": dim, "cap": cap, "terms": records}, indent=2) + "\n"
     _write_out(out.encode(), args.out)
     return 0
 
@@ -409,10 +430,10 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "describe-group":
             return cmd_describe_group(args)
-    except GroupConfigError as e:
+        return cmd_convert(args)
+    except (GroupConfigError, InputError) as e:
         sys.stderr.write(f"{parser.prog}: error: {e}\n")
         return 2
-    return cmd_convert(args)
 
 
 if __name__ == "__main__":

@@ -26,10 +26,11 @@ from .padic import (
     falling_coeff,
     format_fraction,
     grlex_key,
-    multi_factorial_valuation,
     p_power_at_most,
     stirling_second,
     valuation,
+    weight_table,
+    weighted_sup,
 )
 from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord
 from .series import NormValue
@@ -303,48 +304,11 @@ def convolve(
 # -- norm families ---------------------------------------------------------
 
 
-class _WeightTable(dict):
-    """alpha -> den * ([v_p(alpha!)] + sum_i w_i alpha_i) as an int, filled on first use.
-
-    ``den`` is the common denominator of the weights; v_p(alpha!) is an integer.
-    """
-
-    def __init__(self, weights: Tuple[Fraction, ...], p: Optional[int]):
-        super().__init__()
-        self.weights = weights
-        self.p = p
-        self.den = math.lcm(*(w.denominator for w in weights))
-
-    def __missing__(self, alpha: MultiIndex) -> int:
-        den = self.den
-        value = sum(w.numerator * (den // w.denominator) * a for w, a in zip(self.weights, alpha))
-        if self.p is not None:
-            value += den * int(multi_factorial_valuation(alpha, self.p))
-        self[alpha] = value
-        return value
-
-    def weight(self, alpha: MultiIndex) -> Fraction:
-        """The unscaled weight at alpha."""
-        return Fraction(self[alpha], self.den)
-
-    def exceeds(self, other: "_WeightTable", alpha: MultiIndex) -> bool:
-        """Whether this table's weight at alpha is larger than other's."""
-        return self[alpha] * other.den > other[alpha] * self.den
-
-
-@lru_cache(maxsize=1024)
-def _weight_table(weights: Tuple[Fraction, ...], p: Optional[int]) -> _WeightTable:
-    """The weights of one norm on one group at one level or sigma; ``p`` adds v_p(alpha!)."""
-    return _WeightTable(weights, p)
-
-
 def _weighted_sup(lam: Distribution, weights: Sequence[Fraction], factorial: bool) -> NormValue:
     """sup over the basis coefficients of -v(d_alpha) - [v(alpha!)] - sum_i w_i alpha_i."""
     p = lam.group.p
-    table = _weight_table(tuple(weights), p if factorial else None)
-    den = table.den
-    best = max((-valuation(dv, p) * den - table[a] for a, dv in lam.ensure_dcoeffs().items()), default=None)
-    return NormValue(LogMag.bottom() if best is None else LogMag(Fraction(best, den)), lam.exact)
+    table = weight_table(tuple(weights), p if factorial else None)
+    return NormValue(weighted_sup(lam.ensure_dcoeffs(), p, table, sign=-1), lam.exact)
 
 
 def st_norm(lam: Distribution, sigma: Fraction) -> NormValue:
@@ -544,8 +508,8 @@ def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRec
                 params=params,
             )
         ]
-    small = _weight_table(tuple(sigma * w for w in G.omega), None)
-    large = _weight_table((-damping,) * G.d, G.p)
+    small = weight_table(tuple(sigma * w for w in G.omega), None)
+    large = weight_table((-damping,) * G.d, G.p)
     bad = []
     for alpha, dv in lam.ensure_dcoeffs().items():
         # lhs = -v(d_alpha) - small, rhs = -v(d_alpha) - large: the weights decide
@@ -582,8 +546,8 @@ def check_comparison_maps(
     tau = G.neighborhood_params(N).tau
     min_omega, max_omega = min(G.omega), max(G.omega)
     dcoeffs = lam.ensure_dcoeffs()
-    completion = _weight_table(tuple(sigma * w for w in G.omega), None)
-    level = _weight_table(tuple(tau), G.p)
+    completion = weight_table(tuple(sigma * w for w in G.omega), None)
+    level = weight_table(tuple(tau), G.p)
     records = []
 
     regime1 = [t - sigma * min_omega + eps for t in tau]
@@ -633,7 +597,7 @@ def check_comparison_maps(
             )
         )
     else:
-        damped = _weight_table(tuple(sigma * w - r for w, r in zip(G.omega, regime2)), None)
+        damped = weight_table(tuple(sigma * w - r for w, r in zip(G.omega, regime2)), None)
         bad = []
         for alpha, dv in dcoeffs.items():
             # lhs - rhs = damped.weight(alpha) - level.weight(alpha): -v(d_alpha) is on both sides

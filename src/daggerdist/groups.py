@@ -182,7 +182,10 @@ class PValuedGroup:
         x = tuple(x)
         if len(x) != self.d:
             raise ValueError(f"point has {len(x)} coordinates, expected {self.d}")
-        if all(type(c) is int for c in x):
+        for c in x:
+            if type(c) is not int:
+                break
+        else:
             return x
         out = []
         for c in x:
@@ -701,11 +704,7 @@ def check_coefficient_bound(G: PValuedGroup) -> List[CheckRecord]:
 
 
 def check_polydisc_bound(G: PValuedGroup, N: int) -> List[CheckRecord]:
-    """Weighted Gauss-norm bound ||F_i|| <= p^tau_i on the N-th polydisc.
-
-    The inversion series is checked in reversed coordinates with reversed
-    radii, which is how the inversion map is transported between polydiscs.
-    """
+    """Weighted Gauss-norm bound ||F_i|| <= p^tau_i and ||I_i|| <= p^tau_i on the N-th polydisc."""
     params = G.neighborhood_params(N)
     bad = []
     tau = params.tau
@@ -713,10 +712,8 @@ def check_polydisc_bound(G: PValuedGroup, N: int) -> List[CheckRecord]:
         norm = f.gauss_norm(params.rho, G.p)
         if not norm.mag <= LogMag(tau[i]):
             bad.append({"poly": f"F{i + 1}", "norm": norm.mag, "bound": LogMag(tau[i])})
-    reversed_tau = tuple(reversed(tau))
     for i, g in enumerate(G.I):
-        J = g.reverse_variables()
-        norm = J.gauss_norm(reversed_tau, G.p)
+        norm = g.gauss_norm(tau, G.p)
         if not norm.mag <= LogMag(tau[i]):
             bad.append({"poly": f"I{i + 1}", "norm": norm.mag, "bound": LogMag(tau[i])})
     return [

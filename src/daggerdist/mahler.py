@@ -2,27 +2,31 @@
 
 The conversion in both directions goes through the Stirling tables, one
 variable at a time; the multivariate maps are tensor products of the
-one-variable maps.  Only exact polynomials are converted: the formulas sum
-over all dominating indices, so a truncated tail would silently corrupt the
-output coefficients.
+one-variable maps, tabled as one integer row per multi-index.  Only exact
+polynomials are converted: the formulas sum over all dominating indices, so a
+truncated tail would silently corrupt the output coefficients.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence
+from functools import lru_cache
+from itertools import product
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .padic import (
-    LogMag,
     MultiIndex,
     Rational,
     falling_coeff,
     grlex_key,
-    multi_factorial_valuation,
     stirling_second,
-    valuation,
+    weight_table,
+    weighted_sup,
 )
-from .series import DimensionMismatch, NormValue, TruncatedSeries
+from .series import DimensionMismatch, NormValue, TruncatedSeries, clean_terms
+
+#: (index, int weight) pairs of one basis row, first coordinate varying fastest.
+Row = Tuple[Tuple[MultiIndex, int], ...]
 
 
 class MahlerFamily:
@@ -33,16 +37,7 @@ class MahlerFamily:
     def __init__(self, dim: int, cap: int, coeffs: Mapping[MultiIndex, Rational], exact: bool = True):
         self.dim = dim
         self.cap = cap
-        self.coeffs: Dict[MultiIndex, Fraction] = {}
-        for idx, c in coeffs.items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != dim:
-                raise DimensionMismatch(f"index {idx} has length {len(idx)}, expected {dim}")
-            if sum(idx) > cap:
-                raise ValueError(f"index {idx} exceeds cap {cap}")
-            c = Fraction(c)
-            if c != 0:
-                self.coeffs[idx] = c
+        self.coeffs = clean_terms(dim, cap, coeffs)
         self.exact = bool(exact)
 
     def coefficient(self, idx: MultiIndex) -> Fraction:
@@ -60,29 +55,33 @@ class MahlerFamily:
         return f"MahlerFamily({dict(self.sorted_coeffs())})"
 
 
-def _stirling_product(beta: MultiIndex, alpha: MultiIndex) -> int:
-    out = 1
-    for b, a in zip(beta, alpha):
-        out *= stirling_second(b, a)
-        if out == 0:
-            break
-    return out
-
-
-def _falling_product(alpha: MultiIndex, beta: MultiIndex) -> int:
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= falling_coeff(a, b)
-        if out == 0:
-            break
-    return out
-
-
 def multi_factorial(alpha: MultiIndex) -> int:
     out = 1
     for a in alpha:
         out *= math.factorial(a)
     return out
+
+
+def _tensor_row(factors) -> Row:
+    """The nonzero entries of a tensor product of one-variable rows [(k, weight), ...]."""
+    out = []
+    for combo in product(*reversed(factors)):
+        weight = math.prod(w for _, w in combo)
+        if weight:
+            out.append((tuple(k for k, _ in reversed(combo)), weight))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _mahler_row(beta: MultiIndex) -> Row:
+    """(alpha, prod_i s(beta_i, alpha_i) * alpha_i!) for alpha <= beta: Z^beta in the binomial basis."""
+    return _tensor_row([[(a, stirling_second(b, a) * math.factorial(a)) for a in range(b + 1)] for b in beta])
+
+
+@lru_cache(maxsize=1024)
+def _taylor_row(alpha: MultiIndex) -> Row:
+    """(beta, prod_i a(alpha_i, beta_i)) for beta <= alpha: alpha! binom(Z, alpha) in monomials."""
+    return _tensor_row([[(b, falling_coeff(a, b)) for b in range(a + 1)] for a in alpha])
 
 
 def taylor_to_mahler(f: TruncatedSeries) -> MahlerFamily:
@@ -93,12 +92,12 @@ def taylor_to_mahler(f: TruncatedSeries) -> MahlerFamily:
     if not f.exact:
         raise ValueError("only exact polynomials admit Mahler conversion")
     den = math.lcm(*(c.denominator for c in f.terms.values()))
-    scaled = [(beta, c.numerator * (den // c.denominator)) for beta, c in f.terms.items()]
     totals: Dict[MultiIndex, int] = {}
-    for beta, num in scaled:
-        for alpha in _indices_below(beta):
-            totals[alpha] = totals.get(alpha, 0) + num * _stirling_product(beta, alpha)
-    coeffs = {alpha: Fraction(t * multi_factorial(alpha), den) for alpha, t in totals.items() if t}
+    for beta, c in f.terms.items():
+        num = c.numerator * (den // c.denominator)
+        for alpha, weight in _mahler_row(beta):
+            totals[alpha] = totals.get(alpha, 0) + num * weight
+    coeffs = {alpha: Fraction(t, den) for alpha, t in totals.items() if t}
     return MahlerFamily(f.dim, f.cap, coeffs, exact=True)
 
 
@@ -111,39 +110,21 @@ def mahler_to_taylor(m: MahlerFamily) -> TruncatedSeries:
         raise ValueError("only exact Mahler families admit conversion")
     dens = {alpha: ma.denominator * multi_factorial(alpha) for alpha, ma in m.coeffs.items()}
     den = math.lcm(*dens.values())
-    scaled = [(alpha, ma.numerator * (den // dens[alpha])) for alpha, ma in m.coeffs.items()]
     totals: Dict[MultiIndex, int] = {}
-    for alpha, num in scaled:
-        for beta in _indices_below(alpha):
-            totals[beta] = totals.get(beta, 0) + num * _falling_product(alpha, beta)
+    for alpha, ma in m.coeffs.items():
+        num = ma.numerator * (den // dens[alpha])
+        for beta, weight in _taylor_row(alpha):
+            totals[beta] = totals.get(beta, 0) + num * weight
     terms = {beta: Fraction(t, den) for beta, t in totals.items() if t}
     return TruncatedSeries(m.dim, m.cap, terms, exact=True)
-
-
-def _indices_below(beta: MultiIndex):
-    """All multi-indices componentwise <= beta."""
-    if not beta:
-        yield ()
-        return
-    head, tail = beta[0], beta[1:]
-    for rest in _indices_below(tail):
-        for k in range(head + 1):
-            yield (k,) + rest
 
 
 def mahler_norm(m: MahlerFamily, rho: Sequence[Rational], p: int) -> NormValue:
     """sup_alpha |m_alpha| / |alpha!| * p^(sum rho_i alpha_i)."""
     if len(rho) != m.dim:
         raise DimensionMismatch(f"expected {m.dim} radii, got {len(rho)}")
-    rho = [Fraction(r) for r in rho]
-    best: Optional[Fraction] = None
-    for alpha, ma in m.coeffs.items():
-        e = -valuation(ma, p) + multi_factorial_valuation(alpha, p)
-        e += sum(r * a for r, a in zip(rho, alpha))
-        if best is None or e > best:
-            best = e
-    mag = LogMag.bottom() if best is None else LogMag(best)
-    return NormValue(mag, m.exact)
+    table = weight_table(tuple(Fraction(r) for r in rho), p)
+    return NormValue(weighted_sup(m.coeffs, p, table), m.exact)
 
 
 def evaluate_mahler(m: MahlerFamily, x: Sequence[Rational]) -> Fraction:
@@ -182,14 +163,18 @@ def binomial_poly(alpha: MultiIndex, cap: Optional[int] = None) -> TruncatedSeri
     return out
 
 
-def verify_norm_identity(f: TruncatedSeries, rho: Sequence[Rational], p: int):
+def verify_norm_identity(
+    f: TruncatedSeries, rho: Sequence[Rational], p: int, family: Optional[MahlerFamily] = None
+):
     """Compare the Gauss norm of f with the Mahler-side norm, exactly.
 
-    Returns (equal, gauss_mag, mahler_mag).  Requires positive radii.
+    ``family`` is f's Mahler family if the caller has already converted f;
+    by default f is converted here.  Returns (equal, gauss_mag, mahler_mag).
+    Requires positive radii.
     """
     rho = [Fraction(r) for r in rho]
     if any(r <= 0 for r in rho):
         raise ValueError("norm identity requires positive radii")
     g = f.gauss_norm(rho, p)
-    m = mahler_norm(taylor_to_mahler(f), rho, p)
+    m = mahler_norm(taylor_to_mahler(f) if family is None else family, rho, p)
     return g.mag == m.mag, g.mag, m.mag

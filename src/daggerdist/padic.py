@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from typing import Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 MultiIndex = Tuple[int, ...]
@@ -59,16 +59,16 @@ def digit_sum(n: int, p: int) -> int:
     return s
 
 
-def factorial_valuation(n: int, p: int) -> Fraction:
-    """v_p(n!) computed as (n - digit_sum(n)) / (p - 1)."""
+def factorial_valuation(n: int, p: int) -> int:
+    """v_p(n!) as an int: (n - digit_sum(n)) / (p - 1), which divides exactly (Legendre)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return Fraction(n - digit_sum(n, p), p - 1)
+    return (n - digit_sum(n, p)) // (p - 1)
 
 
-def multi_factorial_valuation(alpha: MultiIndex, p: int) -> Fraction:
-    """v_p(alpha!) for a multi-index, alpha! = alpha_1! ... alpha_d!."""
-    return sum((factorial_valuation(a, p) for a in alpha), Fraction(0))
+def multi_factorial_valuation(alpha: MultiIndex, p: int) -> int:
+    """v_p(alpha!) as an int for a multi-index, alpha! = alpha_1! ... alpha_d!."""
+    return sum(factorial_valuation(a, p) for a in alpha)
 
 
 @lru_cache(maxsize=None)
@@ -216,6 +216,53 @@ def p_power_at_most(q: Fraction, factor: int, p: int) -> bool:
     if q <= 0:
         return True
     return p ** q.numerator <= factor ** q.denominator
+
+
+class WeightTable(dict):
+    """alpha -> den * ([v_p(alpha!)] + sum_i w_i alpha_i) as an int, filled on first use.
+
+    ``den`` is the common denominator of the weights w; the factorial term
+    v_p(alpha!), an int, is added only when ``p`` is given.
+    """
+
+    def __init__(self, weights: Tuple[Fraction, ...], p: Optional[int]):
+        super().__init__()
+        self.weights = weights
+        self.p = p
+        self.den = math.lcm(*(w.denominator for w in weights))
+
+    def __missing__(self, alpha: MultiIndex) -> int:
+        den = self.den
+        value = sum(w.numerator * (den // w.denominator) * a for w, a in zip(self.weights, alpha))
+        if self.p is not None:
+            value += den * multi_factorial_valuation(alpha, self.p)
+        self[alpha] = value
+        return value
+
+    def weight(self, alpha: MultiIndex) -> Fraction:
+        """The unscaled weight at alpha."""
+        return Fraction(self[alpha], self.den)
+
+    def exceeds(self, other: "WeightTable", alpha: MultiIndex) -> bool:
+        """Whether this table's weight at alpha is larger than other's."""
+        return self[alpha] * other.den > other[alpha] * self.den
+
+
+@lru_cache(maxsize=1024)
+def weight_table(weights: Tuple[Fraction, ...], p: Optional[int]) -> WeightTable:
+    """The weights of one norm at one radius vector; ``p`` adds v_p(alpha!)."""
+    return WeightTable(weights, p)
+
+
+def weighted_sup(coeffs: Mapping[MultiIndex, Rational], p: int, table: WeightTable, sign: int = 1) -> LogMag:
+    """sup over the support of -v_p(c_alpha) + sign * table.weight(alpha), exactly.
+
+    The sup runs over ints scaled by ``table.den``, and one Fraction is built
+    at the end; bottom when there are no coefficients.
+    """
+    den = table.den
+    best = max((sign * table[a] - valuation(c, p) * den for a, c in coeffs.items()), default=None)
+    return LogMag.bottom() if best is None else LogMag(Fraction(best, den))
 
 
 def format_fraction(x) -> str:

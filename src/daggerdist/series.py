@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .padic import LogMag, MultiIndex, Rational, grlex_key, valuation
+from .padic import LogMag, MultiIndex, Rational, grlex_key, weight_table, weighted_sup
 
 
 class DimensionMismatch(ValueError):
@@ -29,26 +29,32 @@ class NormValue(NamedTuple):
     is_exact: bool
 
 
-def _clean_terms(dim: int, cap: int, terms: Mapping[MultiIndex, Rational]) -> Dict[MultiIndex, Fraction]:
+def clean_terms(dim: int, cap: int, terms: Mapping[MultiIndex, Rational]) -> Dict[MultiIndex, Fraction]:
+    """The nonzero terms with int-tuple indices and Fraction coefficients; bad indices raise."""
     out: Dict[MultiIndex, Fraction] = {}
     for idx, c in terms.items():
-        idx = tuple(int(i) for i in idx)
+        idx = tuple(map(int, idx))
         if len(idx) != dim:
             raise DimensionMismatch(f"index {idx} has length {len(idx)}, expected {dim}")
-        if any(i < 0 for i in idx):
+        if min(idx, default=0) < 0:
             raise ValueError(f"negative exponent in index {idx}")
         if sum(idx) > cap:
             raise ValueError(f"index {idx} exceeds cap {cap}")
-        c = Fraction(c)
-        if c != 0:
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c:
             out[idx] = c
     return out
 
 
 class TruncatedSeries:
-    """Sparse polynomial / truncated series with a total-degree cap."""
+    """Sparse polynomial / truncated series with a total-degree cap.
 
-    __slots__ = ("dim", "cap", "terms", "exact")
+    The terms are not changed after construction, so the evaluation plan is
+    built once, on the first :meth:`evaluate`.
+    """
+
+    __slots__ = ("dim", "cap", "terms", "exact", "_plan")
 
     def __init__(self, dim: int, cap: int, terms: Mapping[MultiIndex, Rational], exact: bool = True):
         if dim < 1:
@@ -57,8 +63,9 @@ class TruncatedSeries:
             raise ValueError("cap must be non-negative")
         self.dim = dim
         self.cap = cap
-        self.terms = _clean_terms(dim, cap, terms)
+        self.terms = clean_terms(dim, cap, terms)
         self.exact = bool(exact)
+        self._plan = None
 
     # -- constructors ------------------------------------------------------
 
@@ -220,17 +227,23 @@ class TruncatedSeries:
         """
         if len(xs) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(xs)}")
-        if all(type(x) is int for x in xs):
-            total = 0
-        else:
-            xs = [Fraction(x) for x in xs]
-            total = Fraction(0)
-        for idx, c in self.terms.items():
-            term = c.numerator if c.denominator == 1 else c
-            for x, k in zip(xs, idx):
-                if k:
-                    term *= x**k
-            total += term
+        plan = self._plan
+        if plan is None:
+            # (coefficient, ((variable, exponent), ...)); integral coefficients as ints
+            plan = self._plan = tuple(
+                (c.numerator if c.denominator == 1 else c, tuple((i, k) for i, k in enumerate(idx) if k))
+                for idx, c in self.terms.items()
+            )
+        total = 0
+        for x in xs:
+            if type(x) is not int:
+                xs = [Fraction(x) for x in xs]
+                total = Fraction(0)
+                break
+        for c, factors in plan:
+            for i, k in factors:
+                c *= xs[i] if k == 1 else xs[i] ** k
+            total += c
         return total
 
     def partial_evaluate(self, fixed: Mapping[int, Rational]) -> "TruncatedSeries":
@@ -263,10 +276,6 @@ class TruncatedSeries:
             terms[tuple(new_idx)] = c
         return TruncatedSeries(new_dim, self.cap, terms, self.exact)
 
-    def reverse_variables(self) -> "TruncatedSeries":
-        terms = {tuple(reversed(idx)): c for idx, c in self.terms.items()}
-        return TruncatedSeries(self.dim, self.cap, terms, self.exact)
-
     # -- norms -------------------------------------------------------------
 
     def gauss_norm(self, rho: Sequence[Rational], p: int) -> NormValue:
@@ -277,14 +286,8 @@ class TruncatedSeries:
         """
         if len(rho) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} radii, got {len(rho)}")
-        rho = [Fraction(r) for r in rho]
-        best: Optional[Fraction] = None
-        for idx, c in self.terms.items():
-            e = -valuation(c, p) + sum(r * a for r, a in zip(rho, idx))
-            if best is None or e > best:
-                best = e
-        mag = LogMag.bottom() if best is None else LogMag(best)
-        return NormValue(mag, self.exact)
+        table = weight_table(tuple(Fraction(r) for r in rho), None)
+        return NormValue(weighted_sup(self.terms, p, table), self.exact)
 
 
 def series_to_records(f: TruncatedSeries) -> list:

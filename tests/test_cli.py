@@ -189,9 +189,35 @@ def test_bad_config_file_gives_one_line_error(tmp_path, capsys):
         assert err.startswith("daggerdist: error: ") and err.count("\n") == 1
 
 
+_POLY = {"dim": 1, "cap": 2, "terms": [{"index": [2], "coeff": "1/1"}]}
+BAD_CONVERT_INPUTS = {
+    "missing-file": None,
+    "invalid-json": "{not json",
+    "no-dim": json.dumps({k: v for k, v in _POLY.items() if k != "dim"}),
+    "no-cap": json.dumps({k: v for k, v in _POLY.items() if k != "cap"}),
+    "no-terms": json.dumps({k: v for k, v in _POLY.items() if k != "terms"}),
+    "bad-coeff": json.dumps({**_POLY, "terms": [{"index": [1], "coeff": "x"}]}),
+    "index-above-cap": json.dumps({**_POLY, "terms": [{"index": [3], "coeff": "1/1"}]}),
+}
+
+
+@pytest.mark.parametrize("direction", ["taylor-to-mahler", "mahler-to-taylor"])
+@pytest.mark.parametrize("case", sorted(BAD_CONVERT_INPUTS))
+def test_bad_convert_input_gives_one_line_error(direction, case, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    if BAD_CONVERT_INPUTS[case] is not None:
+        path.write_text(BAD_CONVERT_INPUTS[case])
+    assert main(["convert", "--direction", direction, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("daggerdist: error: ") and captured.err.count("\n") == 1
+
+
 # sha256 of `verify --group G --format json` with the listed options.  The heisenberg(3) and
-# abelian(3,2) digests were captured from the Fraction-only construction path, the other two
-# from the Fraction-only pointwise path with the plain depth-first p-th root search.
+# abelian(3,2) digests were captured from the Fraction-only construction path, heisenberg(5)
+# and abelian(11,3) from the Fraction-only pointwise path with the plain depth-first p-th root
+# search, abelian(2,2) and heisenberg(7) from the Fraction-only Gauss and Mahler norm loops
+# with two Mahler conversions per trial.
 PINNED_REPORTS = {
     "heisenberg(3)": (
         ["--trials", "5"],
@@ -208,6 +234,14 @@ PINNED_REPORTS = {
     "abelian(11,3)": (
         ["--suites", "saturation", "--trials", "30"],
         "2901ca4f68b2c3522420da4ac907054fb9a371db9cf4e0ec8e46b8bb66510278",
+    ),
+    "abelian(2,2)": (
+        ["--suites", "mahler,pvaluation,polydisc", "--trials", "300"],
+        "a54a56a74dfd91af96b9b26516a7b8985156f52a490db10533ec3569945f4a6a",
+    ),
+    "heisenberg(7)": (
+        ["--suites", "mahler,pvaluation", "--trials", "200"],
+        "97767992a712c9f922ae937ddfa98140bedeaef6459461309e99940fb9fcb461",
     ),
 }
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daggerdist import distributions as dist_module
+from daggerdist import distributions as dist_module, padic as padic_module
 from daggerdist.distributions import (
     Distribution,
     InsufficientCap,
@@ -263,8 +263,8 @@ def test_embedding_checks_fail_with_witnesses_on_a_broken_factorial(monkeypatch,
     def broken(alpha):
         return Fraction(shift * sum(alpha))
 
-    monkeypatch.setattr(dist_module, "multi_factorial_valuation", lambda alpha, p: broken(alpha))
-    dist_module._weight_table.cache_clear()
+    monkeypatch.setattr(padic_module, "multi_factorial_valuation", lambda alpha, p: broken(alpha))
+    padic_module.weight_table.cache_clear()
     try:
         dcoeffs = {(1, 0, 0): Fraction(1, 3), (0, 2, 1): Fraction(9)}
         lam = Distribution.from_dcoeffs(H3, dcoeffs, 4)
@@ -274,7 +274,7 @@ def test_embedding_checks_fail_with_witnesses_on_a_broken_factorial(monkeypatch,
             "continuity": check_comparison_maps(H3, 1, Fraction(1, 4), lam)[1],
         }
     finally:
-        dist_module._weight_table.cache_clear()
+        padic_module.weight_table.cache_clear()
     # p = 3, omega = 1, 1/(p-1) = 1/2; the exponents as the checks state them
     expected = {"contact": {}, "contraction": {}, "continuity": {}}
     for alpha, d in dcoeffs.items():

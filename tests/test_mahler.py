@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daggerdist import mahler as mahler_module
+from daggerdist.cli import suite_mahler
+from daggerdist.groups import builtin_heisenberg
 from daggerdist.mahler import (
     MahlerFamily,
     binomial_poly,
@@ -14,7 +17,7 @@ from daggerdist.mahler import (
     taylor_to_mahler,
     verify_norm_identity,
 )
-from daggerdist.padic import LogMag, falling_coeff, stirling_second
+from daggerdist.padic import LogMag, digit_sum, falling_coeff, stirling_second, valuation
 from daggerdist.series import TruncatedSeries
 
 
@@ -154,3 +157,40 @@ def test_conversions_match_fraction_formulas(f):
     # a family whose denominators are not all absorbed by alpha!
     divided = MahlerFamily(f.dim, f.cap, {a: c / 7 for a, c in m.coeffs.items()})
     assert mahler_to_taylor(divided).terms == _fraction_mahler_to_taylor(divided.coeffs)
+
+
+def _fraction_mahler_norm(m, rho, p):
+    """The all-Fraction loop: sup -v(m_alpha) + v(alpha!) + sum_i rho_i alpha_i."""
+    rho = [Fraction(r) for r in rho]
+    best = None
+    for alpha, ma in m.coeffs.items():
+        e = -valuation(ma, p) + sum(Fraction(a - digit_sum(a, p), p - 1) for a in alpha)
+        e += sum(r * a for r, a in zip(rho, alpha))
+        if best is None or e > best:
+            best = e
+    return LogMag.bottom() if best is None else LogMag(best)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), dim=st.integers(1, 3))
+def test_mahler_norm_matches_fraction_loop(data, p, dim):
+    index = st.tuples(*[st.integers(0, 6)] * dim)
+    coeff = st.builds(Fraction, st.integers(-(p**4), p**4), st.sampled_from([1, p, p**3, 7 * p]))
+    coeffs = data.draw(st.dictionaries(index, coeff, max_size=6))
+    radii = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12]))
+    rho = data.draw(st.lists(radii, min_size=dim, max_size=dim))
+    m = MahlerFamily(dim, 6 * dim, coeffs)
+    assert mahler_norm(m, rho, p).mag == _fraction_mahler_norm(m, rho, p)
+    zero = MahlerFamily(dim, 6 * dim, {})
+    assert mahler_norm(zero, rho, p).mag == _fraction_mahler_norm(zero, rho, p) == LogMag.bottom()
+
+
+def test_suite_mahler_fails_on_a_corrupted_row(monkeypatch):
+    # every Mahler coefficient scaled by p: the norms differ by p^-1 and the round trip gives p*f
+    G = builtin_heisenberg(3)
+    true_row = mahler_module._mahler_row
+    monkeypatch.setattr(mahler_module, "_mahler_row", lambda beta: tuple((a, 3 * w) for a, w in true_row(beta)))
+    records = {rec.check_id: rec for rec in suite_mahler(G, trials=4, seed=0)}
+    for check_id in ("mahler/norm-identity", "mahler/roundtrip"):
+        assert records[check_id].verdict == "fail"
+        assert records[check_id].witness["violations"]

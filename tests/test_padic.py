@@ -66,6 +66,8 @@ def test_factorial_valuation_matches_legendre(n, p):
 
 def test_multi_factorial_valuation():
     assert multi_factorial_valuation((3, 4), 2) == factorial_valuation(3, 2) + factorial_valuation(4, 2)
+    # both are ints: n - s_p(n) is divisible by p - 1
+    assert type(factorial_valuation(10, 3)) is int and type(multi_factorial_valuation((3, 4), 2)) is int
 
 
 def test_stirling_second_against_sympy():

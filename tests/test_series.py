@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daggerdist.padic import LogMag
+from daggerdist.padic import LogMag, valuation
 from daggerdist.series import (
     DimensionMismatch,
     TruncatedSeries,
@@ -90,24 +90,26 @@ def test_evaluate_matches_fraction_sum(data, dim):
     index = st.tuples(*[st.integers(0, 3)] * dim)
     terms = data.draw(st.dictionaries(index, _values, max_size=6))
     xs = data.draw(st.lists(_values, min_size=dim, max_size=dim))
+    ys = data.draw(st.lists(_values, min_size=dim, max_size=dim))
     f = TruncatedSeries(dim, 3 * dim, terms)
-    expect = Fraction(0)
-    for idx, c in terms.items():
-        term = Fraction(c)
-        for x, k in zip(xs, idx):
-            term *= Fraction(x) ** k
-        expect += term
-    value = f.evaluate(xs)
-    assert value == expect
-    integral = all(type(x) is int for x in xs) and all(Fraction(c).denominator == 1 for c in terms.values())
-    assert type(value) is (int if integral else Fraction)
+    # the first evaluate builds the plan; the same point and a second one reuse it
+    for point in (xs, xs, ys):
+        expect = Fraction(0)
+        for idx, c in terms.items():
+            term = Fraction(c)
+            for x, k in zip(point, idx):
+                term *= Fraction(x) ** k
+            expect += term
+        value = f.evaluate(point)
+        assert value == expect
+        integral = all(type(x) is int for x in point) and all(Fraction(c).denominator == 1 for c in terms.values())
+        assert type(value) is (int if integral else Fraction)
 
 
 def test_embed_and_reverse():
     f = poly(2, 3, {(1, 2): 5})
     g = f.embed(4, [3, 1])
     assert g.terms == {(0, 2, 0, 1): 5}
-    assert f.reverse_variables().terms == {(2, 1): 5}
 
 
 def test_gauss_norm_values():
@@ -117,6 +119,34 @@ def test_gauss_norm_values():
     assert poly(1, 4, {}).gauss_norm([Fraction(1)], 3).mag.is_bottom
     g = poly(2, 4, {(1, 0): Fraction(1, 3), (0, 1): 9})
     assert g.gauss_norm([Fraction(0), Fraction(0)], 3).mag == LogMag(1)
+
+
+def _fraction_gauss_norm(f, rho, p):
+    """The all-Fraction loop: sup -v(c_alpha) + sum_i rho_i alpha_i."""
+    rho = [Fraction(r) for r in rho]
+    best = None
+    for idx, c in f.terms.items():
+        e = -valuation(c, p) + sum(r * a for r, a in zip(rho, idx))
+        if best is None or e > best:
+            best = e
+    return LogMag.bottom() if best is None else LogMag(best)
+
+
+# radii over mixed denominators, 0 included
+_radii = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), dim=st.integers(1, 3))
+def test_gauss_norm_matches_fraction_loop(data, p, dim):
+    index = st.tuples(*[st.integers(0, 4)] * dim)
+    coeff = st.builds(Fraction, st.integers(-(p**4), p**4), st.sampled_from([1, p, p**3, 7 * p]))
+    terms = data.draw(st.dictionaries(index, coeff, max_size=6))
+    rho = data.draw(st.lists(_radii, min_size=dim, max_size=dim))
+    f = TruncatedSeries(dim, 4 * dim, terms)
+    assert f.gauss_norm(rho, p).mag == _fraction_gauss_norm(f, rho, p)
+    zero = TruncatedSeries(dim, 4 * dim, {})
+    assert zero.gauss_norm(rho, p).mag == _fraction_gauss_norm(zero, rho, p) == LogMag.bottom()
 
 
 def _random_poly(rng, dim, deg, cap):
