@@ -3,12 +3,14 @@ and the three norm families.
 
 A distribution carries truncated moment data mu_beta = lambda(Z^beta) as the
 primary representation; the coefficients d_alpha in the (g_i - 1)-monomial
-basis are derived exactly as d_alpha = lambda(binom(Z, alpha)).  Convolution
-consumes the moment side through the expanded group-law monomials F^gamma;
-the basis side feeds every norm.  Norms computed from truncated data are
-certified lower bounds and are only ever placed on the small side of asserted
-inequalities.  Both basis changes run in integer arithmetic over a common
-denominator, and the norm weights are tabled per multi-index.
+basis are derived exactly as d_alpha = lambda(binom(Z, alpha)).  A finite
+basis combination derives its moments only when they are read.  Convolution
+consumes the moment side through the expanded group-law monomials F^gamma,
+compiled once per group and output cap into a plan that names the moments it
+reads; the basis side feeds every norm.  Norms computed from truncated data
+are certified lower bounds and are only ever placed on the small side of
+asserted inequalities.  Both basis changes run in integer arithmetic over a
+common denominator, and the norm weights are tabled per multi-index.
 """
 from __future__ import annotations
 
@@ -79,17 +81,17 @@ def _falling_table(size: int) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def _tensor_transform(make_table, coeffs: Dict[MultiIndex, Fraction], d: int, cap: int):
-    """out_beta = sum_alpha c_alpha prod_i table[beta_i][alpha_i] for every |beta| <= cap.
+def _tensor_transform(make_table, coeffs: Dict[MultiIndex, Fraction], indices: Sequence[MultiIndex]):
+    """out_beta = sum_alpha c_alpha prod_i table[beta_i][alpha_i] for every beta in indices.
 
-    Returns the nonzero out_beta as integer numerators over the common
-    denominator of the c_alpha, and that denominator.
+    Returns the out_beta, in the order of indices, as integer numerators over
+    the common denominator of the c_alpha, and that denominator.
     """
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     scaled = [(alpha, c.numerator * (den // c.denominator)) for alpha, c in coeffs.items()]
-    table = make_table(max([cap, *(max(alpha) for alpha in coeffs)]))
-    out: Dict[MultiIndex, int] = {}
-    for beta in _indices_up_to(d, cap):
+    table = make_table(max([0, *(max(beta) for beta in indices), *(max(alpha) for alpha in coeffs)]))
+    out: List[int] = []
+    for beta in indices:
         rows = [table[b] for b in beta]
         acc = 0
         for alpha, num in scaled:
@@ -98,8 +100,7 @@ def _tensor_transform(make_table, coeffs: Dict[MultiIndex, Fraction], d: int, ca
                 if not num:
                     break
             acc += num
-        if acc:
-            out[beta] = acc
+        out.append(acc)
     return out, den
 
 
@@ -141,25 +142,30 @@ class Distribution:
     is the complete finite basis expansion.  Exact distributions can produce
     moments of any degree on demand.  Moments and coefficients are exact
     rationals, stored as ``int`` where they are integers.
+
+    ``moments`` may be None for an exact basis expansion without a point: the
+    moments up to cap are then derived from ``dcoeffs`` on first read, once.
     """
 
     def __init__(
         self,
         group: PValuedGroup,
         cap: int,
-        moments: Dict[MultiIndex, Fraction],
+        moments: Optional[Dict[MultiIndex, Fraction]],
         dcoeffs: Optional[Dict[MultiIndex, Fraction]] = None,
         exact: bool = False,
         point: Optional[Point] = None,
     ):
         self.group = group
         self.cap = cap
-        self.moments = {tuple(k): _exact(v) for k, v in moments.items()}
+        self._moments = None if moments is None else {tuple(k): _exact(v) for k, v in moments.items()}
         self.dcoeffs = None if dcoeffs is None else {tuple(k): _exact(v) for k, v in dcoeffs.items()}
         self.exact = bool(exact)
         self.point = None if point is None else tuple(Fraction(c) for c in point)
         if self.exact and self.point is None and self.dcoeffs is None:
             raise ValueError("an exact distribution needs a point or a full basis expansion")
+        if moments is None and not (self.exact and self.point is None and self.dcoeffs is not None):
+            raise ValueError("only an exact basis expansion without a point can derive its moments")
 
     # -- construction ------------------------------------------------------
 
@@ -197,13 +203,20 @@ class Distribution:
 
     @classmethod
     def from_dcoeffs(cls, G: PValuedGroup, dcoeffs: Dict[MultiIndex, Fraction], cap: int) -> "Distribution":
-        """A finite basis combination; exact by construction."""
+        """A finite basis combination; exact by construction, its moments derived when read."""
         dcoeffs = {tuple(k): _exact(v) for k, v in dcoeffs.items() if v != 0}
-        nums, den = _tensor_transform(_basis_table, dcoeffs, G.d, cap)
-        moments = {beta: _ratio(num, den) for beta, num in nums.items()}
-        return cls(G, cap, moments, dcoeffs, exact=True)
+        return cls(G, cap, None, dcoeffs, exact=True)
 
     # -- moments and basis coefficients ------------------------------------
+
+    @property
+    def moments(self) -> Dict[MultiIndex, Fraction]:
+        """The nonzero moments of degree <= cap; a basis combination derives them on first read."""
+        if self._moments is None:
+            indices = _indices_up_to(self.group.d, self.cap)
+            nums, den = _tensor_transform(_basis_table, self.dcoeffs, indices)
+            self._moments = {beta: _ratio(num, den) for beta, num in zip(indices, nums) if num}
+        return self._moments
 
     def moment(self, beta: MultiIndex) -> Fraction:
         beta = tuple(beta)
@@ -221,12 +234,24 @@ class Distribution:
             )
         raise InsufficientCap(f"moment {beta} beyond cap {self.cap} of a truncated distribution")
 
+    def _moment_numerators(self, indices: Sequence[MultiIndex]) -> Tuple[List[int], int]:
+        """The moments at indices, of any degree, as int numerators over one common denominator."""
+        if self._moments is None:
+            return _tensor_transform(_basis_table, self.dcoeffs, indices)
+        table, cap = self._moments, self.cap
+        values = [table.get(beta, 0) if sum(beta) <= cap else self.moment(beta) for beta in indices]
+        den = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+
     def ensure_dcoeffs(self) -> Dict[MultiIndex, Fraction]:
         """Derive d_alpha = lambda(binom(Z, alpha)) from the moments, for |alpha| <= cap."""
         if self.dcoeffs is None:
-            nums, den = _tensor_transform(_falling_table, self.moments, self.group.d, self.cap)
+            indices = _indices_up_to(self.group.d, self.cap)
+            nums, den = _tensor_transform(_falling_table, self.moments, indices)
             self.dcoeffs = {
-                alpha: _ratio(num, den * math.prod(map(math.factorial, alpha))) for alpha, num in nums.items()
+                alpha: _ratio(num, den * math.prod(map(math.factorial, alpha)))
+                for alpha, num in zip(indices, nums)
+                if num
             }
         return self.dcoeffs
 
@@ -247,6 +272,35 @@ class Distribution:
         return f"Distribution(cap={self.cap}, {tag}, mass={self.total_mass()})"
 
 
+def _compile_plan(G: PValuedGroup, cap_out: int) -> tuple:
+    """The law monomials F^gamma, |gamma| <= cap_out, as sums over the moments they pair.
+
+    F^gamma = sum_{i, j} c_ij X^i Y^j / den, so (lam x mu)(F^gamma) =
+    sum_i lam(Z^i) sum_j c_ij mu(Z^j) / den.  Returns (rows, left, right,
+    den): ``rows`` holds, per gamma in grlex order, the pairs (position of i
+    in ``left``, ((position of j in ``right``, c_ij), ...)); the c_ij are int
+    numerators over the common denominator ``den`` of the law coefficients
+    (1 for integral laws).
+    """
+    d, degmax = G.d, G.degmax()
+    monomials = [
+        (gamma, G.f_monomial(gamma, cap=max(degmax * sum(gamma), 1)).terms)
+        for gamma in _indices_up_to(d, cap_out)
+    ]
+    den = math.lcm(*(c.denominator for _, terms in monomials for c in terms.values()))
+    left: Dict[MultiIndex, int] = {}
+    right: Dict[MultiIndex, int] = {}
+    rows = []
+    for gamma, terms in monomials:
+        by_left: Dict[int, list] = {}
+        for idx, c in terms.items():
+            i = left.setdefault(idx[:d], len(left))
+            j = right.setdefault(idx[d:], len(right))
+            by_left.setdefault(i, []).append((j, c.numerator * (den // c.denominator)))
+        rows.append((gamma, tuple((i, tuple(pairs)) for i, pairs in by_left.items())))
+    return tuple(rows), tuple(left), tuple(right), den
+
+
 def convolve(
     G: PValuedGroup,
     lam: Distribution,
@@ -258,7 +312,9 @@ def convolve(
 
     The primary convention pairs Diracs as delta_x * delta_y = delta_{xy};
     ``opposite=True`` selects the reversed convention delta_x * delta_y =
-    delta_{yx} by swapping the factors.
+    delta_{yx} by swapping the factors.  The sum runs from the group's cached
+    plan for cap_out, in ints over one common denominator, and reads each
+    input's moments once, at the indices the plan names.
     """
     if opposite:
         return convolve(G, mu, lam, cap_out=cap_out, opposite=False)
@@ -277,22 +333,22 @@ def convolve(
                 f"truncated input of cap {side.cap} cannot support output cap {cap_out} "
                 f"(needs moments up to degree {needed})"
             )
-    d = G.d
+    plan, left, right, law_den = G.plan(("convolution", cap_out), lambda G: _compile_plan(G, cap_out))
+    m1, den1 = lam._moment_numerators(left)
+    m2, den2 = mu._moment_numerators(right)
+    den = den1 * den2 * law_den
     moments: Dict[MultiIndex, Fraction] = {}
-    for gamma in _indices_up_to(d, cap_out):
-        fg = G.f_monomial(gamma, cap=max(degmax * sum(gamma), 1))
+    for gamma, rows in plan:
         acc = 0
-        for idx, c in fg.terms.items():
-            m1 = lam.moment(idx[:d])
-            if m1 == 0:
-                continue
-            m2 = mu.moment(idx[d:])
-            if m2 == 0:
-                continue
-            # the builtin laws have integer coefficients; int products skip Fraction arithmetic
-            acc += (c.numerator if c.denominator == 1 else c) * m1 * m2
-        if acc != 0:
-            moments[gamma] = acc
+        for i, pairs in rows:
+            a = m1[i]
+            if a:
+                inner = 0
+                for j, c in pairs:
+                    inner += c * m2[j]
+                acc += a * inner
+        if acc:
+            moments[gamma] = _ratio(acc, den)
     point = None
     exact = False
     if lam.point is not None and mu.point is not None:

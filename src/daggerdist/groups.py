@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .padic import INFINITY, LogMag, Rational, format_fraction, is_prime, valuation
 from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord
@@ -116,6 +116,7 @@ class PValuedGroup:
         self.model = model
         self._fi_powers: Dict[Tuple[int, int], TruncatedSeries] = {}
         self._f_monomials: Dict[Tuple[int, ...], TruncatedSeries] = {}
+        self._plans: Dict[Hashable, object] = {}
         violations = self.validate()
         if violations:
             raise GroupConfigError(violations)
@@ -257,6 +258,12 @@ class PValuedGroup:
                 out = out * self._fi_power(i, k, cap)
         self._f_monomials[key] = out
         return out
+
+    def plan(self, key: Hashable, build: Callable[["PValuedGroup"], object]) -> object:
+        """build(self), computed once per key: tables compiled from the law, such as a convolution plan."""
+        if key not in self._plans:
+            self._plans[key] = build(self)
+        return self._plans[key]
 
     def _fi_power(self, i: int, k: int, cap: int) -> TruncatedSeries:
         key = (i, k, cap)

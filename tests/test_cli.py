@@ -213,11 +213,12 @@ def test_bad_convert_input_gives_one_line_error(direction, case, tmp_path, capsy
     assert captured.err.startswith("daggerdist: error: ") and captured.err.count("\n") == 1
 
 
-# sha256 of `verify --group G --format json` with the listed options.  The heisenberg(3) and
-# abelian(3,2) digests were captured from the Fraction-only construction path, heisenberg(5)
-# and abelian(11,3) from the Fraction-only pointwise path with the plain depth-first p-th root
-# search, abelian(2,2) and heisenberg(7) from the Fraction-only Gauss and Mahler norm loops
-# with two Mahler conversions per trial.
+# sha256 of `verify --group G --format json` with the listed options, G the first word of the
+# key.  The heisenberg(3) and abelian(3,2) digests were captured from the Fraction-only
+# construction path, heisenberg(5) and abelian(11,3) from the Fraction-only pointwise path with
+# the plain depth-first p-th root search, abelian(2,2) and heisenberg(7) from the Fraction-only
+# Gauss and Mahler norm loops with two Mahler conversions per trial, abelian(5,3) and
+# "heisenberg(7) convolution" from the per-term convolution loop over eagerly built moments.
 PINNED_REPORTS = {
     "heisenberg(3)": (
         ["--trials", "5"],
@@ -243,13 +244,22 @@ PINNED_REPORTS = {
         ["--suites", "mahler,pvaluation", "--trials", "200"],
         "97767992a712c9f922ae937ddfa98140bedeaef6459461309e99940fb9fcb461",
     ),
+    "abelian(5,3)": (
+        ["--suites", "convolution,norms,embeddings", "--trials", "20"],
+        "de3e048217adabc439edca0cdd3aa5d7efe3cc672dc2428f5bb5b1788ed6ebc5",
+    ),
+    "heisenberg(7) convolution": (
+        ["--suites", "convolution,norms", "--trials", "20"],
+        "ca0545b44b901de48942f5fe065fb9ec5b64f68f353591c2d86dd2fa0a3b3ea4",
+    ),
 }
 
 
-@pytest.mark.parametrize("group", sorted(PINNED_REPORTS))
-def test_report_bytes_pinned(group, tmp_path):
-    options, digest = PINNED_REPORTS[group]
+@pytest.mark.parametrize("key", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(key, tmp_path):
+    options, digest = PINNED_REPORTS[key]
     out = tmp_path / "report.json"
+    group = key.split()[0]
     assert main(["verify", "--group", group, *options, "--format", "json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,8 +25,11 @@ from daggerdist.distributions import (
     st_norm,
     st_norm_prime,
 )
-from daggerdist.groups import builtin_abelian, builtin_heisenberg
+from daggerdist.cli import run_suites
+from daggerdist.functions import DaggerFunction, pair
+from daggerdist.groups import builtin_abelian, builtin_heisenberg, group_to_config, load_group
 from daggerdist.padic import LogMag, multi_binom_value, stirling_second, valuation
+from daggerdist.series import TruncatedSeries
 
 H3 = builtin_heisenberg(3)
 A32 = builtin_abelian(3, 2)
@@ -295,3 +299,189 @@ def test_embedding_checks_fail_with_witnesses_on_a_broken_factorial(monkeypatch,
             lhs, rhs = expected[name][tuple(v["alpha"])]
             assert (v["lhs"], v["rhs"]) == (LogMag(lhs), LogMag(rhs))
         assert len(rec.witness["violations"]) == len(dcoeffs)
+
+
+# -- convolution plan against the per-term loop -----------------------------
+
+
+def _heisenberg_half():
+    # the Heisenberg law with quadratic coefficient -3/2 in place of -p, from a JSON config:
+    # F_3 = X_3 + Y_3 - 3/2 X_2 Y_1 and I_3 = -x3 - 3/2 x1 x2, with no coordinate model
+    cfg = group_to_config(builtin_heisenberg(3))
+    for rec in cfg["F"][2] + cfg["I"][2]:
+        if Fraction(rec["coeff"]) == -3:
+            rec["coeff"] = "-3/2"
+    cfg.pop("model")
+    cfg["name"] = "heisenberg-half"
+    return load_group(json.dumps(cfg))
+
+
+H_HALF = _heisenberg_half()
+CONV_GROUPS = [H3, builtin_heisenberg(5), builtin_heisenberg(7), A32, builtin_abelian(5, 3), H_HALF]
+
+
+def test_half_heisenberg_config_loads_and_passes():
+    assert H_HALF.model is None
+    assert H_HALF.I[2].terms == {(0, 0, 1): -1, (1, 1, 0): Fraction(-3, 2)}
+    rep = run_suites(
+        H_HALF, ["convolution", "norms"], n_range=[1, 2], sigmas=[Fraction(1, 2)], cap=4, trials=6, seed=1
+    )
+    assert rep.records and not rep.failed
+
+
+def _convolve_per_term(G, lam, mu, cap_out=None, opposite=False):
+    """convolve as a loop over the terms of each F^gamma, reading every moment through moment()."""
+    if opposite:
+        return _convolve_per_term(G, mu, lam, cap_out=cap_out)
+    degmax = G.degmax()
+    if cap_out is None:
+        cap_out = min(lam.cap, mu.cap) if lam.exact and mu.exact else min(lam.cap, mu.cap) // degmax
+    for side in (lam, mu):
+        if not side.exact and side.cap < degmax * cap_out:
+            raise InsufficientCap("truncated input below degmax * cap_out")
+    d = G.d
+    moments = {}
+    for gamma in _all_indices(d, cap_out):
+        fg = G.f_monomial(gamma, cap=max(degmax * sum(gamma), 1))
+        acc = Fraction(0)
+        for idx, c in fg.terms.items():
+            m1 = lam.moment(idx[:d])
+            if m1 == 0:
+                continue
+            m2 = mu.moment(idx[d:])
+            if m2 == 0:
+                continue
+            acc += c * m1 * m2
+        if acc != 0:
+            moments[gamma] = acc
+    point = None
+    if lam.point is not None and mu.point is not None:
+        point = G.multiply(lam.point, mu.point)
+    return Distribution(G, cap_out, moments, exact=point is not None, point=point)
+
+
+@st.composite
+def conv_inputs(draw, G, needed):
+    """A recipe for one convolution input: a Dirac, a basis combination, or a truncated copy of either."""
+    p = G.p
+    kind = draw(st.sampled_from(["dirac", "dcoeffs", "truncated-dirac", "truncated-dcoeffs"]))
+    if kind.endswith("dirac"):
+        coord = st.one_of(
+            st.integers(-(p**4), p**4), st.builds(Fraction, st.integers(-(p**3), p**3), st.just(2))
+        )
+        data = draw(st.lists(coord, min_size=G.d, max_size=G.d))
+    else:
+        index = st.tuples(*[st.integers(0, 3)] * G.d).filter(lambda a: sum(a) <= 3)
+        coeff = st.builds(Fraction, st.integers(-(p**3), p**3), st.sampled_from([1, 2, p, p * p]))
+        data = draw(st.dictionaries(index, coeff, max_size=4))
+    if kind.startswith("truncated"):
+        # one below the needed cap is too small, and must raise InsufficientCap
+        cap = draw(st.integers(max(needed - 1, 0), needed + 1))
+    else:
+        # exact inputs are also read beyond their cap
+        cap = draw(st.integers(0, 4))
+    filled = draw(st.booleans())
+    return kind, data, cap, filled
+
+
+def _build_input(G, recipe):
+    kind, data, cap, filled = recipe
+    if kind.endswith("dirac"):
+        lam = Distribution.dirac(G, data, cap)
+    else:
+        lam = Distribution.from_dcoeffs(G, data, cap)
+    if kind.startswith("truncated"):
+        lam = Distribution(G, cap, lam.moments)
+    if filled:
+        lam.moments  # the lazy table is filled before the plan reads it
+    return lam
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_convolve_plan_matches_per_term_loop(data):
+    G = data.draw(st.sampled_from(CONV_GROUPS))
+    cap_out = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+    opposite = data.draw(st.booleans())
+    needed = G.degmax() * (cap_out if cap_out is not None else 2)
+    recipes = [data.draw(conv_inputs(G, needed)) for _ in range(2)]
+
+    def run(conv):
+        lam, mu = (_build_input(G, r) for r in recipes)
+        try:
+            return conv(G, lam, mu, cap_out=cap_out, opposite=opposite)
+        except InsufficientCap:
+            return InsufficientCap
+
+    got, want = run(convolve), run(_convolve_per_term)
+    if want is InsufficientCap:
+        assert got is InsufficientCap
+        return
+    assert got is not InsufficientCap
+    assert (got.cap, got.exact, got.point) == (want.cap, want.exact, want.point)
+    assert got.moments == want.moments
+
+
+# -- moments derived on demand ---------------------------------------------
+
+
+def _eager_moment(dcoeffs, beta):
+    return sum((d * _basis_moment_reference(beta, a) for a, d in dcoeffs.items()), Fraction(0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(dcoeff_maps, st.integers(0, 6))
+def test_lazy_moments_match_eager_formula(dcoeffs, cap):
+    expect = {beta: _eager_moment(dcoeffs, beta) for beta in _all_indices(3, cap + 2)}
+    inside = {b: v for b, v in expect.items() if sum(b) <= cap and v != 0}
+    beyond = [b for b in expect if sum(b) > cap]
+    f = DaggerFunction(H3, TruncatedSeries(3, cap + 2, {b: 1 + sum(b) for b in expect}))
+
+    def fresh():
+        return Distribution.from_dcoeffs(H3, dcoeffs, cap)
+
+    def filled():
+        lam = fresh()
+        lam.moments
+        return lam
+
+    for make in (fresh, filled):
+        assert make().moments == inside
+        lam = make()
+        assert [lam.moment(b) for b in beyond] == [expect[b] for b in beyond]
+        assert all(lam.moment(b) == v for b, v in expect.items())
+        assert make() == Distribution(H3, cap, inside)
+        assert Distribution(H3, cap, inside) == make()
+        assert make().total_mass() == expect[(0, 0, 0)]
+        solved = Distribution(H3, cap, make().moments).ensure_dcoeffs()
+        assert solved == {a: d for a, d in dcoeffs.items() if d != 0 and sum(a) <= cap}
+        assert pair(make(), f) == sum(c * expect[b] for b, c in f.body.terms.items())
+
+
+def test_lazy_moment_table_is_built_at_most_once(monkeypatch):
+    cap = 5
+    full = set(_all_indices(3, cap))
+    builds = []
+    transform = dist_module._tensor_transform
+
+    def counting(make_table, coeffs, indices):
+        if make_table is dist_module._basis_table and set(indices) == full:
+            builds.append(len(indices))
+        return transform(make_table, coeffs, indices)
+
+    monkeypatch.setattr(dist_module, "_tensor_transform", counting)
+    lam = Distribution.from_dcoeffs(H3, {(1, 0, 0): Fraction(1, 3), (0, 2, 1): 9}, cap)
+    dirac = Distribution.dirac(H3, [3, 6, 9], cap)
+    # neither construction, a read beyond the cap nor the convolution plan fills the table
+    lam.moment((0, 0, cap + 1))
+    convolve(H3, lam, dirac, cap_out=2)
+    convolve(H3, dirac, lam, cap_out=2)
+    assert builds == []
+    lam.moments
+    lam.moment((1, 0, 0))
+    assert lam == Distribution(H3, cap, lam.moments)
+    lam.total_mass()
+    Distribution(H3, cap, lam.moments).ensure_dcoeffs()
+    pair(lam, DaggerFunction(H3, TruncatedSeries(3, 2, {(1, 0, 1): 1, (0, 1, 0): 2})))
+    convolve(H3, lam, dirac, cap_out=2)
+    assert builds == [len(full)]
