@@ -24,6 +24,7 @@ from .groups import PValuedGroup, Point
 from .padic import (
     LogMag,
     MultiIndex,
+    WeightTable,
     binom_value,
     falling_coeff,
     format_fraction,
@@ -34,7 +35,7 @@ from .padic import (
     weight_table,
     weighted_sup,
 )
-from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord
+from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, record
 from .series import NormValue
 
 
@@ -463,12 +464,12 @@ def check_submultiplicative(
                 }
             )
     return [
-        CheckRecord(
-            check_id="norms/st-submultiplicative",
-            anchor="||lam * mu||_s <= ||lam||_s ||mu||_s (truncated left side)",
-            verdict=FAIL if bad else LOWER_BOUND_PASS,
-            params={"group": G.name, "sigma": sigma, "trials": trials, "seed": seed, "cap": cap},
-            witness={"violations": bad[:3]} if bad else None,
+        record(
+            "norms/st-submultiplicative",
+            "||lam * mu||_s <= ||lam||_s ||mu||_s (truncated left side)",
+            {"group": G.name, "sigma": sigma, "trials": trials, "seed": seed, "cap": cap},
+            bad,
+            ok=LOWER_BOUND_PASS,
         )
     ]
 
@@ -493,12 +494,12 @@ def check_banach_submult_N(
         if not lhs.mag <= rhs:
             bad.append({"trial": t, "lhs": lhs.mag, "rhs": rhs})
     return [
-        CheckRecord(
-            check_id="norms/banach-submultiplicative",
-            anchor="level-N dual Banach norm is submultiplicative (c = 1, truncated left side)",
-            verdict=FAIL if bad else LOWER_BOUND_PASS,
-            params={"group": G.name, "N": N, "trials": trials, "seed": seed, "cap": cap},
-            witness={"violations": bad[:3]} if bad else None,
+        record(
+            "norms/banach-submultiplicative",
+            "level-N dual Banach norm is submultiplicative (c = 1, truncated left side)",
+            {"group": G.name, "N": N, "trials": trials, "seed": seed, "cap": cap},
+            bad,
+            ok=LOWER_BOUND_PASS,
         )
     ]
 
@@ -514,12 +515,11 @@ def check_norm_tower(lams: Sequence[Distribution], max_N: int = 8) -> List[Check
             if not lo <= hi:
                 bad.append({"sample": k, "N": N, "lower": lo, "upper": hi})
     return [
-        CheckRecord(
-            check_id="norms/tower-monotone",
-            anchor="dual Banach norms increase with the level N",
-            verdict=PASS if not bad else FAIL,
-            params={"group": group_name, "max_N": max_N, "samples": len(lams)},
-            witness={"violations": bad[:3]} if bad else None,
+        record(
+            "norms/tower-monotone",
+            "dual Banach norms increase with the level N",
+            {"group": group_name, "max_N": max_N, "samples": len(lams)},
+            bad,
         )
     ]
 
@@ -541,6 +541,23 @@ def check_sandwich(lam: Distribution, sigma: Fraction) -> List[CheckRecord]:
             witness=None if ok else {"lower": lo.mag, "mid": mid.mag, "upper": hi.mag},
         )
     ]
+
+
+def _weight_violations(
+    dcoeffs: Dict[MultiIndex, Fraction], p: int, small: WeightTable, large: WeightTable
+) -> List[dict]:
+    """The alpha at which |d_alpha| p^(-small(alpha)) <= |d_alpha| p^(-large(alpha)) fails.
+
+    -v(d_alpha) is on both sides, so the weights decide; valuations are taken
+    only for the witnesses.
+    """
+    bad = []
+    for alpha, dv in dcoeffs.items():
+        if large.exceeds(small, alpha):
+            nv = -valuation(dv, p)
+            lhs, rhs = nv - small.weight(alpha), nv - large.weight(alpha)
+            bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
+    return bad
 
 
 def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRecord]:
@@ -566,20 +583,12 @@ def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRec
         ]
     small = weight_table(tuple(sigma * w for w in G.omega), None)
     large = weight_table((-damping,) * G.d, G.p)
-    bad = []
-    for alpha, dv in lam.ensure_dcoeffs().items():
-        # lhs = -v(d_alpha) - small, rhs = -v(d_alpha) - large: the weights decide
-        if large.exceeds(small, alpha):
-            nv = -valuation(dv, G.p)
-            lhs, rhs = nv - small.weight(alpha), nv - large.weight(alpha)
-            bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
     return [
-        CheckRecord(
-            check_id="embeddings/contact",
-            anchor="per-coefficient damping bound for the inclusion into the completion",
-            verdict=PASS if not bad else FAIL,
-            params=params,
-            witness={"violations": bad[:3]} if bad else None,
+        record(
+            "embeddings/contact",
+            "per-coefficient damping bound for the inclusion into the completion",
+            params,
+            _weight_violations(lam.ensure_dcoeffs(), G.p, small, large),
         )
     ]
 
@@ -618,20 +627,12 @@ def check_comparison_maps(
             )
         )
     else:
-        bad = []
-        for alpha, dv in dcoeffs.items():
-            # lhs = -v(d_alpha) - completion, rhs = -v(d_alpha) - level: the weights decide
-            if level.exceeds(completion, alpha):
-                nv = -valuation(dv, G.p)
-                lhs, rhs = nv - completion.weight(alpha), nv - level.weight(alpha)
-                bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
         records.append(
-            CheckRecord(
-                check_id="embeddings/comparison-contraction",
-                anchor="per-coefficient contraction from the level-N dual into the completion",
-                verdict=PASS if not bad else FAIL,
-                params=params1,
-                witness={"violations": bad[:3]} if bad else None,
+            record(
+                "embeddings/comparison-contraction",
+                "per-coefficient contraction from the level-N dual into the completion",
+                params1,
+                _weight_violations(dcoeffs, G.p, completion, level),
             )
         )
 
@@ -664,12 +665,11 @@ def check_comparison_maps(
                 lhs, rhs = LogMag(nv - level.weight(alpha)), LogMag(nv - damped.weight(alpha))
                 bad.append({"alpha": list(alpha), "lhs": lhs, "rhs": rhs, "factor": factor})
         records.append(
-            CheckRecord(
-                check_id="embeddings/comparison-continuity",
-                anchor="per-coefficient continuity with the explicit polynomial factor",
-                verdict=PASS if not bad else FAIL,
-                params=params2,
-                witness={"violations": bad[:3]} if bad else None,
+            record(
+                "embeddings/comparison-continuity",
+                "per-coefficient continuity with the explicit polynomial factor",
+                params2,
+                bad,
             )
         )
     return records

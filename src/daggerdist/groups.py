@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .padic import INFINITY, LogMag, Rational, format_fraction, is_prime, valuation
-from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord
+from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, record, settled
 from .series import TruncatedSeries, series_from_records, series_to_records
 
 # Coordinates are p-adic integers: ints, or Fractions whose denominator is prime to p.
@@ -409,7 +409,7 @@ def check_formal_group_axioms(G: PValuedGroup, cap: Optional[int] = None) -> Lis
         cap = max(2, G.degmax() ** 2)
     records: List[CheckRecord] = []
 
-    def record(name: str, anchor: str, diff: TruncatedSeries, i: int):
+    def add(name: str, anchor: str, diff: TruncatedSeries, i: int):
         witness = _witness_monomial(diff)
         records.append(
             CheckRecord(
@@ -428,22 +428,22 @@ def check_formal_group_axioms(G: PValuedGroup, cap: Optional[int] = None) -> Lis
     for i in range(d):
         lhs = G.F[i].substitute(f_xy + xs3[2 * d :], cap=cap)
         rhs = G.F[i].substitute(xs3[:d] + f_yz, cap=cap)
-        record("associativity", "F(F(X,Y),Z) = F(X,F(Y,Z)) coefficientwise", lhs - rhs, i)
+        add("associativity", "F(F(X,Y),Z) = F(X,F(Y,Z)) coefficientwise", lhs - rhs, i)
 
     zero_d = [TruncatedSeries.zero(d, cap) for _ in range(d)]
     xs = [TruncatedSeries.variable(i, d, cap) for i in range(d)]
     for i in range(d):
         left_unit = G.F[i].substitute(xs + zero_d, cap=cap) - xs[i]
-        record("unit-left", "F(X, 0) = X coefficientwise", left_unit, i)
+        add("unit-left", "F(X, 0) = X coefficientwise", left_unit, i)
         right_unit = G.F[i].substitute(zero_d + xs, cap=cap) - xs[i]
-        record("unit-right", "F(0, Y) = Y coefficientwise", right_unit, i)
+        add("unit-right", "F(0, Y) = Y coefficientwise", right_unit, i)
 
     inv = [g.with_cap(cap) for g in G.I]
     for i in range(d):
         right_inv = G.F[i].substitute(xs + inv, cap=cap)
-        record("inverse-right", "F(X, I(X)) = 0 coefficientwise", right_inv, i)
+        add("inverse-right", "F(X, I(X)) = 0 coefficientwise", right_inv, i)
         left_inv = G.F[i].substitute(inv + xs, cap=cap)
-        record("inverse-left", "F(I(X), X) = 0 coefficientwise", left_inv, i)
+        add("inverse-left", "F(I(X), X) = 0 coefficientwise", left_inv, i)
     return records
 
 
@@ -480,12 +480,11 @@ def check_model_consistency(
         if inv_chart != inv_model:
             bad.append({"x": [format_fraction(c) for c in x], "op": "invert"})
     return [
-        CheckRecord(
-            check_id="model/consistency",
-            anchor="chart multiply/invert agree exactly with the matrix model",
-            verdict=PASS if not bad else FAIL,
-            params={"group": G.name, "samples": samples, "seed": seed, "precision": precision},
-            witness={"violations": bad[:3]} if bad else None,
+        record(
+            "model/consistency",
+            "chart multiply/invert agree exactly with the matrix model",
+            {"group": G.name, "samples": samples, "seed": seed, "precision": precision},
+            bad,
         )
     ]
 
@@ -511,23 +510,13 @@ def check_pvaluation(
             xp = G.power(x, G.p)
             if G.omega_of(xp) != wx + 1:
                 bad["power"].append([format_fraction(v) for v in x])
-    records = []
     anchors = {
         "quotient": "omega(x y^-1) >= min(omega(x), omega(y)) on samples",
         "commutator": "omega([x, y]) >= omega(x) + omega(y) on samples",
         "power": "omega(x^p) = omega(x) + 1 on samples",
     }
-    for name, anchor in anchors.items():
-        records.append(
-            CheckRecord(
-                check_id=f"pvaluation/{name}",
-                anchor=anchor,
-                verdict=PASS if not bad[name] else FAIL,
-                params={"group": G.name, "samples": samples, "seed": seed, "precision": precision},
-                witness={"violations": bad[name][:3]} if bad[name] else None,
-            )
-        )
-    return records
+    params = {"group": G.name, "samples": samples, "seed": seed, "precision": precision}
+    return [record(f"pvaluation/{name}", anchor, params, bad[name]) for name, anchor in anchors.items()]
 
 
 def _congruent(x, y, p: int, k: int) -> bool:
@@ -662,12 +651,13 @@ def check_saturation(
     details = {"roots_found": found, "skipped": skipped}
     if spent:
         details["budget_spent"] = len(spent)
+    params = {"group": G.name, "samples": samples, "seed": seed, "precision": precision}
     return [
         CheckRecord(
             check_id="saturation/pth-roots",
             anchor="omega(x) > p/(p-1) admits a p-th root mod p^precision (finite-precision only)",
-            verdict=FAIL if stalls else INCONCLUSIVE if spent else PASS,
-            params={"group": G.name, "samples": samples, "seed": seed, "precision": precision},
+            verdict=FAIL if stalls else INCONCLUSIVE if spent else settled(params),
+            params=params,
             witness=witness or None,
             details=details,
         )
@@ -700,12 +690,12 @@ def check_coefficient_bound(G: PValuedGroup) -> List[CheckRecord]:
                         }
                     )
     return [
-        CheckRecord(
-            check_id="coeff-bound/valuation",
-            anchor="every group-law coefficient meets the weighted valuation bound",
-            verdict=PASS if not bad else FAIL,
-            params={"group": G.name},
-            witness={"violations": bad[:5]} if bad else None,
+        record(
+            "coeff-bound/valuation",
+            "every group-law coefficient meets the weighted valuation bound",
+            {"group": G.name},
+            bad,
+            keep=5,
         )
     ]
 
@@ -724,11 +714,11 @@ def check_polydisc_bound(G: PValuedGroup, N: int) -> List[CheckRecord]:
         if not norm.mag <= LogMag(tau[i]):
             bad.append({"poly": f"I{i + 1}", "norm": norm.mag, "bound": LogMag(tau[i])})
     return [
-        CheckRecord(
-            check_id="polydisc/gauss-bound",
-            anchor="group law maps the strict neighborhood polydisc into itself (norm bound)",
-            verdict=PASS if not bad else FAIL,
-            params={"group": G.name, "N": N, "tau": list(tau)},
-            witness={"violations": bad[:5]} if bad else None,
+        record(
+            "polydisc/gauss-bound",
+            "group law maps the strict neighborhood polydisc into itself (norm bound)",
+            {"group": G.name, "N": N, "tau": list(tau)},
+            bad,
+            keep=5,
         )
     ]

@@ -18,8 +18,6 @@ MultiIndex = Tuple[int, ...]
 #: Valuation of zero.
 INFINITY = math.inf
 
-STIRLING_CAP = 24
-
 
 def _int_valuation(n: int, p: int) -> int:
     if n == 0:
@@ -128,10 +126,6 @@ def multi_binom_value(x: Tuple[Rational, ...], alpha: MultiIndex) -> Fraction:
         if out == 0:
             break
     return out
-
-
-def total_degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
 
 
 def grlex_key(alpha: MultiIndex):

@@ -8,7 +8,8 @@ A report is a flat list of check records.  Verdicts are:
 * ``regime-unmet``    -- the hypothesis of a conditional statement failed
                          (reported with the exact arithmetic, not as a failure);
 * ``inconclusive``    -- a bounded search spent its budget before it settled
-                         the question (never reported as a failure);
+                         the question, or a sampled check attempted no
+                         instance (never reported as a failure);
 * ``fail``            -- an exact comparison failed; a witness is attached.
 
 The process exit status is 1 for ``fail`` only.  ``counts`` lists
@@ -61,10 +62,6 @@ class CheckRecord:
     witness: Optional[Dict[str, Any]] = None
     details: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict != FAIL
-
     def to_dict(self) -> Dict[str, Any]:
         out = {
             "check": self.check_id,
@@ -77,6 +74,28 @@ class CheckRecord:
         if self.details:
             out["details"] = render(self.details)
         return out
+
+
+def settled(params: Dict[str, Any], ok: str = PASS) -> str:
+    """The verdict of a check that found no violation: ``ok``, unless it did no work.
+
+    A check whose params say ``trials: 0`` or ``samples: 0`` attempted no
+    instance, so it is ``inconclusive``, never a pass.
+    """
+    return INCONCLUSIVE if params.get("trials") == 0 or params.get("samples") == 0 else ok
+
+
+def record(
+    check_id: str, anchor: str, params: Dict[str, Any], violations: List[Any], ok: str = PASS, keep: int = 3
+) -> CheckRecord:
+    """A check's record: ``fail`` with the first ``keep`` violations as witness, else :func:`settled`."""
+    return CheckRecord(
+        check_id=check_id,
+        anchor=anchor,
+        verdict=FAIL if violations else settled(params, ok),
+        params=params,
+        witness={"violations": violations[:keep]} if violations else None,
+    )
 
 
 @dataclass

@@ -1,11 +1,23 @@
+import functools
 import hashlib
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from daggerdist.cli import main, resolve_group, run_suites
-from daggerdist.groups import builtin_heisenberg, group_to_config
+from daggerdist import cli
+from daggerdist.cli import ALL_SUITES, main, resolve_group, run_suites, suite_convolution, suite_mahler
+from daggerdist.distributions import check_banach_submult_N, check_norm_tower, check_submultiplicative
+from daggerdist.groups import (
+    builtin_abelian,
+    builtin_heisenberg,
+    check_model_consistency,
+    check_pvaluation,
+    check_saturation,
+    group_to_config,
+)
 from daggerdist.padic import LogMag
 from daggerdist.report import CheckRecord, Report, emit_json, emit_text, render
 
@@ -59,9 +71,80 @@ def test_empty_suites_empty_report_exit_zero(tmp_path, capsys):
     assert rc == 0
 
 
-def test_unknown_suite_rejected():
-    with pytest.raises(SystemExit):
-        main(["verify", "--suites", "nonsense"])
+def _assert_one_line_error(captured):
+    assert captured.out == ""
+    assert captured.err.startswith("daggerdist: error: ") and captured.err.count("\n") == 1
+
+
+def test_unknown_suite_rejected(capsys):
+    assert main(["verify", "--suites", "nonsense"]) == 2
+    _assert_one_line_error(capsys.readouterr())
+
+
+BAD_VERIFY_OPTIONS = [
+    ["--sigma", "abc"],
+    ["--sigma", "1/0"],
+    ["--sigma", ","],
+    ["--N", "x"],
+    ["--N", "0"],
+    ["--N", "3..1"],
+    ["--suites", "foo"],
+    ["--cap", "0"],
+    ["--cap", "-1"],
+    ["--trials", "0"],
+]
+
+
+@pytest.mark.parametrize("option", BAD_VERIFY_OPTIONS, ids=" ".join)
+def test_bad_verify_option_gives_one_line_error(option, capsys):
+    assert main(["verify", "--group", "abelian(3,1)", *option]) == 2
+    _assert_one_line_error(capsys.readouterr())
+
+
+def test_zero_work_is_inconclusive():
+    """A sampled check that attempted no instance is inconclusive, never a pass or a failure."""
+    G = builtin_abelian(3, 1)
+    records = [
+        *suite_mahler(G, trials=0, seed=1),
+        *suite_convolution(G, trials=0, seed=1, cap=2),
+        *check_model_consistency(G, samples=0, seed=1),
+        *check_pvaluation(G, samples=0, seed=1),
+        *check_saturation(G, samples=0, seed=1),
+        *check_submultiplicative(G, Fraction(1, 2), trials=0, seed=1, cap=2),
+        *check_banach_submult_N(G, 2, trials=0, seed=1, cap=2),
+        *check_norm_tower([]),
+    ]
+    idle = [r for r in records if 0 in (r.params.get("trials"), r.params.get("samples"))]
+    assert len(idle) == 11
+    assert all(r.verdict == "inconclusive" for r in idle)
+    rep = Report(group=G.name, seed=1)
+    rep.extend(records)
+    assert not rep.failed
+
+
+def test_suites_run_through_the_names_the_benchmark_traces(monkeypatch):
+    """Every checker name perfbench/tracing.py rebinds in ``cli`` is what run_suites calls."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert list(tracing.SUITES) == ALL_SUITES
+    calls = {}
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = [name for fnames in tracing.SUITES.values() for name in fnames]
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    G = builtin_abelian(3, 1)
+    run_suites(G, ALL_SUITES, n_range=[1, 2], sigmas=[Fraction(1, 2)], cap=2, trials=2, seed=1)
+    assert sorted(calls) == sorted(names)
 
 
 def test_corrupted_config_fails_with_witness(tmp_path):
