@@ -38,7 +38,7 @@ from .groups import (
     load_group,
 )
 from .mahler import MahlerFamily, mahler_to_taylor, taylor_to_mahler, verify_norm_identity
-from .padic import format_fraction, parse_fraction
+from .padic import format_fraction, parse_fraction, parse_int
 from .report import FAIL, PASS, CheckRecord, Report, emit_json, emit_text, record
 from .series import TruncatedSeries, series_to_records
 
@@ -380,14 +380,14 @@ def _read_terms(path: str):
     """(dim, cap, {index: coeff}) from a convert input file {dim, cap, terms: [{index, coeff}]}."""
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_float=Fraction)
     except OSError as e:
         raise InputError(f"cannot read {path!r}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"{path!r} is not valid JSON: {e}") from e
     try:
-        dim, cap = int(payload["dim"]), int(payload["cap"])
-        terms = {tuple(r["index"]): Fraction(r["coeff"]) for r in payload["terms"]}
+        dim, cap = parse_int(payload["dim"]), parse_int(payload["cap"])
+        terms = {tuple(map(parse_int, r["index"])): Fraction(r["coeff"]) for r in payload["terms"]}
     except KeyError as e:
         raise InputError(f"{path!r} lacks the key {e}") from e
     except (ValueError, TypeError, ZeroDivisionError) as e:

@@ -9,8 +9,9 @@ consumes the moment side through the expanded group-law monomials F^gamma,
 compiled once per group and output cap into a plan that names the moments it
 reads; the basis side feeds every norm.  Norms computed from truncated data
 are certified lower bounds and are only ever placed on the small side of
-asserted inequalities.  Both basis changes run in integer arithmetic over a
-common denominator, and the norm weights are tabled per multi-index.
+asserted inequalities.  Both basis changes gather int numerators over a
+common denominator through the basis rows of :mod:`daggerdist.padic`, the
+transpose of the Mahler conversions; the norm weights are tabled per index.
 """
 from __future__ import annotations
 
@@ -26,11 +27,14 @@ from .padic import (
     MultiIndex,
     WeightTable,
     binom_value,
-    falling_coeff,
     format_fraction,
+    gather,
     grlex_key,
+    mahler_row,
+    multi_factorial,
+    numerators,
     p_power_at_most,
-    stirling_second,
+    taylor_row,
     valuation,
     weight_table,
     weighted_sup,
@@ -58,53 +62,6 @@ def _indices_up_to(d: int, cap: int) -> Tuple[MultiIndex, ...]:
     return tuple(sorted(gen(d, cap), key=grlex_key))
 
 
-@lru_cache(maxsize=None)
-def _basis_table(size: int) -> Tuple[Tuple[int, ...], ...]:
-    """table[b][a] = s(b, a) * a!, the moment of the one-variable basis monomial b^a at Z^b.
-
-    Zero unless a <= b, so the product over coordinates is the multivariate
-    basis moment and vanishes unless alpha <= beta.
-    """
-    return tuple(
-        tuple(stirling_second(b, a) * math.factorial(a) if a <= b else 0 for a in range(size + 1))
-        for b in range(size + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _falling_table(size: int) -> Tuple[Tuple[int, ...], ...]:
-    """table[a][b] = coefficient of x^b in x(x-1)...(x-a+1), which inverts the basis table.
-
-    Zero unless b <= a; lambda(binom(Z, alpha)) = sum_beta prod_i table[alpha_i][beta_i] mu_beta / alpha!.
-    """
-    return tuple(
-        tuple(falling_coeff(a, b) if b <= a else 0 for b in range(size + 1)) for a in range(size + 1)
-    )
-
-
-def _tensor_transform(make_table, coeffs: Dict[MultiIndex, Fraction], indices: Sequence[MultiIndex]):
-    """out_beta = sum_alpha c_alpha prod_i table[beta_i][alpha_i] for every beta in indices.
-
-    Returns the out_beta, in the order of indices, as integer numerators over
-    the common denominator of the c_alpha, and that denominator.
-    """
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    scaled = [(alpha, c.numerator * (den // c.denominator)) for alpha, c in coeffs.items()]
-    table = make_table(max([0, *(max(beta) for beta in indices), *(max(alpha) for alpha in coeffs)]))
-    out: List[int] = []
-    for beta in indices:
-        rows = [table[b] for b in beta]
-        acc = 0
-        for alpha, num in scaled:
-            for row, a in zip(rows, alpha):
-                num *= row[a]
-                if not num:
-                    break
-            acc += num
-        out.append(acc)
-    return out, den
-
-
 def _ratio(num: int, den: int):
     """num / den exactly: an int when den divides num, else a Fraction."""
     q, r = divmod(num, den)
@@ -115,10 +72,7 @@ def basis_moment(beta: MultiIndex, alpha: MultiIndex) -> int:
     """Moment of the basis monomial b^alpha at Z^beta: prod s(beta_i, alpha_i) * alpha!."""
     if len(beta) != len(alpha):
         raise ValueError("length mismatch")
-    if not all(a <= b for a, b in zip(alpha, beta)):
-        return 0
-    table = _basis_table(max(beta, default=0))
-    return math.prod(table[b][a] for b, a in zip(beta, alpha))
+    return gather(mahler_row, {tuple(alpha): 1}, [tuple(beta)])[0]
 
 
 def _binomials(x, cap: int) -> list:
@@ -215,7 +169,7 @@ class Distribution:
         """The nonzero moments of degree <= cap; a basis combination derives them on first read."""
         if self._moments is None:
             indices = _indices_up_to(self.group.d, self.cap)
-            nums, den = _tensor_transform(_basis_table, self.dcoeffs, indices)
+            nums, den = self._moment_numerators(indices)
             self._moments = {beta: _ratio(num, den) for beta, num in zip(indices, nums) if num}
         return self._moments
 
@@ -230,15 +184,15 @@ class Distribution:
                     mu *= c**b
             return mu
         if self.exact and self.dcoeffs is not None:
-            return sum(
-                (dv * basis_moment(beta, a) for a, dv in self.dcoeffs.items()), Fraction(0)
-            )
+            nums, den = numerators(self.dcoeffs)
+            return _ratio(gather(mahler_row, nums, [beta])[0], den)
         raise InsufficientCap(f"moment {beta} beyond cap {self.cap} of a truncated distribution")
 
     def _moment_numerators(self, indices: Sequence[MultiIndex]) -> Tuple[List[int], int]:
         """The moments at indices, of any degree, as int numerators over one common denominator."""
         if self._moments is None:
-            return _tensor_transform(_basis_table, self.dcoeffs, indices)
+            nums, den = numerators(self.dcoeffs)
+            return gather(mahler_row, nums, indices), den
         table, cap = self._moments, self.cap
         values = [table.get(beta, 0) if sum(beta) <= cap else self.moment(beta) for beta in indices]
         den = math.lcm(*(v.denominator for v in values))
@@ -248,12 +202,9 @@ class Distribution:
         """Derive d_alpha = lambda(binom(Z, alpha)) from the moments, for |alpha| <= cap."""
         if self.dcoeffs is None:
             indices = _indices_up_to(self.group.d, self.cap)
-            nums, den = _tensor_transform(_falling_table, self.moments, indices)
-            self.dcoeffs = {
-                alpha: _ratio(num, den * math.prod(map(math.factorial, alpha)))
-                for alpha, num in zip(indices, nums)
-                if num
-            }
+            moments, den = numerators(self.moments)
+            nums = zip(indices, gather(taylor_row, moments, indices))
+            self.dcoeffs = {alpha: _ratio(num, den * multi_factorial(alpha)) for alpha, num in nums if num}
         return self.dcoeffs
 
     def total_mass(self) -> Fraction:

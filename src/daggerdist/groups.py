@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .padic import INFINITY, LogMag, Rational, format_fraction, is_prime, valuation
+from .padic import INFINITY, LogMag, Rational, format_fraction, is_prime, parse_int, valuation
 from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, record, settled
 from .series import TruncatedSeries, series_from_records, series_to_records
 
@@ -354,7 +354,7 @@ def load_group(config) -> PValuedGroup:
     """Build and eagerly validate a group from a config mapping or JSON text."""
     if isinstance(config, (str, bytes)):
         try:
-            config = json.loads(config)
+            config = json.loads(config, parse_float=Fraction)
         except json.JSONDecodeError as e:
             raise GroupConfigError([f"config is not valid JSON: {e}"]) from e
     if not isinstance(config, dict):
@@ -366,8 +366,8 @@ def load_group(config) -> PValuedGroup:
     if problems:
         raise GroupConfigError(problems)
     try:
-        p, d = int(config["p"]), int(config["d"])
-    except (ValueError, TypeError) as e:
+        p, d = parse_int(config["p"]), parse_int(config["d"])
+    except (ValueError, TypeError, ZeroDivisionError) as e:
         raise GroupConfigError([f"bad p or d: {e}"]) from e
     try:
         omega = [Fraction(w) for w in config["omega"]]
@@ -377,10 +377,10 @@ def load_group(config) -> PValuedGroup:
         cap = 0
         for poly in list(config["F"]) + list(config["I"]):
             for rec in poly:
-                cap = max(cap, sum(rec["index"]))
+                cap = max(cap, parse_int(sum(rec["index"])))
         F = [series_from_records(poly, 2 * d, cap) for poly in config["F"]]
         I = [series_from_records(poly, d, cap) for poly in config["I"]]
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         raise GroupConfigError([f"bad polynomial record: {e}"]) from e
     model: Optional[CoordinateModel] = None
     tag = config.get("model")

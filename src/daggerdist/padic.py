@@ -1,19 +1,28 @@
-"""Exact p-adic valuations, magnitudes and basis-change tables.
+"""Exact p-adic valuations, magnitudes and the change of basis.
 
 Every quantity in this package is an exact rational (``fractions.Fraction``)
 or an integer; there is no floating point anywhere.  Norm values p^q are
 represented by their exponent q (see :class:`LogMag`), so every norm
 comparison reduces to an exact comparison of rationals.
+
+The change between the monomial and binomial bases lives here once: two
+cached tables of integer basis rows (:func:`mahler_row`, :func:`taylor_row`)
+and one kernel pair over int numerators.  Functions :func:`scatter` through a
+row table; distributions, their duals under <lam, f> = sum_alpha m_alpha(f)
+d_alpha(lam), :func:`gather` through the same table.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from typing import Mapping, Optional, Tuple, Union
+from itertools import product
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 MultiIndex = Tuple[int, ...]
+#: (index, int weight) pairs of one basis row, first coordinate varying fastest.
+Row = Tuple[Tuple[MultiIndex, int], ...]
 
 #: Valuation of zero.
 INFINITY = math.inf
@@ -69,6 +78,11 @@ def multi_factorial_valuation(alpha: MultiIndex, p: int) -> int:
     return sum(factorial_valuation(a, p) for a in alpha)
 
 
+def multi_factorial(alpha: MultiIndex) -> int:
+    """alpha! = alpha_1! ... alpha_d! as an int."""
+    return math.prod(map(math.factorial, alpha))
+
+
 @lru_cache(maxsize=None)
 def stirling_second(beta: int, alpha: int) -> int:
     """Stirling number of the second kind: x^beta = sum_a s(beta,a) x_falling^a.
@@ -103,6 +117,60 @@ def falling_coeff(alpha: int, beta: int) -> int:
     # x_falling^a = x_falling^(a-1) * (x - (a-1))
     upper = falling_coeff(alpha - 1, beta) if beta <= alpha - 1 else 0
     return falling_coeff(alpha - 1, beta - 1) - (alpha - 1) * upper
+
+
+def _product(factors) -> Row:
+    """The nonzero entries of a product of one-variable rows [(k, weight), ...]."""
+    out = []
+    for combo in product(*reversed(factors)):
+        weight = math.prod(w for _, w in combo)
+        if weight:
+            out.append((tuple(k for k, _ in reversed(combo)), weight))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def mahler_row(beta: MultiIndex) -> Row:
+    """(alpha, prod_i s(beta_i, alpha_i) * alpha_i!) for alpha <= beta: Z^beta in the binomial basis.
+
+    Z^beta = sum_alpha w_alpha binom(Z, alpha); read the other way, w_alpha is
+    the moment at Z^beta of the basis monomial dual to binom(Z, alpha).
+    """
+    return _product([[(a, stirling_second(b, a) * math.factorial(a)) for a in range(b + 1)] for b in beta])
+
+
+@lru_cache(maxsize=1024)
+def taylor_row(alpha: MultiIndex) -> Row:
+    """(beta, prod_i a(alpha_i, beta_i)) for beta <= alpha: alpha! binom(Z, alpha) in monomials."""
+    return _product([[(b, falling_coeff(a, b)) for b in range(a + 1)] for a in alpha])
+
+
+def gather(row, nums: Mapping[MultiIndex, int], indices: Sequence[MultiIndex]) -> List[int]:
+    """out_i = sum over (k, w) in row(i) of w * nums[k], for each i in indices; absent k read as 0."""
+    out = []
+    for i in indices:
+        acc = 0
+        for k, w in row(i):
+            n = nums.get(k)
+            if n:
+                acc += w * n
+        out.append(acc)
+    return out
+
+
+def scatter(row, nums: Mapping[MultiIndex, int]) -> Dict[MultiIndex, int]:
+    """The transpose of :func:`gather`: out_i = sum of w * nums[k] over (i, w) in row(k); zeros dropped."""
+    out: Dict[MultiIndex, int] = {}
+    for k, n in nums.items():
+        for i, w in row(k):
+            out[i] = out.get(i, 0) + w * n
+    return {i: t for i, t in out.items() if t}
+
+
+def numerators(values: Mapping[MultiIndex, Rational]) -> Tuple[Dict[MultiIndex, int], int]:
+    """The values as int numerators over their least common denominator, and that denominator."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 
 def binom_value(x: Rational, k: int) -> Fraction:
@@ -269,3 +337,11 @@ def format_fraction(x) -> str:
 
 def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
+
+
+def parse_int(x) -> int:
+    """An int read exactly from an input value; a non-integral one raises (int() would truncate it)."""
+    q = Fraction(x)
+    if q.denominator != 1:
+        raise ValueError(f"expected an integer, got {q}")
+    return q.numerator

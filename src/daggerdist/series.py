@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .padic import LogMag, MultiIndex, Rational, grlex_key, weight_table, weighted_sup
+from .padic import LogMag, MultiIndex, Rational, grlex_key, parse_int, weight_table, weighted_sup
 
 
 class DimensionMismatch(ValueError):
@@ -30,7 +30,11 @@ class NormValue(NamedTuple):
 
 
 def clean_terms(dim: int, cap: int, terms: Mapping[MultiIndex, Rational]) -> Dict[MultiIndex, Fraction]:
-    """The nonzero terms with int-tuple indices and Fraction coefficients; bad indices raise."""
+    """The nonzero terms with int-tuple indices and Fraction coefficients; a bad dim, cap or index raises."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    if cap < 0:
+        raise ValueError("cap must be non-negative")
     out: Dict[MultiIndex, Fraction] = {}
     for idx, c in terms.items():
         idx = tuple(map(int, idx))
@@ -57,10 +61,6 @@ class TruncatedSeries:
     __slots__ = ("dim", "cap", "terms", "exact", "_plan")
 
     def __init__(self, dim: int, cap: int, terms: Mapping[MultiIndex, Rational], exact: bool = True):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        if cap < 0:
-            raise ValueError("cap must be non-negative")
         self.dim = dim
         self.cap = cap
         self.terms = clean_terms(dim, cap, terms)
@@ -298,5 +298,6 @@ def series_to_records(f: TruncatedSeries) -> list:
 
 
 def series_from_records(records, dim: int, cap: int, exact: bool = True) -> TruncatedSeries:
-    terms = {tuple(rec["index"]): Fraction(rec["coeff"]) for rec in records}
+    """The inverse of :func:`series_to_records`; a non-integral index entry raises."""
+    terms = {tuple(map(parse_int, rec["index"])): Fraction(rec["coeff"]) for rec in records}
     return TruncatedSeries(dim, cap, terms, exact)

@@ -281,6 +281,10 @@ BAD_CONVERT_INPUTS = {
     "no-terms": json.dumps({k: v for k, v in _POLY.items() if k != "terms"}),
     "bad-coeff": json.dumps({**_POLY, "terms": [{"index": [1], "coeff": "x"}]}),
     "index-above-cap": json.dumps({**_POLY, "terms": [{"index": [3], "coeff": "1/1"}]}),
+    "dim-zero": json.dumps({**_POLY, "dim": 0, "terms": []}),
+    "cap-negative": json.dumps({**_POLY, "cap": -1, "terms": []}),
+    "fractional-dim": json.dumps({**_POLY, "dim": 1.5}),
+    "fractional-index": json.dumps({**_POLY, "terms": [{"index": [1.5], "coeff": "1/1"}]}),
 }
 
 
@@ -296,12 +300,21 @@ def test_bad_convert_input_gives_one_line_error(direction, case, tmp_path, capsy
     assert captured.err.startswith("daggerdist: error: ") and captured.err.count("\n") == 1
 
 
+def test_convert_reads_a_float_coefficient_exactly(tmp_path):
+    src, out = tmp_path / "poly.json", tmp_path / "mahler.json"
+    src.write_text('{"dim": 1, "cap": 1, "terms": [{"index": [1], "coeff": 0.1}]}')
+    assert main(["convert", "--direction", "taylor-to-mahler", "--in", str(src), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["terms"] == [{"index": [1], "coeff": "1/10"}]
+
+
 # sha256 of `verify --group G --format json` with the listed options, G the first word of the
 # key.  The heisenberg(3) and abelian(3,2) digests were captured from the Fraction-only
 # construction path, heisenberg(5) and abelian(11,3) from the Fraction-only pointwise path with
 # the plain depth-first p-th root search, abelian(2,2) and heisenberg(7) from the Fraction-only
 # Gauss and Mahler norm loops with two Mahler conversions per trial, abelian(5,3) and
-# "heisenberg(7) convolution" from the per-term convolution loop over eagerly built moments.
+# "heisenberg(7) convolution" from the per-term convolution loop over eagerly built moments,
+# abelian(2,3) from the distribution-side Stirling and falling tables before they were merged
+# into the basis rows of padic.
 PINNED_REPORTS = {
     "heisenberg(3)": (
         ["--trials", "5"],
@@ -334,6 +347,10 @@ PINNED_REPORTS = {
     "heisenberg(7) convolution": (
         ["--suites", "convolution,norms", "--trials", "20"],
         "ca0545b44b901de48942f5fe065fb9ec5b64f68f353591c2d86dd2fa0a3b3ea4",
+    ),
+    "abelian(2,3)": (
+        ["--suites", "convolution,norms,embeddings", "--trials", "10"],
+        "c4e55c4e4a7b14426d916867ec8868b6d79e21d4b2a81ab546c68b91b3120ead",
     ),
 }
 

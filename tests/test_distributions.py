@@ -462,14 +462,14 @@ def test_lazy_moment_table_is_built_at_most_once(monkeypatch):
     cap = 5
     full = set(_all_indices(3, cap))
     builds = []
-    transform = dist_module._tensor_transform
+    gather = dist_module.gather
 
-    def counting(make_table, coeffs, indices):
-        if make_table is dist_module._basis_table and set(indices) == full:
+    def counting(row, nums, indices):
+        if row is dist_module.mahler_row and set(indices) == full:
             builds.append(len(indices))
-        return transform(make_table, coeffs, indices)
+        return gather(row, nums, indices)
 
-    monkeypatch.setattr(dist_module, "_tensor_transform", counting)
+    monkeypatch.setattr(dist_module, "gather", counting)
     lam = Distribution.from_dcoeffs(H3, {(1, 0, 0): Fraction(1, 3), (0, 2, 1): 9}, cap)
     dirac = Distribution.dirac(H3, [3, 6, 9], cap)
     # neither construction, a read beyond the cap nor the convolution plan fills the table

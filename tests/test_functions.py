@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daggerdist.distributions import Distribution, convolve
 from daggerdist.functions import DaggerFunction, pair
 from daggerdist.groups import builtin_abelian, builtin_heisenberg
+from daggerdist.mahler import taylor_to_mahler
 from daggerdist.series import DimensionMismatch, TruncatedSeries
 
 H3 = builtin_heisenberg(3)
@@ -89,3 +91,32 @@ def test_monomial_and_arithmetic():
     g = f * DaggerFunction.coordinate(G, 0)
     assert g.eval_at([2, 7]) == (3 * 4 + 7) * 2
     assert f.scale(Fraction(1, 5)).eval_at([5, 0]) == 15
+
+
+@st.composite
+def _pairing_cases(draw):
+    """A Dirac or a basis combination at cap >= deg f, and a polynomial f on the same chart."""
+    G = draw(st.sampled_from([H3, builtin_abelian(5, 2), builtin_abelian(2, 3)]))
+    deg = draw(st.integers(0, 4))
+    cap = draw(st.integers(deg, deg + 2))
+
+    def indices(top):
+        index = st.lists(st.integers(0, top), min_size=G.d, max_size=G.d).map(tuple)
+        return index.filter(lambda i: sum(i) <= top)
+
+    coeff = st.builds(Fraction, st.integers(-(G.p**3), G.p**3), st.sampled_from([1, G.p, G.p**2]))
+    f = DaggerFunction(G, TruncatedSeries(G.d, deg, draw(st.dictionaries(indices(deg), coeff, max_size=4))))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-(G.p**4), G.p**4), min_size=G.d, max_size=G.d))
+        return Distribution.dirac(G, x, cap), f
+    return Distribution.from_dcoeffs(G, draw(st.dictionaries(indices(cap), coeff, max_size=4)), cap), f
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_pairing_cases())
+def test_pairing_is_the_mahler_coefficients_against_the_basis_coefficients(case):
+    # <lam, f> = sum_alpha m_alpha(f) d_alpha(lam): the two basis changes are transposes
+    lam, f = case
+    dcoeffs = lam.ensure_dcoeffs()
+    m = taylor_to_mahler(f.body).coeffs
+    assert pair(lam, f) == sum((c * dcoeffs.get(alpha, 0) for alpha, c in m.items()), Fraction(0))

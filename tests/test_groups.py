@@ -110,6 +110,19 @@ def test_load_group_reports_violations():
     assert any("must exceed" in v for v in exc.value.violations)
 
 
+def test_load_group_reads_json_numbers_exactly():
+    cfg = group_to_config(H3)
+    assert load_group(json.dumps({**cfg, "omega": [1.1, 1, 1]})).omega[0] == Fraction(11, 10)
+    for field, value in (("p", 3.5), ("d", 1.5)):
+        with pytest.raises(GroupConfigError, match="expected an integer"):
+            load_group(json.dumps({**cfg, field: value}))
+    for index in ([1.5, 0, 0, 0, 0, 0], [0.5, 0.5, 0, 0, 0, 0]):
+        bad = json.loads(json.dumps(cfg))
+        bad["F"][0][0]["index"] = index
+        with pytest.raises(GroupConfigError, match="expected an integer"):
+            load_group(json.dumps(bad))
+
+
 def test_non_integral_coefficient_rejected():
     cfg = group_to_config(H3)
     cfg["F"][2].append({"index": [1, 0, 0, 1, 0, 0], "coeff": "1/3"})

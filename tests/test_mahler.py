@@ -188,8 +188,8 @@ def test_mahler_norm_matches_fraction_loop(data, p, dim):
 def test_suite_mahler_fails_on_a_corrupted_row(monkeypatch):
     # every Mahler coefficient scaled by p: the norms differ by p^-1 and the round trip gives p*f
     G = builtin_heisenberg(3)
-    true_row = mahler_module._mahler_row
-    monkeypatch.setattr(mahler_module, "_mahler_row", lambda beta: tuple((a, 3 * w) for a, w in true_row(beta)))
+    true_row = mahler_module.mahler_row
+    monkeypatch.setattr(mahler_module, "mahler_row", lambda beta: tuple((a, 3 * w) for a, w in true_row(beta)))
     records = {rec.check_id: rec for rec in suite_mahler(G, trials=4, seed=0)}
     for check_id in ("mahler/norm-identity", "mahler/roundtrip"):
         assert records[check_id].verdict == "fail"
