@@ -40,7 +40,7 @@ from .groups import (
 from .mahler import MahlerFamily, mahler_to_taylor, taylor_to_mahler, verify_norm_identity
 from .padic import format_fraction, parse_fraction, parse_int
 from .report import FAIL, PASS, CheckRecord, Report, emit_json, emit_text, record
-from .series import TruncatedSeries, series_to_records
+from .series import TruncatedSeries, series_to_records, terms_from_records
 
 DEFAULT_SIGMAS = "1/4,1/2,3/4,1"
 
@@ -387,7 +387,7 @@ def _read_terms(path: str):
         raise InputError(f"{path!r} is not valid JSON: {e}") from e
     try:
         dim, cap = parse_int(payload["dim"]), parse_int(payload["cap"])
-        terms = {tuple(map(parse_int, r["index"])): Fraction(r["coeff"]) for r in payload["terms"]}
+        terms = terms_from_records(payload["terms"])
     except KeyError as e:
         raise InputError(f"{path!r} lacks the key {e}") from e
     except (ValueError, TypeError, ZeroDivisionError) as e:

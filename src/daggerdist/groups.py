@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .padic import INFINITY, LogMag, Rational, format_fraction, is_prime, parse_int, valuation
 from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, record, settled
-from .series import TruncatedSeries, series_from_records, series_to_records
+from .series import TruncatedSeries, compile_polys, series_to_records, terms_from_records
 
 # Coordinates are p-adic integers: ints, or Fractions whose denominator is prime to p.
 Point = Tuple[Rational, ...]
@@ -111,6 +112,9 @@ class PValuedGroup:
         self.p = p
         self.d = d
         self.omega = tuple(Fraction(w) for w in omega)
+        # omega_i = _omega_nums[i] / _omega_den, for comparisons in ints
+        self._omega_den = math.lcm(*(w.denominator for w in self.omega))
+        self._omega_nums = tuple(w.numerator * (self._omega_den // w.denominator) for w in self.omega)
         self.F = tuple(F)
         self.I = tuple(I)
         self.model = model
@@ -199,21 +203,32 @@ class PValuedGroup:
             out.append(c)
         return tuple(out)
 
+    # multiply, invert and power run the law F and the inverse I as kernels
+    # compiled on first use (series.compile_polys): the outputs are all ints
+    # exactly when the coordinates and the coefficients are integers, and all
+    # Fractions otherwise.
+
     def multiply(self, x: Sequence, y: Sequence) -> Point:
         x, y = self.check_point(x), self.check_point(y)
-        args = x + y
-        return tuple(f.evaluate(args) for f in self.F)
+        return self.plan("law", _law_kernel)(*x, *y)
 
     def invert(self, x: Sequence) -> Point:
         x = self.check_point(x)
-        return tuple(g.evaluate(x) for g in self.I)
+        return self.plan("inverse", _inverse_kernel)(*x)
 
     def power(self, x: Sequence, n: int) -> Point:
+        """x^n as n products from the left, never by repeated squaring.
+
+        The law is only checked associative up to a degree cap, so the
+        product order is part of the definition.
+        """
         if n < 0:
             return self.power(self.invert(x), -n)
+        x = self.check_point(x)
+        law = self.plan("law", _law_kernel)
         out = self.identity
         for _ in range(n):
-            out = self.multiply(out, x)
+            out = law(*out, *x)
         return out
 
     def commutator(self, x: Sequence, y: Sequence) -> Point:
@@ -222,17 +237,19 @@ class PValuedGroup:
         return self.multiply(self.multiply(self.multiply(xi, yi), x), y)
 
     def omega_of(self, x: Sequence):
-        """min_i omega_i + v(x_i); +inf exactly at the identity."""
+        """min_i omega_i + v(x_i) as a Fraction; +inf exactly at the identity.
+
+        Compared in ints over the omegas' common denominator.
+        """
         x = self.check_point(x)
-        best = INFINITY
-        for w, c in zip(self.omega, x):
-            val = valuation(c, self.p)
-            if val is INFINITY:
-                continue
-            cand = w + val
-            if best is INFINITY or cand < best:
-                best = cand
-        return best
+        p, den = self.p, self._omega_den
+        best = None
+        for num, c in zip(self._omega_nums, x):
+            if c:
+                cand = num + den * valuation(c, p)
+                if best is None or cand < best:
+                    best = cand
+        return INFINITY if best is None else Fraction(best, den)
 
     def degmax(self) -> int:
         return max(f.degree() for f in self.F)
@@ -260,10 +277,12 @@ class PValuedGroup:
         return out
 
     def plan(self, key: Hashable, build: Callable[["PValuedGroup"], object]) -> object:
-        """build(self), computed once per key: tables compiled from the law, such as a convolution plan."""
-        if key not in self._plans:
-            self._plans[key] = build(self)
-        return self._plans[key]
+        """build(self), computed once per key: code or tables compiled from the law, such as its kernel."""
+        try:
+            return self._plans[key]
+        except KeyError:
+            out = self._plans[key] = build(self)
+            return out
 
     def _fi_power(self, i: int, k: int, cap: int) -> TruncatedSeries:
         key = (i, k, cap)
@@ -278,6 +297,14 @@ class PValuedGroup:
 
     def __repr__(self):
         return f"PValuedGroup({self.name}, p={self.p}, d={self.d})"
+
+
+def _law_kernel(G: PValuedGroup):
+    return compile_polys(G.F, 2 * G.d)
+
+
+def _inverse_kernel(G: PValuedGroup):
+    return compile_polys(G.I, G.d)
 
 
 # -- built-ins -------------------------------------------------------------
@@ -374,12 +401,11 @@ def load_group(config) -> PValuedGroup:
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise GroupConfigError([f"bad omega entry: {e}"]) from e
     try:
-        cap = 0
-        for poly in list(config["F"]) + list(config["I"]):
-            for rec in poly:
-                cap = max(cap, parse_int(sum(rec["index"])))
-        F = [series_from_records(poly, 2 * d, cap) for poly in config["F"]]
-        I = [series_from_records(poly, d, cap) for poly in config["I"]]
+        F_terms = [terms_from_records(poly) for poly in config["F"]]
+        I_terms = [terms_from_records(poly) for poly in config["I"]]
+        cap = max([0] + [sum(idx) for terms in F_terms + I_terms for idx in terms])
+        F = [TruncatedSeries(2 * d, cap, terms) for terms in F_terms]
+        I = [TruncatedSeries(d, cap, terms) for terms in I_terms]
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         raise GroupConfigError([f"bad polynomial record: {e}"]) from e
     model: Optional[CoordinateModel] = None

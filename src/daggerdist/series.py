@@ -9,7 +9,7 @@ high-degree tails, and the flag records when that may have happened.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .padic import LogMag, MultiIndex, Rational, grlex_key, parse_int, weight_table, weighted_sup
 
@@ -54,18 +54,18 @@ def clean_terms(dim: int, cap: int, terms: Mapping[MultiIndex, Rational]) -> Dic
 class TruncatedSeries:
     """Sparse polynomial / truncated series with a total-degree cap.
 
-    The terms are not changed after construction, so the evaluation plan is
-    built once, on the first :meth:`evaluate`.
+    The terms are not changed after construction, so the evaluation kernel is
+    compiled once, on the first :meth:`evaluate`.
     """
 
-    __slots__ = ("dim", "cap", "terms", "exact", "_plan")
+    __slots__ = ("dim", "cap", "terms", "exact", "_kernel")
 
     def __init__(self, dim: int, cap: int, terms: Mapping[MultiIndex, Rational], exact: bool = True):
         self.dim = dim
         self.cap = cap
         self.terms = clean_terms(dim, cap, terms)
         self.exact = bool(exact)
-        self._plan = None
+        self._kernel = None
 
     # -- constructors ------------------------------------------------------
 
@@ -227,24 +227,10 @@ class TruncatedSeries:
         """
         if len(xs) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(xs)}")
-        plan = self._plan
-        if plan is None:
-            # (coefficient, ((variable, exponent), ...)); integral coefficients as ints
-            plan = self._plan = tuple(
-                (c.numerator if c.denominator == 1 else c, tuple((i, k) for i, k in enumerate(idx) if k))
-                for idx, c in self.terms.items()
-            )
-        total = 0
-        for x in xs:
-            if type(x) is not int:
-                xs = [Fraction(x) for x in xs]
-                total = Fraction(0)
-                break
-        for c, factors in plan:
-            for i, k in factors:
-                c *= xs[i] if k == 1 else xs[i] ** k
-            total += c
-        return total
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = compile_polys((self,), self.dim)
+        return kernel(*xs)[0]
 
     def partial_evaluate(self, fixed: Mapping[int, Rational]) -> "TruncatedSeries":
         """Fix some variables to scalars; result lives in the remaining ones."""
@@ -290,6 +276,71 @@ class TruncatedSeries:
         return NormValue(weighted_sup(self.terms, p, table), self.exact)
 
 
+#: Terms per parenthesized group in a kernel's sums: one flat chain of a few
+#: thousand additions exceeds the compiler's recursion limit.
+_SUM_CHUNK = 256
+
+
+def _sum_text(terms: Sequence[str]) -> str:
+    while len(terms) > _SUM_CHUNK:
+        terms = [f"({' + '.join(terms[i : i + _SUM_CHUNK])})" for i in range(0, len(terms), _SUM_CHUNK)]
+    return " + ".join(terms) or "0"
+
+
+def _tuple_text(items: Sequence[str]) -> str:
+    return f"({', '.join(items)}{',' if items else ''})"
+
+
+def compile_polys(polys: Sequence[TruncatedSeries], nvars: int) -> Callable[..., tuple]:
+    """One straight-line function of ``nvars`` coordinates that returns every ``f(x)`` as a tuple.
+
+    The generated source, kept as the function's ``source``, holds only int
+    literals and generated names: the coordinates ``v0, v1, ...``, ``F`` for
+    ``Fraction``, and ``c0, c1, ...`` for the coefficients that are not small
+    integers.  Those are bound as constants and never formatted into the text.
+
+    The outputs are all ints exactly when the coordinates and every
+    coefficient are integers; otherwise every output is a ``Fraction``.
+    """
+    names = [f"v{i}" for i in range(nvars)]
+    consts: Dict[str, Rational] = {}
+    exprs, fraction_exprs = [], []
+    for f in polys:
+        if f.dim != nvars:
+            raise DimensionMismatch(f"expected {nvars} variables, got {f.dim}")
+        terms = []
+        for idx, c in f.sorted_terms():
+            if c.denominator == 1 and c.numerator.bit_length() <= 64:
+                coeff = str(c.numerator)
+            else:
+                coeff = f"c{len(consts)}"
+                consts[coeff] = c.numerator if c.denominator == 1 else c
+            factors = [n if k == 1 else f"{n}**{k}" for n, k in zip(names, idx) if k]
+            if factors and coeff in ("1", "-1"):  # x for 1*x, -x for -1*x
+                terms.append(coeff[:-1] + "*".join(factors))
+            else:
+                terms.append("*".join([coeff] + factors))
+        expr = _sum_text(terms)
+        exprs.append(expr)
+        # a term in a variable makes the sum a Fraction; a constant needs converting
+        fraction_exprs.append(expr if f.degree() > 0 else f"F({expr})")
+    args = ", ".join(names)
+    lines = [f"def kernel({args}):"]
+    if all(c.denominator == 1 for f in polys for c in f.terms.values()):
+        check = " is ".join(f"type({n})" for n in names)
+        lines += [f"    if {check} is int:", f"        return {_tuple_text(exprs)}"]
+    lines += [
+        f"    {args}, = {', '.join(f'F({n})' for n in names)},",
+        f"    return {_tuple_text(fraction_exprs)}",
+    ]
+    source = "\n".join(lines) + "\n"
+    namespace = {"F": Fraction, **consts}
+    exec(compile(source, "<compiled polynomials>", "exec"), namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel
+
+
 def series_to_records(f: TruncatedSeries) -> list:
     """Deterministic serialization as {index, coeff} records."""
     from .padic import format_fraction
@@ -297,7 +348,23 @@ def series_to_records(f: TruncatedSeries) -> list:
     return [{"index": list(idx), "coeff": format_fraction(c)} for idx, c in f.sorted_terms()]
 
 
+def terms_from_records(records) -> Dict[MultiIndex, Fraction]:
+    """``{index: coeff}`` from ``{index, coeff}`` records, zeros kept.
+
+    An index that is not a list of integers, or that repeats, raises.
+    """
+    terms: Dict[MultiIndex, Fraction] = {}
+    for rec in records:
+        index = rec["index"]
+        if not isinstance(index, (list, tuple)):
+            raise TypeError(f"index {index!r} is not a list")
+        idx = tuple(map(parse_int, index))
+        if idx in terms:
+            raise ValueError(f"index {list(idx)} is repeated")
+        terms[idx] = Fraction(rec["coeff"])
+    return terms
+
+
 def series_from_records(records, dim: int, cap: int, exact: bool = True) -> TruncatedSeries:
-    """The inverse of :func:`series_to_records`; a non-integral index entry raises."""
-    terms = {tuple(map(parse_int, rec["index"])): Fraction(rec["coeff"]) for rec in records}
-    return TruncatedSeries(dim, cap, terms, exact)
+    """The inverse of :func:`series_to_records`; a bad or repeated index raises."""
+    return TruncatedSeries(dim, cap, terms_from_records(records), exact)

@@ -2,6 +2,8 @@ import functools
 import hashlib
 import importlib.util
 import json
+import runpy
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from daggerdist.groups import (
 )
 from daggerdist.padic import LogMag
 from daggerdist.report import CheckRecord, Report, emit_json, emit_text, render
+from test_distributions import H_HALF
 
 
 def test_resolve_group_tags():
@@ -285,6 +288,8 @@ BAD_CONVERT_INPUTS = {
     "cap-negative": json.dumps({**_POLY, "cap": -1, "terms": []}),
     "fractional-dim": json.dumps({**_POLY, "dim": 1.5}),
     "fractional-index": json.dumps({**_POLY, "terms": [{"index": [1.5], "coeff": "1/1"}]}),
+    "repeated-index": json.dumps({**_POLY, "terms": [{"index": [1], "coeff": "1"}, {"index": [1.0], "coeff": "2"}]}),
+    "string-index": json.dumps({**_POLY, "terms": [{"index": "1", "coeff": "1/1"}]}),
 }
 
 
@@ -314,7 +319,8 @@ def test_convert_reads_a_float_coefficient_exactly(tmp_path):
 # Gauss and Mahler norm loops with two Mahler conversions per trial, abelian(5,3) and
 # "heisenberg(7) convolution" from the per-term convolution loop over eagerly built moments,
 # abelian(2,3) from the distribution-side Stirling and falling tables before they were merged
-# into the basis rows of padic.
+# into the basis rows of padic, heisenberg-half (the -3/2 law of test_distributions.H_HALF, read
+# from a config file) from the law evaluated term by term before it was compiled to kernels.
 PINNED_REPORTS = {
     "heisenberg(3)": (
         ["--trials", "5"],
@@ -352,7 +358,13 @@ PINNED_REPORTS = {
         ["--suites", "convolution,norms,embeddings", "--trials", "10"],
         "c4e55c4e4a7b14426d916867ec8868b6d79e21d4b2a81ab546c68b91b3120ead",
     ),
+    "heisenberg-half": (
+        ["--suites", "group-axioms,pvaluation,saturation,mahler", "--trials", "200"],
+        "458351615422f8576ce6c0b67b43065594701fa1ee285954f10e3d56c8d665ac",
+    ),
 }
+# groups of PINNED_REPORTS that are not builtin tags, written to a config file for the run
+PINNED_CONFIGS = {"heisenberg-half": H_HALF}
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_REPORTS))
@@ -360,6 +372,10 @@ def test_report_bytes_pinned(key, tmp_path):
     options, digest = PINNED_REPORTS[key]
     out = tmp_path / "report.json"
     group = key.split()[0]
+    if group in PINNED_CONFIGS:
+        config = tmp_path / "group.json"
+        config.write_text(json.dumps(group_to_config(PINNED_CONFIGS[group])))
+        group = str(config)
     assert main(["verify", "--group", group, *options, "--format", "json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -372,3 +388,16 @@ def test_inconclusive_counted_only_when_present():
     assert rep.to_dict()["counts"]["inconclusive"] == 1
     assert not rep.failed
     assert "regime-unmet=0 inconclusive=1 fail=0" in emit_text(rep).decode()
+
+
+@pytest.mark.parametrize("group, status", [("abelian(3,1)", 0), ("abelian(3)", 2)])
+def test_python_m_runs_the_cli(monkeypatch, capsys, group, status):
+    monkeypatch.setattr(sys, "argv", ["daggerdist", "verify", "--group", group, "--suites", "coeff-bound"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("daggerdist", run_name="__main__")
+    assert exc.value.code == status
+    captured = capsys.readouterr()
+    if status == 0:
+        assert json.loads(captured.out)["counts"]["pass"] == 1
+    else:
+        assert captured.out == "" and captured.err.startswith("daggerdist: error: ")

@@ -23,6 +23,7 @@ from daggerdist.groups import (
     pth_root_mod,
 )
 from daggerdist.padic import INFINITY, valuation
+from test_distributions import H_HALF
 
 
 H3 = builtin_heisenberg(3)
@@ -121,6 +122,21 @@ def test_load_group_reads_json_numbers_exactly():
         bad["F"][0][0]["index"] = index
         with pytest.raises(GroupConfigError, match="expected an integer"):
             load_group(json.dumps(bad))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda F: F[0].append(dict(F[0][0])), "is repeated"),
+        (lambda F: F[0][0].update(index="000100"), "is not a list"),
+    ],
+    ids=["repeated-index", "string-index"],
+)
+def test_load_group_rejects_bad_index_records(mutate, message):
+    cfg = group_to_config(H3)
+    mutate(cfg["F"])
+    with pytest.raises(GroupConfigError, match=message):
+        load_group(json.dumps(cfg))
 
 
 def test_non_integral_coefficient_rejected():
@@ -300,6 +316,89 @@ def test_multiply_and_invert_agree_on_int_and_fraction_points(group, data):
     assert prod == group.multiply(fx, fy) == group.multiply(fx, y)
     assert inv == group.invert(fx)
     assert all(type(c) is int for c in prod + inv)
+
+
+# -- compiled kernels against the term walk they replaced --------------------
+
+
+def _evaluate_terms(f, xs):
+    """TruncatedSeries.evaluate before kernels: a walk over the terms, all Fractions unless all ints."""
+    total = 0
+    if any(type(x) is not int for x in xs):
+        xs = [Fraction(x) for x in xs]
+        total = Fraction(0)
+    for idx, c in f.terms.items():
+        c = c.numerator if c.denominator == 1 else c
+        for x, k in zip(xs, idx):
+            if k:
+                c *= x**k
+        total += c
+    return total
+
+
+def _reference_multiply(G, x, y):
+    return tuple(_evaluate_terms(f, G.check_point(x) + G.check_point(y)) for f in G.F)
+
+
+def _reference_invert(G, x):
+    return tuple(_evaluate_terms(g, G.check_point(x)) for g in G.I)
+
+
+def _reference_power(G, x, n):
+    if n < 0:
+        return _reference_power(G, _reference_invert(G, x), -n)
+    out = G.identity
+    for _ in range(n):
+        out = _reference_multiply(G, out, x)
+    return out
+
+
+def _reference_omega_of(G, x):
+    """omega_of before the integer comparison: one Fraction addition per coordinate."""
+    best = INFINITY
+    for w, c in zip(G.omega, G.check_point(x)):
+        val = valuation(c, G.p)
+        if val is INFINITY:
+            continue
+        cand = w + val
+        if best is INFINITY or cand < best:
+            best = cand
+    return best
+
+
+def _p_integral(p):
+    """ints (some deep in the filtration), Fractions with denominator 1, and fractions prime to p."""
+    ints = st.integers(-(10**6), 10**6)
+    return st.one_of(
+        ints,
+        ints.map(lambda k: k * p**4),
+        ints.map(Fraction),
+        st.builds(Fraction, ints, st.sampled_from([q for q in (2, 3, 4, 5, 7, 9, 25) if q % p])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(group=st.sampled_from([H3, builtin_heisenberg(5), builtin_abelian(2, 3), H_HALF]), data=st.data())
+def test_group_operations_match_the_term_walk(group, data):
+    point = st.tuples(*[_p_integral(group.p)] * group.d)
+    x, y = data.draw(point), data.draw(point)
+    n = data.draw(st.integers(-2, group.p + 1))
+    integral_law = all(c.denominator == 1 for f in group.F + group.I for c in f.terms.values())
+    integral_x = integral_law and all(Fraction(c).denominator == 1 for c in x)
+    integral_xy = integral_x and all(Fraction(c).denominator == 1 for c in y)
+    cases = [
+        (group.multiply(x, y), _reference_multiply(group, x, y), integral_xy),
+        (group.invert(x), _reference_invert(group, x), integral_x),
+        (group.power(x, n), _reference_power(group, x, n), integral_x or n == 0),
+    ]
+    for got, expect, integral in cases:
+        # outputs are all ints exactly when the point and the law are integral, else all Fractions
+        assert got == expect
+        assert {type(c) for c in got} == {int if integral else Fraction}
+    for z in (x, y, group.identity):
+        omega = group.omega_of(z)
+        assert omega == _reference_omega_of(group, z) and type(omega) is type(_reference_omega_of(group, z))
+    assert group.omega_of(group.identity) is INFINITY
 
 
 def test_coefficient_bound_builtin():

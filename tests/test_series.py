@@ -1,4 +1,8 @@
+import io
+import math
 import random
+import re
+import tokenize
 from fractions import Fraction
 
 import pytest
@@ -8,6 +12,7 @@ from daggerdist.padic import LogMag, valuation
 from daggerdist.series import (
     DimensionMismatch,
     TruncatedSeries,
+    compile_polys,
     series_from_records,
     series_to_records,
 )
@@ -92,7 +97,7 @@ def test_evaluate_matches_fraction_sum(data, dim):
     xs = data.draw(st.lists(_values, min_size=dim, max_size=dim))
     ys = data.draw(st.lists(_values, min_size=dim, max_size=dim))
     f = TruncatedSeries(dim, 3 * dim, terms)
-    # the first evaluate builds the plan; the same point and a second one reuse it
+    # the first evaluate compiles the kernel; the same point and a second one reuse it
     for point in (xs, xs, ys):
         expect = Fraction(0)
         for idx, c in terms.items():
@@ -104,6 +109,48 @@ def test_evaluate_matches_fraction_sum(data, dim):
         assert value == expect
         integral = all(type(x) is int for x in point) and all(Fraction(c).denominator == 1 for c in terms.values())
         assert type(value) is (int if integral else Fraction)
+
+
+_KERNEL_WORDS = {"def", "kernel", "if", "type", "is", "int", "return", "F"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3))
+def test_kernel_source_holds_only_int_literals_and_generated_names(data, dim):
+    index = st.tuples(*[st.integers(0, 3)] * dim)
+    coeff = st.one_of(_values, st.integers(-(10**30), 10**30))
+    polys = [TruncatedSeries(dim, 3 * dim, data.draw(st.dictionaries(index, coeff, max_size=5))) for _ in range(2)]
+    kernel = compile_polys(polys, dim)
+    for tok in tokenize.generate_tokens(io.StringIO(kernel.source).readline):
+        if tok.type == tokenize.NAME:
+            assert tok.string in _KERNEL_WORDS or re.fullmatch(r"[vc]\d+", tok.string)
+        elif tok.type == tokenize.NUMBER:
+            assert re.fullmatch(r"\d+", tok.string)
+        elif tok.type == tokenize.OP:
+            assert tok.string in {"(", ")", ",", ":", "=", "+", "-", "*", "**"}
+    # every coefficient that is not a small int is bound as a constant, never formatted
+    bound = {v for k, v in kernel.__globals__.items() if re.fullmatch(r"c\d+", k)}
+    for f in polys:
+        for c in f.terms.values():
+            if c.denominator != 1 or c.numerator.bit_length() > 64:
+                assert c in bound
+    point = data.draw(st.lists(_values, min_size=dim, max_size=dim))
+    values = kernel(*point)
+    assert values == tuple(
+        sum((c * math.prod(Fraction(x) ** k for x, k in zip(point, idx)) for idx, c in f.terms.items()), Fraction(0))
+        for f in polys
+    )
+    # all ints exactly when the point and every coefficient are integers, else all Fractions
+    integral = all(type(x) is int for x in point) and all(c.denominator == 1 for f in polys for c in f.terms.values())
+    assert {type(v) for v in values} == {int if integral else Fraction}
+
+
+def test_evaluate_a_polynomial_with_thousands_of_terms():
+    # one flat sum of this many terms exceeds the compiler's recursion limit
+    terms = {(i, j): Fraction(i - j, 1 + i % 3) for i in range(80) for j in range(80)}
+    f = TruncatedSeries(2, 160, terms)
+    x, y = Fraction(2, 5), Fraction(-3, 7)
+    assert f.evaluate([x, y]) == sum(c * x**i * y**j for (i, j), c in f.terms.items())
 
 
 def test_embed_and_reverse():
