@@ -8,8 +8,8 @@ Single entry point with three subcommands:
 
 Reports are byte-deterministic for a fixed (config, seed); the process exits
 1 iff some check has verdict ``fail``, and 2 with a one-line error for a bad
-group tag or config, a bad ``verify`` option, or a ``convert`` input that
-cannot be read or parsed.
+group tag or config, a bad ``verify`` option, a ``convert`` input that cannot
+be read or parsed, or an ``--out`` path that cannot be written.
 """
 from __future__ import annotations
 
@@ -71,16 +71,15 @@ def resolve_group(tag: str) -> PValuedGroup:
 
 
 def _random_poly(rng: random.Random, dim: int, deg: int, p: int, cap: int) -> TruncatedSeries:
-    terms = {}
+    """Up to five terms num / p^k (|num| <= p^3, k < 3), summed as ints over p^2; 1 if they cancel."""
+    nums = {}
     for _ in range(rng.randrange(1, 6)):
         idx = tuple(rng.randrange(deg + 1) for _ in range(dim))
         while sum(idx) > deg:
             idx = tuple(rng.randrange(deg + 1) for _ in range(dim))
         num = rng.randrange(-(p**3), p**3 + 1) or 1
-        terms[idx] = terms.get(idx, Fraction(0)) + Fraction(num, p ** rng.randrange(3))
-    terms = {i: c for i, c in terms.items() if c != 0}
-    if not terms:
-        terms = {(0,) * dim: Fraction(1)}
+        nums[idx] = nums.get(idx, 0) + num * p ** (2 - rng.randrange(3))
+    terms = {i: Fraction(n, p * p) for i, n in nums.items() if n} or {(0,) * dim: 1}
     return TruncatedSeries(dim, cap, terms, exact=True)
 
 
@@ -268,7 +267,7 @@ ALL_SUITES = list(SUITES)
 
 
 class InputError(ValueError):
-    """A subcommand's option or input file cannot be read or parsed, or is out of range."""
+    """An option or input that cannot be read, parsed or is out of range, or an unwritable output."""
 
 
 def run_suites(
@@ -321,9 +320,12 @@ def _parse_sigmas(text: str) -> List[Fraction]:
 def _write_out(data: bytes, out: Optional[str]):
     if out in (None, "-"):
         sys.stdout.write(data.decode())
-    else:
+        return
+    try:
         with open(out, "wb") as fh:
             fh.write(data)
+    except OSError as e:
+        raise InputError(f"cannot write {out!r}: {e.strerror}") from e
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .padic import INFINITY, LogMag, Rational, format_fraction, is_prime, parse_int, valuation
+from .padic import INFINITY, LogMag, Rational, format_fraction, is_prime, parse_fraction, parse_int, valuation
 from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, record, settled
 from .series import TruncatedSeries, compile_polys, series_to_records, terms_from_records
 
@@ -255,11 +255,16 @@ class PValuedGroup:
         return max(f.degree() for f in self.F)
 
     def neighborhood_params(self, N: int) -> NeighborhoodParams:
+        """tau_i = (omega_i - 1/(p-1)) / (N+1), built once per N."""
         if N < 1:
             raise ValueError("N must be >= 1")
-        eps = Fraction(1, self.p - 1)
-        tau = tuple((w - eps) / (N + 1) for w in self.omega)
-        return NeighborhoodParams(N=N, tau=tau, rho=tau + tau)
+
+        def build(G: "PValuedGroup") -> NeighborhoodParams:
+            eps = Fraction(1, G.p - 1)
+            tau = tuple((w - eps) / (N + 1) for w in G.omega)
+            return NeighborhoodParams(N=N, tau=tau, rho=tau + tau)
+
+        return self.plan(("neighborhood_params", N), build)
 
     # -- cached group-law expansions --------------------------------------
 
@@ -397,7 +402,7 @@ def load_group(config) -> PValuedGroup:
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise GroupConfigError([f"bad p or d: {e}"]) from e
     try:
-        omega = [Fraction(w) for w in config["omega"]]
+        omega = [parse_fraction(w) for w in config["omega"]]
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise GroupConfigError([f"bad omega entry: {e}"]) from e
     try:

@@ -1,16 +1,19 @@
 """Binomial (Mahler) basis versus monomial (Taylor) basis.
 
-Both conversions scatter int numerators through the basis-row tables of
-:mod:`daggerdist.padic` (``mahler_row`` for Taylor to Mahler, ``taylor_row``
-for the way back), the same tables the distributions gather through.  Only
-exact polynomials are converted: the formulas sum over all dominating
-indices, so a truncated tail would silently corrupt the output coefficients.
+A family is kept as int numerators over one denominator.  Both conversions
+scatter int numerators through the basis-row tables of :mod:`daggerdist.padic`
+(``mahler_row`` for Taylor to Mahler, ``taylor_row`` for the way back), the
+same tables the distributions gather through, and the Mahler norm reads the
+numerators directly.  Only exact polynomials are converted: the formulas sum
+over all dominating indices, so a truncated tail would silently corrupt the
+output coefficients.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence
 
 from .padic import (
     MultiIndex,
@@ -29,15 +32,43 @@ from .series import DimensionMismatch, NormValue, TruncatedSeries, clean_terms
 
 
 class MahlerFamily:
-    """Finite family of binomial-basis coefficients m_alpha."""
+    """Finite family of binomial-basis coefficients m_alpha = nums[alpha] / den.
 
-    __slots__ = ("dim", "cap", "coeffs", "exact")
+    ``nums`` maps each index of the support to a nonzero int and ``den`` is a
+    positive int, as :func:`padic.numerators` returns them; they need not be
+    in lowest terms.  ``coeffs`` is the read-only Fraction view, built on
+    first read.
+    """
+
+    __slots__ = ("dim", "cap", "nums", "den", "exact", "_coeffs")
 
     def __init__(self, dim: int, cap: int, coeffs: Mapping[MultiIndex, Rational], exact: bool = True):
+        nums, den = numerators(clean_terms(dim, cap, coeffs))
+        self._set(dim, cap, nums, den, exact)
+
+    @classmethod
+    def from_numerators(
+        cls, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int, exact: bool = True
+    ) -> "MahlerFamily":
+        """The family nums[alpha] / den, unchecked: the indices must be valid and the numerators nonzero."""
+        m = cls.__new__(cls)
+        m._set(dim, cap, nums, den, exact)
+        return m
+
+    def _set(self, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int, exact: bool):
         self.dim = dim
         self.cap = cap
-        self.coeffs = clean_terms(dim, cap, coeffs)
+        self.nums = nums
+        self.den = den
         self.exact = bool(exact)
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> Mapping[MultiIndex, Fraction]:
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = MappingProxyType({a: Fraction(n, den) for a, n in self.nums.items()})
+        return self._coeffs
 
     def coefficient(self, idx: MultiIndex) -> Fraction:
         return self.coeffs.get(tuple(idx), Fraction(0))
@@ -61,21 +92,21 @@ def taylor_to_mahler(f: TruncatedSeries) -> MahlerFamily:
     """
     if not f.exact:
         raise ValueError("only exact polynomials admit Mahler conversion")
-    nums, den = numerators(f.terms)
-    coeffs = {alpha: Fraction(t, den) for alpha, t in scatter(mahler_row, nums).items()}
-    return MahlerFamily(f.dim, f.cap, coeffs, exact=True)
+    nums, den = f.numerators()
+    return MahlerFamily.from_numerators(f.dim, f.cap, scatter(mahler_row, nums), den)
 
 
 def mahler_to_taylor(m: MahlerFamily) -> TruncatedSeries:
     """c_beta = sum_{alpha >= beta} m_alpha / alpha! * prod_i a(alpha_i, beta_i)
 
-    Scattered through the Taylor rows as ints over the common denominator of the m_alpha / alpha!.
+    Scattered through the Taylor rows as ints over den * lcm(alpha!) for alpha in the support.
     """
     if not m.exact:
         raise ValueError("only exact Mahler families admit conversion")
-    dens = {alpha: ma.denominator * multi_factorial(alpha) for alpha, ma in m.coeffs.items()}
-    den = math.lcm(*dens.values())
-    nums = {alpha: ma.numerator * (den // dens[alpha]) for alpha, ma in m.coeffs.items()}
+    facts = {alpha: multi_factorial(alpha) for alpha in m.nums}
+    lcm = math.lcm(*facts.values())
+    nums = {alpha: n * (lcm // facts[alpha]) for alpha, n in m.nums.items()}
+    den = m.den * lcm
     terms = {beta: Fraction(t, den) for beta, t in scatter(taylor_row, nums).items()}
     return TruncatedSeries(m.dim, m.cap, terms, exact=True)
 
@@ -84,8 +115,7 @@ def mahler_norm(m: MahlerFamily, rho: Sequence[Rational], p: int) -> NormValue:
     """sup_alpha |m_alpha| / |alpha!| * p^(sum rho_i alpha_i)."""
     if len(rho) != m.dim:
         raise DimensionMismatch(f"expected {m.dim} radii, got {len(rho)}")
-    table = weight_table(tuple(Fraction(r) for r in rho), p)
-    return NormValue(weighted_sup(m.coeffs, p, table), m.exact)
+    return NormValue(weighted_sup(m.nums, p, weight_table(tuple(rho), p), den=m.den), m.exact)
 
 
 def evaluate_mahler(m: MahlerFamily, x: Sequence[Rational]) -> Fraction:
@@ -114,7 +144,7 @@ def verify_norm_identity(
     by default f is converted here.  Returns (equal, gauss_mag, mahler_mag).
     Requires positive radii.
     """
-    rho = [Fraction(r) for r in rho]
+    rho = tuple(map(Fraction, rho))
     if any(r <= 0 for r in rho):
         raise ValueError("norm identity requires positive radii")
     g = f.gauss_norm(rho, p)

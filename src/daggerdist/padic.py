@@ -10,6 +10,11 @@ cached tables of integer basis rows (:func:`mahler_row`, :func:`taylor_row`)
 and one kernel pair over int numerators.  Functions :func:`scatter` through a
 row table; distributions, their duals under <lam, f> = sum_alpha m_alpha(f)
 d_alpha(lam), :func:`gather` through the same table.
+
+Hot paths keep rationals as int numerators over one common denominator
+(:func:`numerators`).  Every weighted norm is one :func:`weighted_sup` over a
+:class:`WeightTable`; given numerators and their denominator ``den``, it
+takes v_p(den) once instead of a valuation per Fraction.
 """
 from __future__ import annotations
 
@@ -43,9 +48,9 @@ def valuation(x: Rational, p: int):
     """p-adic valuation of an exact rational: an int, or +inf for zero."""
     if type(x) is int:
         return _int_valuation(x, p) if x else INFINITY
-    if not isinstance(x, Fraction):
+    if type(x) is not Fraction:
         x = Fraction(x)
-    if x == 0:
+    if not x.numerator:
         return INFINITY
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
 
@@ -287,11 +292,11 @@ class WeightTable(dict):
     v_p(alpha!), an int, is added only when ``p`` is given.
     """
 
-    def __init__(self, weights: Tuple[Fraction, ...], p: Optional[int]):
+    def __init__(self, weights: Tuple[Rational, ...], p: Optional[int]):
         super().__init__()
-        self.weights = weights
+        self.weights = tuple(map(Fraction, weights))
         self.p = p
-        self.den = math.lcm(*(w.denominator for w in weights))
+        self.den = math.lcm(*(w.denominator for w in self.weights))
 
     def __missing__(self, alpha: MultiIndex) -> int:
         den = self.den
@@ -311,20 +316,30 @@ class WeightTable(dict):
 
 
 @lru_cache(maxsize=1024)
-def weight_table(weights: Tuple[Fraction, ...], p: Optional[int]) -> WeightTable:
-    """The weights of one norm at one radius vector; ``p`` adds v_p(alpha!)."""
+def weight_table(weights: Tuple[Rational, ...], p: Optional[int]) -> WeightTable:
+    """The weights of one norm at one radius vector; ``p`` adds v_p(alpha!).
+
+    The weights are read as Fractions once, when the table is built; equal
+    radius vectors share one table whether given as ints or Fractions.
+    """
     return WeightTable(weights, p)
 
 
-def weighted_sup(coeffs: Mapping[MultiIndex, Rational], p: int, table: WeightTable, sign: int = 1) -> LogMag:
-    """sup over the support of -v_p(c_alpha) + sign * table.weight(alpha), exactly.
+def weighted_sup(
+    coeffs: Mapping[MultiIndex, Rational], p: int, table: WeightTable, sign: int = 1, den: int = 1
+) -> LogMag:
+    """sup over the support of -v_p(c_alpha / den) + sign * table.weight(alpha), exactly.
 
-    The sup runs over ints scaled by ``table.den``, and one Fraction is built
-    at the end; bottom when there are no coefficients.
+    ``coeffs`` may be int numerators over the positive common denominator
+    ``den``, whose valuation is then taken once.  The sup runs over ints
+    scaled by ``table.den``, and one Fraction is built at the end; bottom
+    when there are no coefficients.
     """
-    den = table.den
-    best = max((sign * table[a] - valuation(c, p) * den for a, c in coeffs.items()), default=None)
-    return LogMag.bottom() if best is None else LogMag(Fraction(best, den))
+    scale = table.den
+    best = max((sign * table[a] - valuation(c, p) * scale for a, c in coeffs.items()), default=None)
+    if best is None:
+        return LogMag.bottom()
+    return LogMag(Fraction(best + _int_valuation(den, p) * scale, scale))
 
 
 def format_fraction(x) -> str:
@@ -335,13 +350,16 @@ def format_fraction(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def parse_fraction(x) -> Fraction:
+    """A rational read exactly from an input value; a boolean raises (Fraction(True) would read 1)."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected a number, got the boolean {x}")
+    return Fraction(x)
 
 
 def parse_int(x) -> int:
     """An int read exactly from an input value; a non-integral one raises (int() would truncate it)."""
-    q = Fraction(x)
+    q = parse_fraction(x)
     if q.denominator != 1:
         raise ValueError(f"expected an integer, got {q}")
     return q.numerator

@@ -11,7 +11,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .padic import LogMag, MultiIndex, Rational, grlex_key, parse_int, weight_table, weighted_sup
+from .padic import (
+    LogMag,
+    MultiIndex,
+    Rational,
+    grlex_key,
+    numerators,
+    parse_fraction,
+    parse_int,
+    weight_table,
+    weighted_sup,
+)
 
 
 class DimensionMismatch(ValueError):
@@ -55,10 +65,11 @@ class TruncatedSeries:
     """Sparse polynomial / truncated series with a total-degree cap.
 
     The terms are not changed after construction, so the evaluation kernel is
-    compiled once, on the first :meth:`evaluate`.
+    compiled once, on the first :meth:`evaluate`, and the int numerators once,
+    on the first :meth:`numerators`.
     """
 
-    __slots__ = ("dim", "cap", "terms", "exact", "_kernel")
+    __slots__ = ("dim", "cap", "terms", "exact", "_kernel", "_numerators")
 
     def __init__(self, dim: int, cap: int, terms: Mapping[MultiIndex, Rational], exact: bool = True):
         self.dim = dim
@@ -66,6 +77,7 @@ class TruncatedSeries:
         self.terms = clean_terms(dim, cap, terms)
         self.exact = bool(exact)
         self._kernel = None
+        self._numerators = None
 
     # -- constructors ------------------------------------------------------
 
@@ -104,6 +116,12 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def numerators(self) -> Tuple[Dict[MultiIndex, int], int]:
+        """The terms as int numerators over their least common denominator (see :func:`padic.numerators`)."""
+        if self._numerators is None:
+            self._numerators = numerators(self.terms)
+        return self._numerators
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -272,8 +290,8 @@ class TruncatedSeries:
         """
         if len(rho) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} radii, got {len(rho)}")
-        table = weight_table(tuple(Fraction(r) for r in rho), None)
-        return NormValue(weighted_sup(self.terms, p, table), self.exact)
+        nums, den = self.numerators()
+        return NormValue(weighted_sup(nums, p, weight_table(tuple(rho), None), den=den), self.exact)
 
 
 #: Terms per parenthesized group in a kernel's sums: one flat chain of a few
@@ -361,7 +379,7 @@ def terms_from_records(records) -> Dict[MultiIndex, Fraction]:
         idx = tuple(map(parse_int, index))
         if idx in terms:
             raise ValueError(f"index {list(idx)} is repeated")
-        terms[idx] = Fraction(rec["coeff"])
+        terms[idx] = parse_fraction(rec["coeff"])
     return terms
 
 

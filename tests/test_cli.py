@@ -247,6 +247,19 @@ def test_describe_group_and_convert(tmp_path, capsys):
     assert json.loads(back.read_text())["terms"] == payload["terms"]
 
 
+# sha256 of `describe-group --group G`, captured before the neighborhood radii were cached
+DESCRIBE_GROUP_DIGESTS = {
+    "heisenberg(3)": "fad13a63ccaac989e177290f07c46a1b73dbab9901a12d99945078d799df8a8a",
+    "abelian(5,2)": "7e257928adb8fd81e4260b212322b2ffcd8f653e568d8ab61f9b238b19951e89",
+}
+
+
+@pytest.mark.parametrize("group", sorted(DESCRIBE_GROUP_DIGESTS))
+def test_describe_group_bytes_pinned(group, capsys):
+    assert main(["describe-group", "--group", group]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DESCRIBE_GROUP_DIGESTS[group]
+
+
 def test_emit_text_matches_json_verdicts():
     rep = Report(group="g", seed=0)
     rep.extend([CheckRecord(check_id="a/b", anchor="anchor text", verdict="pass")])
@@ -290,6 +303,11 @@ BAD_CONVERT_INPUTS = {
     "fractional-index": json.dumps({**_POLY, "terms": [{"index": [1.5], "coeff": "1/1"}]}),
     "repeated-index": json.dumps({**_POLY, "terms": [{"index": [1], "coeff": "1"}, {"index": [1.0], "coeff": "2"}]}),
     "string-index": json.dumps({**_POLY, "terms": [{"index": "1", "coeff": "1/1"}]}),
+    "bool-dim": json.dumps({**_POLY, "dim": True}),
+    "bool-cap": json.dumps({**_POLY, "cap": True, "terms": []}),
+    "bool-index": json.dumps({**_POLY, "terms": [{"index": [True], "coeff": "1/1"}]}),
+    "bool-coeff": json.dumps({**_POLY, "terms": [{"index": [1], "coeff": True}]}),
+    "all-bool": json.dumps({"dim": True, "cap": 2, "terms": [{"index": [True], "coeff": True}]}),
 }
 
 
@@ -303,6 +321,24 @@ def test_bad_convert_input_gives_one_line_error(direction, case, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("daggerdist: error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--group", "abelian(3,1)", "--suites", "coeff-bound"],
+        ["convert", "--direction", "taylor-to-mahler", "--in", "POLY"],
+    ],
+    ids=["verify", "convert"],
+)
+def test_unwritable_out_gives_one_line_error(argv, tmp_path, capsys):
+    src = tmp_path / "poly.json"
+    src.write_text(json.dumps(_POLY))
+    argv = [str(src) if a == "POLY" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    _assert_one_line_error(capsys.readouterr())
+    assert main([*argv, "--out", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 def test_convert_reads_a_float_coefficient_exactly(tmp_path):

@@ -124,6 +124,17 @@ def test_load_group_reads_json_numbers_exactly():
             load_group(json.dumps(bad))
 
 
+def test_load_group_rejects_json_booleans():
+    cfg = group_to_config(H3)
+    bad_f = json.loads(json.dumps(cfg))
+    bad_f["F"][0][0]["index"] = [True, 0, 0, 0, 0, 0]
+    bad_coeff = json.loads(json.dumps(cfg))
+    bad_coeff["F"][0][0]["coeff"] = True
+    for bad in ({**cfg, "p": True}, {**cfg, "d": True}, {**cfg, "omega": [True, 1, 1]}, bad_f, bad_coeff):
+        with pytest.raises(GroupConfigError, match="boolean"):
+            load_group(json.dumps(bad))
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -435,3 +446,14 @@ def test_neighborhood_params():
     assert params.tau == (Fraction(1, 4),) * 3
     assert params.rho == (Fraction(1, 4),) * 6
     assert builtin_abelian(2, 1).neighborhood_params(3).tau == (Fraction(1, 4),)
+
+
+def test_neighborhood_params_built_once_per_level():
+    G = builtin_heisenberg(3)
+    with pytest.raises(ValueError):
+        G.neighborhood_params(0)
+    assert not G._plans
+    first = G.neighborhood_params(2)
+    assert G.neighborhood_params(2) is first and first.tau == (Fraction(1, 6),) * 3
+    assert G.neighborhood_params(3).tau == (Fraction(1, 8),) * 3
+    assert len(G._plans) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daggerdist import mahler as mahler_module
-from daggerdist.cli import suite_mahler
+from daggerdist.cli import _random_poly, suite_mahler
 from daggerdist.groups import builtin_heisenberg
 from daggerdist.mahler import (
     MahlerFamily,
@@ -194,3 +194,97 @@ def test_suite_mahler_fails_on_a_corrupted_row(monkeypatch):
     for check_id in ("mahler/norm-identity", "mahler/roundtrip"):
         assert records[check_id].verdict == "fail"
         assert records[check_id].witness["violations"]
+
+
+def test_suite_mahler_fails_on_a_corrupted_taylor_row(monkeypatch):
+    # every Taylor weight scaled by p: the round trip gives p*f, the norms are untouched
+    G = builtin_heisenberg(3)
+    true_row = mahler_module.taylor_row
+    monkeypatch.setattr(mahler_module, "taylor_row", lambda alpha: tuple((b, 3 * w) for b, w in true_row(alpha)))
+    records = {rec.check_id: rec for rec in suite_mahler(G, trials=4, seed=0)}
+    assert records["mahler/roundtrip"].verdict == "fail"
+    assert records["mahler/roundtrip"].witness["violations"]
+    assert records["mahler/norm-identity"].verdict == "pass"
+
+
+@st.composite
+def _numerator_families(draw):
+    """(p, dim, cap, nums, den): nonzero numerators, not reduced, with p dividing den at times."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(1, 3))
+    index = st.tuples(*[st.integers(0, 6)] * dim)
+    numerator = st.builds(lambda n, k: n * k, st.integers(-(p**4), p**4).filter(bool), st.sampled_from([1, 2, p, p * p]))
+    nums = draw(st.dictionaries(index, numerator, max_size=6))
+    den = draw(st.sampled_from([1, 2, 6, p, p**3, 7 * p]))
+    return p, dim, 6 * dim, nums, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=_numerator_families(), data=st.data())
+def test_from_numerators_matches_the_fraction_family(family, data):
+    p, dim, cap, nums, den = family
+    m = MahlerFamily.from_numerators(dim, cap, nums, den)
+    expect = MahlerFamily(dim, cap, {a: Fraction(n, den) for a, n in nums.items()})
+    assert m.coeffs == expect.coeffs == {a: Fraction(n, den) for a, n in nums.items()}
+    assert m == expect
+    radii = st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 7, 12]))
+    rho = data.draw(st.lists(radii, min_size=dim, max_size=dim))
+    assert mahler_norm(m, rho, p).mag == _fraction_mahler_norm(expect, rho, p)
+    assert mahler_to_taylor(m).terms == _fraction_mahler_to_taylor(expect.coeffs)
+
+
+def test_from_numerators_zero_family_and_read_only_view():
+    zero = MahlerFamily.from_numerators(2, 4, {}, 9)
+    assert zero == MahlerFamily(2, 4, {}) and not zero.coeffs
+    assert mahler_norm(zero, [1, 1], 3).mag == LogMag.bottom()
+    assert mahler_to_taylor(zero).is_zero()
+    m = MahlerFamily(1, 3, {(1,): Fraction(3, 4), (3,): Fraction(-1, 6)})
+    assert (m.nums, m.den) == ({(1,): 9, (3,): -2}, 12)
+    assert m.coeffs is m.coeffs
+    with pytest.raises(TypeError):
+        m.coeffs[(0,)] = 1
+
+
+def _fraction_random_poly(rng, dim, deg, p, cap):
+    """The mahler suite's polynomial draw as first written, one Fraction per addition."""
+    terms = {}
+    for _ in range(rng.randrange(1, 6)):
+        idx = tuple(rng.randrange(deg + 1) for _ in range(dim))
+        while sum(idx) > deg:
+            idx = tuple(rng.randrange(deg + 1) for _ in range(dim))
+        num = rng.randrange(-(p**3), p**3 + 1) or 1
+        terms[idx] = terms.get(idx, Fraction(0)) + Fraction(num, p ** rng.randrange(3))
+    terms = {i: c for i, c in terms.items() if c != 0}
+    if not terms:
+        terms = {(0,) * dim: Fraction(1)}
+    return TruncatedSeries(dim, cap, terms, exact=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    p=st.sampled_from([2, 3, 5, 7]),
+    shape=st.sampled_from([(1, 12), (2, 6)]),
+)
+def test_random_poly_draws_what_the_fraction_version_drew(seed, p, shape):
+    dim, deg = shape
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        f = _random_poly(rng, dim, deg, p, cap=deg)
+        assert f == _fraction_random_poly(oracle_rng, dim, deg, p, cap=deg)
+        assert (f.dim, f.cap, f.exact) == (dim, deg, True)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+# (seed, p, shape) whose terms all cancel, so both draws fall back to the constant 1
+_CANCELLING = [(899, 2, (1, 12)), (1614, 2, (2, 6)), (7069, 3, (1, 12)), (10512, 3, (2, 6))]
+
+
+@pytest.mark.parametrize("seed, p, shape", _CANCELLING)
+def test_random_poly_falls_back_to_one_when_terms_cancel(seed, p, shape):
+    dim, deg = shape
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    f = _random_poly(rng, dim, deg, p, cap=deg)
+    assert f.terms == {(0,) * dim: 1}
+    assert f == _fraction_random_poly(oracle_rng, dim, deg, p, cap=deg)
+    assert rng.getstate() == oracle_rng.getstate()

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from daggerdist.padic import (
     INFINITY,
@@ -15,8 +15,11 @@ from daggerdist.padic import (
     multi_binom_value,
     multi_factorial_valuation,
     parse_fraction,
+    parse_int,
     stirling_second,
     valuation,
+    weight_table,
+    weighted_sup,
 )
 
 nonzero_rationals = st.fractions(
@@ -129,3 +132,40 @@ def test_fraction_formatting_roundtrip():
     assert format_fraction(INFINITY) == "inf"
     assert parse_fraction("7/2") == Fraction(7, 2)
     assert parse_fraction("5") == 5
+
+
+def test_booleans_are_not_numbers():
+    for value in (True, False):
+        with pytest.raises(TypeError, match="boolean"):
+            parse_fraction(value)
+        with pytest.raises(TypeError, match="boolean"):
+            parse_int(value)
+    assert parse_int(3) == 3 and parse_int("4") == 4 and parse_int(Fraction(10, 2)) == 5
+
+
+def test_valuation_of_fraction_subclass_and_zero():
+    class Sub(Fraction):
+        pass
+
+    assert valuation(Sub(9, 2), 3) == 2
+    assert valuation(Fraction(0), 5) == INFINITY
+    assert valuation("3/25", 5) == -2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), dim=st.integers(1, 3), sign=st.sampled_from([1, -1]))
+def test_weighted_sup_over_a_denominator_matches_the_fractions(data, p, dim, sign):
+    index = st.tuples(*[st.integers(0, 5)] * dim)
+    nums = data.draw(st.dictionaries(index, st.integers(-(p**5), p**5).filter(bool), max_size=6))
+    den = data.draw(st.sampled_from([1, 4, p, p**2, 6 * p]))
+    weights = tuple(data.draw(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=dim, max_size=dim)))
+    table = weight_table(weights, data.draw(st.sampled_from([None, p])))
+    fractions = {a: Fraction(n, den) for a, n in nums.items()}
+    assert weighted_sup(nums, p, table, sign, den=den) == weighted_sup(fractions, p, table, sign)
+
+
+def test_weight_table_reads_int_and_fraction_radii_alike():
+    assert weight_table((1, Fraction(1, 2)), 3) is weight_table((Fraction(1), Fraction(1, 2)), 3)
+    table = weight_table(("1/3", 2), None)
+    assert table.weights == (Fraction(1, 3), Fraction(2))
+    assert table.weight((3, 1)) == 3

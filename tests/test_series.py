@@ -206,6 +206,13 @@ def _random_poly(rng, dim, deg, cap):
     return TruncatedSeries(dim, cap, terms)
 
 
+def test_numerators_are_computed_once():
+    f = poly(2, 3, {(1, 2): Fraction(-5, 3), (0, 0): Fraction(7, 2), (1, 0): 4})
+    assert f.numerators() is f.numerators()
+    assert f.numerators() == ({(1, 2): -10, (0, 0): 21, (1, 0): 24}, 6)
+    assert poly(1, 2, {}).numerators() == ({}, 1)
+
+
 def test_gauss_norm_multiplicative_sample():
     rng = random.Random(20260824)
     for _ in range(50):
