@@ -3,15 +3,23 @@ and the three norm families.
 
 A distribution carries truncated moment data mu_beta = lambda(Z^beta) as the
 primary representation; the coefficients d_alpha in the (g_i - 1)-monomial
-basis are derived exactly as d_alpha = lambda(binom(Z, alpha)).  A finite
-basis combination derives its moments only when they are read.  Convolution
-consumes the moment side through the expanded group-law monomials F^gamma,
-compiled once per group and output cap into a plan that names the moments it
-reads; the basis side feeds every norm.  Norms computed from truncated data
-are certified lower bounds and are only ever placed on the small side of
-asserted inequalities.  Both basis changes gather int numerators over a
-common denominator through the basis rows of :mod:`daggerdist.padic`, the
-transpose of the Mahler conversions; the norm weights are tabled per index.
+basis are derived exactly as d_alpha = lambda(binom(Z, alpha)).  A Dirac
+builds both tables as tensor products of per-coordinate tables of x_i^k and
+binom(x_i, k), through one compiled :func:`~daggerdist.padic.tensor_kernel`
+per (d, cap).  A finite basis combination derives its moments only when they
+are read.  Convolution consumes the moment side through the expanded
+group-law monomials F^gamma, compiled once per group and output cap into a
+plan that names the moments it reads.
+
+The basis side feeds every norm through one cached valuation table per
+distribution, alpha -> v_p(d_alpha) (:meth:`Distribution.valuations`); a
+Dirac sums it from per-coordinate valuations with the same kernel.  The norm
+weights are tabled per index, and the comparison maps keep their regime data
+per (N, sigma) in a group plan.  Norms computed from truncated data are
+certified lower bounds and are only ever placed on the small side of asserted
+inequalities.  Both basis changes gather int numerators over a common
+denominator through the basis rows of :mod:`daggerdist.padic`, the transpose
+of the Mahler conversions.
 """
 from __future__ import annotations
 
@@ -23,18 +31,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groups import PValuedGroup, Point
 from .padic import (
+    INFINITY,
     LogMag,
     MultiIndex,
     WeightTable,
     binom_value,
     format_fraction,
     gather,
-    grlex_key,
+    indices_up_to,
     mahler_row,
     multi_factorial,
     numerators,
     p_power_at_most,
     taylor_row,
+    tensor_kernel,
     valuation,
     weight_table,
     weighted_sup,
@@ -45,21 +55,6 @@ from .series import NormValue
 
 class InsufficientCap(ValueError):
     pass
-
-
-@lru_cache(maxsize=None)
-def _indices_up_to(d: int, cap: int) -> Tuple[MultiIndex, ...]:
-    """All multi-indices of dimension d with total degree <= cap, grlex order."""
-
-    def gen(rest: int, budget: int):
-        if rest == 0:
-            yield ()
-            return
-        for k in range(budget + 1):
-            for tail in gen(rest - 1, budget - k):
-                yield (k,) + tail
-
-    return tuple(sorted(gen(d, cap), key=grlex_key))
 
 
 def _ratio(num: int, den: int):
@@ -73,6 +68,16 @@ def basis_moment(beta: MultiIndex, alpha: MultiIndex) -> int:
     if len(beta) != len(alpha):
         raise ValueError("length mismatch")
     return gather(mahler_row, {tuple(alpha): 1}, [tuple(beta)])[0]
+
+
+def _nonzero(indices, values) -> dict:
+    """{index: value} over the nonzero values, in index order."""
+    return dict(zip(indices, values)) if all(values) else {i: v for i, v in zip(indices, values) if v}
+
+
+def _powers(x, cap: int) -> list:
+    """x^k for k = 0..cap."""
+    return [x**k for k in range(cap + 1)]
 
 
 def _binomials(x, cap: int) -> list:
@@ -117,6 +122,7 @@ class Distribution:
         self.dcoeffs = None if dcoeffs is None else {tuple(k): _exact(v) for k, v in dcoeffs.items()}
         self.exact = bool(exact)
         self.point = None if point is None else tuple(Fraction(c) for c in point)
+        self._valuations = self._coordinate_binomials = None
         if self.exact and self.point is None and self.dcoeffs is None:
             raise ValueError("an exact distribution needs a point or a full basis expansion")
         if moments is None and not (self.exact and self.point is None and self.dcoeffs is not None):
@@ -133,21 +139,17 @@ class Distribution:
         norm with positive weights is p^0, attained at alpha = 0.
         """
         x = G.check_point(x)
-        # per-coordinate tables of x_i^k and binom(x_i, k), in int arithmetic at integer coordinates
-        coords = [c.numerator if c.denominator == 1 else c for c in x]
-        powers = [[c**k for k in range(cap + 1)] for c in coords]
-        binoms = [_binomials(c, cap) for c in coords]
-        moments, dcoeffs = {}, {}
-        for beta in _indices_up_to(G.d, cap):
-            mu = dv = 1
-            for pw, bn, b in zip(powers, binoms, beta):
-                mu *= pw[b]
-                dv *= bn[b]
-            if mu:
-                moments[beta] = mu
-            if dv:
-                dcoeffs[beta] = dv
-        return cls(G, cap, moments, dcoeffs, exact=True, point=x)
+        # per-coordinate tables of x_i^k and binom(x_i, k), in int arithmetic at integer coordinates,
+        # multiplied out by the tensor kernel; the instance is filled here, not by __init__'s copies
+        binoms = [_binomials(c, cap) for c in x]
+        tensor = tensor_kernel(G.d, cap, "*")
+        indices = indices_up_to(G.d, cap)
+        lam = cls.__new__(cls)
+        lam.group, lam.cap, lam.exact, lam.point = G, cap, True, tuple(map(Fraction, x))
+        lam._moments = _nonzero(indices, tensor(*[_powers(c, cap) for c in x]))
+        lam.dcoeffs = _nonzero(indices, tensor(*binoms))
+        lam._valuations, lam._coordinate_binomials = None, binoms
+        return lam
 
     @classmethod
     def b_monomial(cls, G: PValuedGroup, alpha: Sequence[int], cap: int) -> "Distribution":
@@ -168,7 +170,7 @@ class Distribution:
     def moments(self) -> Dict[MultiIndex, Fraction]:
         """The nonzero moments of degree <= cap; a basis combination derives them on first read."""
         if self._moments is None:
-            indices = _indices_up_to(self.group.d, self.cap)
+            indices = indices_up_to(self.group.d, self.cap)
             nums, den = self._moment_numerators(indices)
             self._moments = {beta: _ratio(num, den) for beta, num in zip(indices, nums) if num}
         return self._moments
@@ -201,11 +203,28 @@ class Distribution:
     def ensure_dcoeffs(self) -> Dict[MultiIndex, Fraction]:
         """Derive d_alpha = lambda(binom(Z, alpha)) from the moments, for |alpha| <= cap."""
         if self.dcoeffs is None:
-            indices = _indices_up_to(self.group.d, self.cap)
+            indices = indices_up_to(self.group.d, self.cap)
             moments, den = numerators(self.moments)
             nums = zip(indices, gather(taylor_row, moments, indices))
             self.dcoeffs = {alpha: _ratio(num, den * multi_factorial(alpha)) for alpha, num in nums if num}
         return self.dcoeffs
+
+    def valuations(self) -> Dict[MultiIndex, int]:
+        """alpha -> v_p(d_alpha) over the nonzero basis coefficients, in their order; computed once.
+
+        A Dirac sums v_p(binom(x, beta)) = sum_i v_p(binom(x_i, beta_i)) from
+        its d * (cap + 1) coordinate valuations; a zero factor gives +inf.
+        """
+        if self._valuations is None:
+            p = self.group.p
+            if self._coordinate_binomials is None:
+                self._valuations = {a: valuation(c, p) for a, c in self.ensure_dcoeffs().items()}
+            else:
+                tables = [[valuation(b, p) for b in row] for row in self._coordinate_binomials]
+                sums = tensor_kernel(self.group.d, self.cap, "+")(*tables)
+                indices = indices_up_to(self.group.d, self.cap)
+                self._valuations = {b: v for b, v in zip(indices, sums) if v != INFINITY}
+        return self._valuations
 
     def total_mass(self) -> Fraction:
         return self.moment((0,) * self.group.d)
@@ -214,7 +233,7 @@ class Distribution:
         if not isinstance(other, Distribution):
             return NotImplemented
         cap = min(self.cap, other.cap)
-        for beta in _indices_up_to(self.group.d, cap):
+        for beta in indices_up_to(self.group.d, cap):
             if self.moment(beta) != other.moment(beta):
                 return False
         return True
@@ -237,7 +256,7 @@ def _compile_plan(G: PValuedGroup, cap_out: int) -> tuple:
     d, degmax = G.d, G.degmax()
     monomials = [
         (gamma, G.f_monomial(gamma, cap=max(degmax * sum(gamma), 1)).terms)
-        for gamma in _indices_up_to(d, cap_out)
+        for gamma in indices_up_to(d, cap_out)
     ]
     den = math.lcm(*(c.denominator for _, terms in monomials for c in terms.values()))
     left: Dict[MultiIndex, int] = {}
@@ -316,7 +335,7 @@ def _weighted_sup(lam: Distribution, weights: Sequence[Fraction], factorial: boo
     """sup over the basis coefficients of -v(d_alpha) - [v(alpha!)] - sum_i w_i alpha_i."""
     p = lam.group.p
     table = weight_table(tuple(weights), p if factorial else None)
-    return NormValue(weighted_sup(lam.ensure_dcoeffs(), p, table, sign=-1), lam.exact)
+    return NormValue(weighted_sup(lam.valuations().items(), p, table, sign=-1), lam.exact)
 
 
 def st_norm(lam: Distribution, sigma: Fraction) -> NormValue:
@@ -347,16 +366,18 @@ def random_dcoeff_distribution(
     G: PValuedGroup, rng: random.Random, cap: int, support_degree: int = 3, nterms: int = 4
 ) -> Distribution:
     """Seeded finitely-supported basis combination with p-power-scaled coefficients."""
-    indices = [a for a in _indices_up_to(G.d, support_degree) if sum(a) > 0]
+    indices = [a for a in indices_up_to(G.d, support_degree) if sum(a) > 0]
+    p = G.p
     dcoeffs: Dict[MultiIndex, Fraction] = {}
     for _ in range(nterms):
         alpha = indices[rng.randrange(len(indices))]
-        num = rng.randrange(-(G.p**3), G.p**3) or 1
+        num = rng.randrange(-(p**3), p**3) or 1
         shift = rng.randrange(-1, 2)
-        dcoeffs[alpha] = dcoeffs.get(alpha, Fraction(0)) + Fraction(num) * Fraction(G.p) ** shift
+        # num * p^shift for shift in {1, 0, -1}
+        dcoeffs[alpha] = dcoeffs.get(alpha, 0) + (num * p if shift > 0 else num if shift == 0 else Fraction(num, p))
     dcoeffs = {a: v for a, v in dcoeffs.items() if v != 0}
     if not dcoeffs:
-        dcoeffs = {(0,) * G.d: Fraction(1)}
+        dcoeffs = {(0,) * G.d: 1}
     return Distribution.from_dcoeffs(G, dcoeffs, cap)
 
 
@@ -388,15 +409,9 @@ def check_submultiplicative(
     """
     sigma = Fraction(sigma)
     if not 0 < sigma <= 1:
-        return [
-            CheckRecord(
-                check_id="norms/st-submultiplicative",
-                anchor="submultiplicativity is only claimed for s in [1/p, 1)",
-                verdict=REGIME_UNMET,
-                params={"group": G.name, "sigma": sigma},
-                details={"reason": "sigma outside (0, 1]"},
-            )
-        ]
+        anchor = "submultiplicativity is only claimed for s in [1/p, 1)"
+        params = {"group": G.name, "sigma": sigma}
+        return [_regime_unmet("norms/st-submultiplicative", anchor, params, reason="sigma outside (0, 1]")]
     rng = random.Random(f"{seed}:submult:{G.name}:{sigma}")
     bad = []
     for _ in range(trials):
@@ -494,19 +509,21 @@ def check_sandwich(lam: Distribution, sigma: Fraction) -> List[CheckRecord]:
     ]
 
 
-def _weight_violations(
-    dcoeffs: Dict[MultiIndex, Fraction], p: int, small: WeightTable, large: WeightTable
-) -> List[dict]:
+def _regime_unmet(check_id: str, anchor: str, params: dict, **details) -> CheckRecord:
+    """The record of a conditional check whose hypothesis, the regime ``anchor`` names, fails."""
+    return CheckRecord(check_id=check_id, anchor=anchor, verdict=REGIME_UNMET, params=params, details=details)
+
+
+def _weight_violations(valuations: Dict[MultiIndex, int], small: WeightTable, large: WeightTable) -> List[dict]:
     """The alpha at which |d_alpha| p^(-small(alpha)) <= |d_alpha| p^(-large(alpha)) fails.
 
-    -v(d_alpha) is on both sides, so the weights decide; valuations are taken
-    only for the witnesses.
+    -v(d_alpha) is on both sides, so the weights decide; the valuations are
+    read only for the witnesses.
     """
     bad = []
-    for alpha, dv in dcoeffs.items():
+    for alpha, v in valuations.items():
         if large.exceeds(small, alpha):
-            nv = -valuation(dv, p)
-            lhs, rhs = nv - small.weight(alpha), nv - large.weight(alpha)
+            lhs, rhs = -v - small.weight(alpha), -v - large.weight(alpha)
             bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
     return bad
 
@@ -524,14 +541,7 @@ def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRec
     damping = -sigma * min_omega + eps  # exponent of s^{min omega} theta^-1
     params = {"group": G.name, "sigma": sigma, "damping_exponent": damping}
     if not damping < 0:
-        return [
-            CheckRecord(
-                check_id="embeddings/contact",
-                anchor="inclusion regime sigma * min(omega) > 1/(p-1)",
-                verdict=REGIME_UNMET,
-                params=params,
-            )
-        ]
+        return [_regime_unmet("embeddings/contact", "inclusion regime sigma * min(omega) > 1/(p-1)", params)]
     small = weight_table(tuple(sigma * w for w in G.omega), None)
     large = weight_table((-damping,) * G.d, G.p)
     return [
@@ -539,9 +549,31 @@ def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRec
             "embeddings/contact",
             "per-coefficient damping bound for the inclusion into the completion",
             params,
-            _weight_violations(lam.ensure_dcoeffs(), G.p, small, large),
+            _weight_violations(lam.valuations(), small, large),
         )
     ]
+
+
+@lru_cache(maxsize=None)
+def _poly_factor(alpha: MultiIndex, p: int) -> int:
+    """(p * alpha_1) ... (p * alpha_d) over the nonzero alpha_i: the polynomial factor of the continuity bound."""
+    return math.prod(p * a for a in alpha if a)
+
+
+def _comparison_plan(G: PValuedGroup, N: int, sigma: Fraction) -> tuple:
+    """(regime1, contraction, regime2, completion, level, damped) for check_comparison_maps at (N, sigma).
+
+    The regime exponents of both directions, whether the first regime holds,
+    and the weights of the three norms compared (``damped`` is None outside
+    the continuity regime); their weight tables are looked up on every call.
+    """
+    eps = Fraction(1, G.p - 1)
+    tau = G.neighborhood_params(N).tau
+    regime1 = tuple(t - sigma * min(G.omega) + eps for t in tau)
+    regime2 = tuple(sigma * max(G.omega) - t - eps for t in tau)
+    completion = tuple(sigma * w for w in G.omega)
+    damped = tuple(c - r for c, r in zip(completion, regime2)) if all(r < 0 for r in regime2) else None
+    return regime1, all(r < 0 for r in regime1), regime2, completion, tuple(tau), damped
 
 
 def check_comparison_maps(
@@ -558,69 +590,37 @@ def check_comparison_maps(
     is recorded in the report.
     """
     sigma = Fraction(sigma)
-    eps = Fraction(1, G.p - 1)
-    tau = G.neighborhood_params(N).tau
-    min_omega, max_omega = min(G.omega), max(G.omega)
-    dcoeffs = lam.ensure_dcoeffs()
-    completion = weight_table(tuple(sigma * w for w in G.omega), None)
-    level = weight_table(tuple(tau), G.p)
-    records = []
+    p = G.p
+    regime1, contraction, regime2, completion, level_weights, damped_weights = G.plan(
+        ("comparison", N, sigma), lambda G: _comparison_plan(G, N, sigma)
+    )
+    level = weight_table(level_weights, p)
 
-    regime1 = [t - sigma * min_omega + eps for t in tau]
-    params1 = {"group": G.name, "N": N, "sigma": sigma, "regime_exponents": list(regime1)}
-    if not all(r < 0 for r in regime1):
-        records.append(
-            CheckRecord(
-                check_id="embeddings/comparison-contraction",
-                anchor="contraction regime: each polydisc radius beats the damping",
-                verdict=REGIME_UNMET,
-                params=params1,
-            )
-        )
+    params = {"group": G.name, "N": N, "sigma": sigma, "regime_exponents": list(regime1)}
+    if not contraction:
+        anchor = "contraction regime: each polydisc radius beats the damping"
+        first = _regime_unmet("embeddings/comparison-contraction", anchor, params)
     else:
-        records.append(
-            record(
-                "embeddings/comparison-contraction",
-                "per-coefficient contraction from the level-N dual into the completion",
-                params1,
-                _weight_violations(dcoeffs, G.p, completion, level),
-            )
+        first = record(
+            "embeddings/comparison-contraction",
+            "per-coefficient contraction from the level-N dual into the completion",
+            params,
+            _weight_violations(lam.valuations(), weight_table(completion, None), level),
         )
 
-    regime2 = [sigma * max_omega - t - eps for t in tau]
-    params2 = {
-        "group": G.name,
-        "N": N,
-        "sigma": sigma,
-        "regime_exponents": list(regime2),
-        "poly_factor_exponent": 1,
-    }
-    if not all(r < 0 for r in regime2):
-        records.append(
-            CheckRecord(
-                check_id="embeddings/comparison-continuity",
-                anchor="continuity regime: the completion radius beats each polydisc radius",
-                verdict=REGIME_UNMET,
-                params=params2,
-            )
-        )
-    else:
-        damped = weight_table(tuple(sigma * w - r for w, r in zip(G.omega, regime2)), None)
-        bad = []
-        for alpha, dv in dcoeffs.items():
-            # lhs - rhs = damped.weight(alpha) - level.weight(alpha): -v(d_alpha) is on both sides
-            gap = Fraction(damped[alpha] * level.den - level[alpha] * damped.den, damped.den * level.den)
-            factor = math.prod(G.p * a for a in alpha if a)
-            if not p_power_at_most(gap, factor, G.p):
-                nv = -valuation(dv, G.p)
-                lhs, rhs = LogMag(nv - level.weight(alpha)), LogMag(nv - damped.weight(alpha))
-                bad.append({"alpha": list(alpha), "lhs": lhs, "rhs": rhs, "factor": factor})
-        records.append(
-            record(
-                "embeddings/comparison-continuity",
-                "per-coefficient continuity with the explicit polynomial factor",
-                params2,
-                bad,
-            )
-        )
-    return records
+    params = {"group": G.name, "N": N, "sigma": sigma, "regime_exponents": list(regime2), "poly_factor_exponent": 1}
+    if damped_weights is None:
+        anchor = "continuity regime: the completion radius beats each polydisc radius"
+        return [first, _regime_unmet("embeddings/comparison-continuity", anchor, params)]
+    damped = weight_table(damped_weights, None)
+    level_den, damped_den = level.den, damped.den
+    bad = []
+    for alpha, v in lam.valuations().items():
+        # lhs - rhs = damped.weight(alpha) - level.weight(alpha): -v(d_alpha) is on both sides
+        gap = damped[alpha] * level_den - level[alpha] * damped_den
+        factor = _poly_factor(alpha, p)
+        if not p_power_at_most(gap, damped_den * level_den, factor, p):
+            lhs, rhs = LogMag(-v - level.weight(alpha)), LogMag(-v - damped.weight(alpha))
+            bad.append({"alpha": list(alpha), "lhs": lhs, "rhs": rhs, "factor": factor})
+    anchor = "per-coefficient continuity with the explicit polynomial factor"
+    return [first, record("embeddings/comparison-continuity", anchor, params, bad)]

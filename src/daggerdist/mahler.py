@@ -25,6 +25,7 @@ from .padic import (
     numerators,
     scatter,
     taylor_row,
+    valuation_pairs,
     weight_table,
     weighted_sup,
 )
@@ -115,7 +116,7 @@ def mahler_norm(m: MahlerFamily, rho: Sequence[Rational], p: int) -> NormValue:
     """sup_alpha |m_alpha| / |alpha!| * p^(sum rho_i alpha_i)."""
     if len(rho) != m.dim:
         raise DimensionMismatch(f"expected {m.dim} radii, got {len(rho)}")
-    return NormValue(weighted_sup(m.nums, p, weight_table(tuple(rho), p), den=m.den), m.exact)
+    return NormValue(weighted_sup(valuation_pairs(m.nums, p), p, weight_table(tuple(rho), p), den=m.den), m.exact)
 
 
 def evaluate_mahler(m: MahlerFamily, x: Sequence[Rational]) -> Fraction:

@@ -12,17 +12,19 @@ row table; distributions, their duals under <lam, f> = sum_alpha m_alpha(f)
 d_alpha(lam), :func:`gather` through the same table.
 
 Hot paths keep rationals as int numerators over one common denominator
-(:func:`numerators`).  Every weighted norm is one :func:`weighted_sup` over a
-:class:`WeightTable`; given numerators and their denominator ``den``, it
-takes v_p(den) once instead of a valuation per Fraction.
+(:func:`numerators`).  A product over coordinates, such as a Dirac's
+x^beta and binom(x, beta) or the valuation v_p(binom(x, beta)) as a sum, is
+one compiled :func:`tensor_kernel` per (d, cap).  Every weighted norm is one
+:func:`weighted_sup` over a :class:`WeightTable`; it reads valuations, and
+given numerators over a denominator ``den`` it takes v_p(den) once.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from itertools import product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import product, repeat
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 MultiIndex = Tuple[int, ...]
@@ -122,6 +124,44 @@ def falling_coeff(alpha: int, beta: int) -> int:
     # x_falling^a = x_falling^(a-1) * (x - (a-1))
     upper = falling_coeff(alpha - 1, beta) if beta <= alpha - 1 else 0
     return falling_coeff(alpha - 1, beta - 1) - (alpha - 1) * upper
+
+
+@lru_cache(maxsize=None)
+def indices_up_to(d: int, cap: int) -> Tuple[MultiIndex, ...]:
+    """All multi-indices of dimension d with total degree <= cap, grlex order."""
+
+    def gen(rest: int, budget: int):
+        if rest == 0:
+            yield ()
+            return
+        for k in range(budget + 1):
+            for tail in gen(rest - 1, budget - k):
+                yield (k,) + tail
+
+    return tuple(sorted(gen(d, cap), key=grlex_key))
+
+
+@lru_cache(maxsize=None)
+def tensor_kernel(d: int, cap: int, op: str) -> Callable[..., tuple]:
+    """One straight-line function of d tables t_0, ..., t_{d-1} of length cap + 1 each.
+
+    It returns t_0[beta_0] op ... op t_{d-1}[beta_{d-1}] for every beta in
+    :func:`indices_up_to` order, ``op`` being "*" or "+".  Entry 0 of every
+    table must be the unit of ``op`` (1, or 0), so those factors are left out.
+    """
+    unit = {"*": "1", "+": "0"}[op]
+    names = [[f"t{i}_{k}" for k in range(cap + 1)] for i in range(d)]
+    exprs = [op.join(names[i][b] for i, b in enumerate(beta) if b) or unit for beta in indices_up_to(d, cap)]
+    args = ", ".join(f"t{i}" for i in range(d))
+    lines = [f"def kernel({args}):"]
+    lines += [f"    {', '.join(row)}, = t{i}" for i, row in enumerate(names)]
+    lines.append(f"    return ({', '.join(exprs)},)")
+    source = "\n".join(lines) + "\n"
+    namespace: Dict[str, object] = {}
+    exec(compile(source, "<compiled tensor>", "exec"), namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel
 
 
 def _product(factors) -> Row:
@@ -275,34 +315,37 @@ def leq_with_integer_factor(lhs: LogMag, rhs: LogMag, factor: int, p: int) -> bo
         return True
     if rhs.is_bottom:
         return False
-    return p_power_at_most(lhs.exponent - rhs.exponent, factor, p)
+    q = lhs.exponent - rhs.exponent
+    return p_power_at_most(q.numerator, q.denominator, factor, p)
 
 
-def p_power_at_most(q: Fraction, factor: int, p: int) -> bool:
-    """Decide p^q <= factor exactly, for a rational q and a positive integer factor."""
-    if q <= 0:
+def p_power_at_most(g: int, D: int, factor: int, p: int) -> bool:
+    """Decide p^(g/D) <= factor exactly, for ints g and D > 0 and a positive integer factor."""
+    if g <= 0:
         return True
-    return p ** q.numerator <= factor ** q.denominator
+    k = math.gcd(g, D)
+    return p ** (g // k) <= factor ** (D // k)
 
 
 class WeightTable(dict):
     """alpha -> den * ([v_p(alpha!)] + sum_i w_i alpha_i) as an int, filled on first use.
 
     ``den`` is the common denominator of the weights w; the factorial term
-    v_p(alpha!), an int, is added only when ``p`` is given.
+    v_p(alpha!) is added only when ``p`` is given, and is read as an int (a
+    non-integral value raises, so every entry stays an int).
     """
 
     def __init__(self, weights: Tuple[Rational, ...], p: Optional[int]):
         super().__init__()
         self.weights = tuple(map(Fraction, weights))
         self.p = p
-        self.den = math.lcm(*(w.denominator for w in self.weights))
+        self.den = den = math.lcm(*(w.denominator for w in self.weights))
+        self.nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
 
     def __missing__(self, alpha: MultiIndex) -> int:
-        den = self.den
-        value = sum(w.numerator * (den // w.denominator) * a for w, a in zip(self.weights, alpha))
+        value = sum(w * a for w, a in zip(self.nums, alpha))
         if self.p is not None:
-            value += den * multi_factorial_valuation(alpha, self.p)
+            value += self.den * parse_int(multi_factorial_valuation(alpha, self.p))
         self[alpha] = value
         return value
 
@@ -325,18 +368,23 @@ def weight_table(weights: Tuple[Rational, ...], p: Optional[int]) -> WeightTable
     return WeightTable(weights, p)
 
 
-def weighted_sup(
-    coeffs: Mapping[MultiIndex, Rational], p: int, table: WeightTable, sign: int = 1, den: int = 1
-) -> LogMag:
-    """sup over the support of -v_p(c_alpha / den) + sign * table.weight(alpha), exactly.
+def valuation_pairs(coeffs: Mapping[MultiIndex, Rational], p: int) -> Iterable[Tuple[MultiIndex, int]]:
+    """(alpha, v_p(c_alpha)) for the nonzero coefficients, in their order."""
+    return zip(coeffs, map(valuation, coeffs.values(), repeat(p)))
 
-    ``coeffs`` may be int numerators over the positive common denominator
+
+def weighted_sup(
+    valuations: Iterable[Tuple[MultiIndex, int]], p: int, table: WeightTable, sign: int = 1, den: int = 1
+) -> LogMag:
+    """sup over the (alpha, v_p(c_alpha)) pairs of -v_p(c_alpha / den) + sign * table.weight(alpha), exactly.
+
+    The c_alpha may be int numerators over the positive common denominator
     ``den``, whose valuation is then taken once.  The sup runs over ints
     scaled by ``table.den``, and one Fraction is built at the end; bottom
-    when there are no coefficients.
+    when there are no pairs.
     """
     scale = table.den
-    best = max((sign * table[a] - valuation(c, p) * scale for a, c in coeffs.items()), default=None)
+    best = max((sign * table[a] - v * scale for a, v in valuations), default=None)
     if best is None:
         return LogMag.bottom()
     return LogMag(Fraction(best + _int_valuation(den, p) * scale, scale))
@@ -359,6 +407,8 @@ def parse_fraction(x) -> Fraction:
 
 def parse_int(x) -> int:
     """An int read exactly from an input value; a non-integral one raises (int() would truncate it)."""
+    if type(x) is int:
+        return x
     q = parse_fraction(x)
     if q.denominator != 1:
         raise ValueError(f"expected an integer, got {q}")

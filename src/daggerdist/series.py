@@ -19,6 +19,7 @@ from .padic import (
     numerators,
     parse_fraction,
     parse_int,
+    valuation_pairs,
     weight_table,
     weighted_sup,
 )
@@ -291,7 +292,7 @@ class TruncatedSeries:
         if len(rho) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} radii, got {len(rho)}")
         nums, den = self.numerators()
-        return NormValue(weighted_sup(nums, p, weight_table(tuple(rho), None), den=den), self.exact)
+        return NormValue(weighted_sup(valuation_pairs(nums, p), p, weight_table(tuple(rho), None), den=den), self.exact)
 
 
 #: Terms per parenthesized group in a kernel's sums: one flat chain of a few

@@ -28,7 +28,18 @@ from daggerdist.distributions import (
 from daggerdist.cli import run_suites
 from daggerdist.functions import DaggerFunction, pair
 from daggerdist.groups import builtin_abelian, builtin_heisenberg, group_to_config, load_group
-from daggerdist.padic import LogMag, multi_binom_value, stirling_second, valuation
+from daggerdist.padic import (
+    LogMag,
+    indices_up_to,
+    multi_binom_value,
+    multi_factorial_valuation,
+    stirling_second,
+    valuation,
+    valuation_pairs,
+    weight_table,
+    weighted_sup,
+)
+from daggerdist.report import FAIL, PASS, REGIME_UNMET, CheckRecord, record
 from daggerdist.series import TruncatedSeries
 
 H3 = builtin_heisenberg(3)
@@ -485,3 +496,300 @@ def test_lazy_moment_table_is_built_at_most_once(monkeypatch):
     pair(lam, DaggerFunction(H3, TruncatedSeries(3, 2, {(1, 0, 1): 1, (0, 1, 0): 2})))
     convolve(H3, lam, dirac, cap_out=2)
     assert builds == [len(full)]
+
+
+# -- tensor-built Diracs, valuation tables and comparison plans against the per-index code ----
+
+ORACLE_GROUPS = [H3, builtin_heisenberg(5), builtin_abelian(2, 3), H_HALF]
+
+
+def zp_points(G):
+    """Points of Z_p^d: non-negative, negative and zero ints, and fractions with denominators prime to p."""
+    p = G.p
+    dens = [q for q in (2, 3, 4, 5, 7, 9) if q % p]
+    coord = st.one_of(
+        st.integers(0, p**6),
+        st.integers(-(p**6), -1),
+        st.just(0),
+        st.builds(Fraction, st.integers(-(p**4), p**4), st.sampled_from(dens)),
+    )
+    return st.lists(coord, min_size=G.d, max_size=G.d)
+
+
+def _dirac_per_index(G, x, cap):
+    """Distribution.dirac as it was before the tensor kernel: one product loop per index, through __init__."""
+    x = G.check_point(x)
+    coords = [c.numerator if c.denominator == 1 else c for c in x]
+    powers = [[c**k for k in range(cap + 1)] for c in coords]
+    binoms = [dist_module._binomials(c, cap) for c in coords]
+    moments, dcoeffs = {}, {}
+    for beta in indices_up_to(G.d, cap):
+        mu = dv = 1
+        for pw, bn, b in zip(powers, binoms, beta):
+            mu *= pw[b]
+            dv *= bn[b]
+        if mu:
+            moments[beta] = mu
+        if dv:
+            dcoeffs[beta] = dv
+    return Distribution(G, cap, moments, dcoeffs, exact=True, point=x)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_tensor_dirac_matches_the_per_index_loop(data):
+    G = data.draw(st.sampled_from(ORACLE_GROUPS))
+    x = data.draw(zp_points(G))
+    cap = data.draw(st.integers(0, 8))
+    got, want = Distribution.dirac(G, x, cap), _dirac_per_index(G, x, cap)
+    # the same values in the same (grlex) key order: witnesses serialize dcoeffs in that order
+    assert list(got.moments.items()) == list(want.moments.items())
+    assert list(got.dcoeffs.items()) == list(want.dcoeffs.items())
+    assert got.point == want.point and all(type(c) is Fraction for c in got.point)
+    assert (got.group, got.cap, got.exact) == (want.group, want.cap, want.exact)
+    assert [got.moment(b) for b in indices_up_to(G.d, cap + 2)] == [want.moment(b) for b in indices_up_to(G.d, cap + 2)]
+    # the separable valuation table against one valuation per coefficient
+    expect = [(a, valuation(c, G.p)) for a, c in want.dcoeffs.items()]
+    assert list(got.valuations().items()) == expect
+    assert list(want.valuations().items()) == expect
+    assert got.valuations() is got.valuations()
+
+
+def _fraction_norm(lam, weights, factorial):
+    """sup of -v(d_alpha) - [v(alpha!)] - sum_i w_i alpha_i over ensure_dcoeffs(), all in Fractions."""
+    p = lam.group.p
+    best = None
+    for alpha, c in lam.ensure_dcoeffs().items():
+        e = -valuation(c, p) - sum(Fraction(w) * a for w, a in zip(weights, alpha))
+        if factorial:
+            e -= multi_factorial_valuation(alpha, p)
+        best = e if best is None or e > best else best
+    return LogMag.bottom() if best is None else LogMag(best)
+
+
+@st.composite
+def oracle_distributions(draw, G):
+    """A Dirac, a basis combination, a truncated copy of either, or a convolution of two of them."""
+    kind = draw(st.sampled_from(["dirac", "dcoeffs", "truncated", "product"]))
+    cap = draw(st.integers(0, 8))
+    if kind == "product":
+        cap = draw(st.integers(0, 3))
+        lam, mu = (Distribution.dirac(G, draw(zp_points(G)), G.degmax() * cap) for _ in range(2))
+        return convolve(G, lam, mu, cap_out=cap)
+    if kind == "dirac":
+        return Distribution.dirac(G, draw(zp_points(G)), cap)
+    index = st.tuples(*[st.integers(0, 3)] * G.d)
+    coeff = st.builds(Fraction, st.integers(-(G.p**3), G.p**3), st.sampled_from([1, 2, G.p, G.p**2]))
+    lam = Distribution.from_dcoeffs(G, draw(st.dictionaries(index, coeff, max_size=5)), cap)
+    if kind == "truncated":
+        lam = Distribution(G, cap, lam.moments)
+    return lam
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_norms_read_the_valuation_table_as_the_coefficients_would(data):
+    G = data.draw(st.sampled_from(ORACLE_GROUPS))
+    lam = data.draw(oracle_distributions(G))
+    sigma = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(3, 2)]))
+    N = data.draw(st.integers(1, 8))
+    assert list(lam.valuations().items()) == [(a, valuation(c, G.p)) for a, c in lam.ensure_dcoeffs().items()]
+    tau = G.neighborhood_params(N).tau
+    cases = [
+        (st_norm(lam, sigma), [sigma * w for w in G.omega], False),
+        (st_norm_prime(lam, sigma), [sigma] * G.d, False),
+        (dagger_seminorm(lam, sigma), [sigma] * G.d, True),
+        (dagger_norm(lam, N), tau, True),
+    ]
+    for got, weights, factorial in cases:
+        assert got.mag == _fraction_norm(lam, weights, factorial)
+        assert got.is_exact == lam.exact
+        # the path before the table: one valuation per coefficient of ensure_dcoeffs(), on every call
+        table = weight_table(tuple(weights), G.p if factorial else None)
+        assert got.mag == weighted_sup(valuation_pairs(lam.ensure_dcoeffs(), G.p), G.p, table, sign=-1)
+
+
+def _fraction_check_comparison_maps(G, N, sigma, lam):
+    """check_comparison_maps as it was: regimes rebuilt per call, one Fraction gap per coefficient."""
+    sigma = Fraction(sigma)
+    eps = Fraction(1, G.p - 1)
+    tau = G.neighborhood_params(N).tau
+    dcoeffs = lam.ensure_dcoeffs()
+    completion = weight_table(tuple(sigma * w for w in G.omega), None)
+    level = weight_table(tuple(tau), G.p)
+    records = []
+    regime1 = [t - sigma * min(G.omega) + eps for t in tau]
+    params1 = {"group": G.name, "N": N, "sigma": sigma, "regime_exponents": list(regime1)}
+    if not all(r < 0 for r in regime1):
+        records.append(
+            CheckRecord(
+                check_id="embeddings/comparison-contraction",
+                anchor="contraction regime: each polydisc radius beats the damping",
+                verdict=REGIME_UNMET,
+                params=params1,
+            )
+        )
+    else:
+        bad = []
+        for alpha, dv in dcoeffs.items():
+            if level.exceeds(completion, alpha):
+                nv = -valuation(dv, G.p)
+                lhs, rhs = nv - completion.weight(alpha), nv - level.weight(alpha)
+                bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
+        records.append(
+            record(
+                "embeddings/comparison-contraction",
+                "per-coefficient contraction from the level-N dual into the completion",
+                params1,
+                bad,
+            )
+        )
+    regime2 = [sigma * max(G.omega) - t - eps for t in tau]
+    params2 = {
+        "group": G.name,
+        "N": N,
+        "sigma": sigma,
+        "regime_exponents": list(regime2),
+        "poly_factor_exponent": 1,
+    }
+    if not all(r < 0 for r in regime2):
+        records.append(
+            CheckRecord(
+                check_id="embeddings/comparison-continuity",
+                anchor="continuity regime: the completion radius beats each polydisc radius",
+                verdict=REGIME_UNMET,
+                params=params2,
+            )
+        )
+    else:
+        damped = weight_table(tuple(sigma * w - r for w, r in zip(G.omega, regime2)), None)
+        bad = []
+        for alpha, dv in dcoeffs.items():
+            gap = Fraction(damped[alpha] * level.den - level[alpha] * damped.den, damped.den * level.den)
+            factor = math.prod(G.p * a for a in alpha if a)
+            if not (gap <= 0 or G.p**gap.numerator <= factor**gap.denominator):
+                nv = -valuation(dv, G.p)
+                lhs, rhs = LogMag(nv - level.weight(alpha)), LogMag(nv - damped.weight(alpha))
+                bad.append({"alpha": list(alpha), "lhs": lhs, "rhs": rhs, "factor": factor})
+        records.append(
+            record(
+                "embeddings/comparison-continuity",
+                "per-coefficient continuity with the explicit polynomial factor",
+                params2,
+                bad,
+            )
+        )
+    return records
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_comparison_plans_give_the_records_of_the_per_call_regimes(data):
+    G = data.draw(st.sampled_from(ORACLE_GROUPS))
+    lam = data.draw(oracle_distributions(G))
+    N = data.draw(st.integers(1, 12))
+    sigma = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(7, 8), Fraction(1)]))
+    want = [r.to_dict() for r in _fraction_check_comparison_maps(G, N, sigma, lam)]
+    first, second = check_comparison_maps(G, N, sigma, lam), check_comparison_maps(G, N, sigma, lam)
+    assert [r.to_dict() for r in first] == want == [r.to_dict() for r in second]
+    # every call returns fresh records: nothing is shared through the plan
+    for a, b in zip(first, second):
+        assert a is not b and a.params is not b.params
+        assert a.params["regime_exponents"] is not b.params["regime_exponents"]
+
+
+# -- the int-first random basis combination ---------------------------------
+
+
+def _fraction_random_dcoeff_distribution(G, rng, cap, support_degree=3, nterms=4):
+    """random_dcoeff_distribution as it was: every coefficient summed as Fraction(num) * Fraction(p) ** shift."""
+    indices = [a for a in indices_up_to(G.d, support_degree) if sum(a) > 0]
+    dcoeffs = {}
+    for _ in range(nterms):
+        alpha = indices[rng.randrange(len(indices))]
+        num = rng.randrange(-(G.p**3), G.p**3) or 1
+        shift = rng.randrange(-1, 2)
+        dcoeffs[alpha] = dcoeffs.get(alpha, Fraction(0)) + Fraction(num) * Fraction(G.p) ** shift
+    dcoeffs = {a: v for a, v in dcoeffs.items() if v != 0}
+    if not dcoeffs:
+        dcoeffs = {(0,) * G.d: Fraction(1)}
+    return Distribution.from_dcoeffs(G, dcoeffs, cap)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    G=st.sampled_from(ORACLE_GROUPS),
+    seed=st.integers(0, 2**32),
+    cap=st.integers(0, 8),
+    support_degree=st.integers(1, 4),
+    nterms=st.integers(0, 8),
+)
+def test_random_dcoeff_distribution_draws_what_the_fraction_version_drew(G, seed, cap, support_degree, nterms):
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        got = random_dcoeff_distribution(G, got_rng, cap, support_degree, nterms)
+        want = _fraction_random_dcoeff_distribution(G, want_rng, cap, support_degree, nterms)
+        assert list(got.dcoeffs.items()) == list(want.dcoeffs.items())
+        assert got.cap == want.cap and got.exact
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [39, 104])
+def test_random_dcoeff_distribution_falls_back_to_the_unit_when_terms_cancel(seed):
+    # abelian(2, 3), two draws over the degree-1 indices: at these seeds the two terms cancel
+    G = builtin_abelian(2, 3)
+    want = _fraction_random_dcoeff_distribution(G, random.Random(seed), 4, support_degree=1, nterms=2)
+    got = random_dcoeff_distribution(G, random.Random(seed), 4, support_degree=1, nterms=2)
+    assert list(got.dcoeffs.items()) == list(want.dcoeffs.items()) == [((0, 0, 0), 1)]
+
+
+# -- faults injected into the convolution and norms suites ------------------
+
+
+def test_norm_suite_fails_when_convolution_loses_a_factor_p(monkeypatch):
+    def run():
+        return check_submultiplicative(H3, Fraction(1, 2), trials=10, seed=3, cap=4) + check_banach_submult_N(
+            H3, 2, trials=10, seed=3, cap=4
+        )
+
+    assert [r.verdict for r in run()] == ["lower-bound-pass"] * 2
+
+    def scaled(G, lam, mu, cap_out=None, opposite=False):
+        # every output moment, and so every basis coefficient, divided by p
+        nu = convolve(G, lam, mu, cap_out=cap_out, opposite=opposite)
+        return Distribution(G, nu.cap, {b: Fraction(m, G.p) for b, m in nu.moments.items()})
+
+    monkeypatch.setattr(dist_module, "convolve", scaled)
+    st_rec, banach_rec = run()
+    for rec in (st_rec, banach_rec):
+        assert rec.verdict == FAIL
+        violations = rec.witness["violations"]
+        assert violations and all(v["lhs"] > v["rhs"] for v in violations)
+    # a Dirac pair (every even trial) has norms p^0; their product now has norm p^1
+    dirac_trials = [v for v in banach_rec.witness["violations"] if v["trial"] % 2 == 0]
+    assert dirac_trials and all((v["lhs"], v["rhs"]) == (LogMag(1), LogMag(0)) for v in dirac_trials)
+    assert {"lam", "mu"} <= set(st_rec.witness["violations"][0])
+
+
+def test_convolution_suite_fails_on_a_corrupted_dirac_power_table(monkeypatch):
+    from daggerdist.cli import suite_convolution
+
+    def homomorphism():
+        return next(r for r in suite_convolution(H3, trials=6, seed=1, cap=4) if r.check_id.endswith("homomorphism"))
+
+    assert homomorphism().verdict == PASS
+    powers, calls = dist_module._powers, []
+
+    def corrupted(x, cap):
+        # x_1^2 off by one in the first coordinate's table of every Dirac
+        table = powers(x, cap)
+        calls.append(x)
+        if len(calls) % H3.d == 1 and cap >= 2:
+            table[2] += 1
+        return table
+
+    monkeypatch.setattr(dist_module, "_powers", corrupted)
+    rec = homomorphism()
+    assert rec.verdict == FAIL
+    assert len(rec.witness["violations"]) == 3
+    assert all(set(v) == {"trial", "x", "y"} for v in rec.witness["violations"])

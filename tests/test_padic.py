@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daggerdist import padic as padic_module
 from daggerdist.padic import (
     INFINITY,
     LogMag,
@@ -11,13 +14,17 @@ from daggerdist.padic import (
     factorial_valuation,
     falling_coeff,
     format_fraction,
+    indices_up_to,
     leq_with_integer_factor,
     multi_binom_value,
     multi_factorial_valuation,
+    p_power_at_most,
     parse_fraction,
     parse_int,
     stirling_second,
+    tensor_kernel,
     valuation,
+    valuation_pairs,
     weight_table,
     weighted_sup,
 )
@@ -161,7 +168,8 @@ def test_weighted_sup_over_a_denominator_matches_the_fractions(data, p, dim, sig
     weights = tuple(data.draw(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=dim, max_size=dim)))
     table = weight_table(weights, data.draw(st.sampled_from([None, p])))
     fractions = {a: Fraction(n, den) for a, n in nums.items()}
-    assert weighted_sup(nums, p, table, sign, den=den) == weighted_sup(fractions, p, table, sign)
+    got = weighted_sup(valuation_pairs(nums, p), p, table, sign, den=den)
+    assert got == weighted_sup(valuation_pairs(fractions, p), p, table, sign)
 
 
 def test_weight_table_reads_int_and_fraction_radii_alike():
@@ -169,3 +177,54 @@ def test_weight_table_reads_int_and_fraction_radii_alike():
     table = weight_table(("1/3", 2), None)
     assert table.weights == (Fraction(1, 3), Fraction(2))
     assert table.weight((3, 1)) == 3
+
+
+def _fraction_p_power_at_most(q, factor, p):
+    """The decision as it was, on a Fraction exponent: p^q <= factor."""
+    if q <= 0:
+        return True
+    return p**q.numerator <= factor**q.denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=st.integers(-80, 80),
+    D=st.integers(1, 60),
+    factor=st.integers(1, 10**5),
+    p=st.sampled_from([2, 3, 5, 7]),
+    scale=st.integers(1, 6),
+)
+def test_int_power_decision_matches_the_fraction_one(g, D, factor, p, scale):
+    # an unreduced pair (scale * g, scale * D) decides as its reduced Fraction does
+    want = _fraction_p_power_at_most(Fraction(g, D), factor, p)
+    assert p_power_at_most(g, D, factor, p) == want
+    assert p_power_at_most(scale * g, scale * D, factor, p) == want
+    assert leq_with_integer_factor(LogMag(Fraction(g, D)), LogMag(0), factor, p) == want
+
+
+def test_weight_table_keeps_int_numerators_and_int_entries():
+    table = weight_table((Fraction(1, 3), Fraction(1, 2), 2), 3)
+    assert (table.den, table.nums) == (6, (2, 3, 12))
+    assert table[(3, 2, 1)] == 2 * 3 + 3 * 2 + 12 + 6 * (1 + 0 + 0)
+    assert all(type(v) is int for v in table.values())
+
+
+def test_weight_table_rejects_a_non_integral_factorial_valuation(monkeypatch):
+    monkeypatch.setattr(padic_module, "multi_factorial_valuation", lambda alpha, p: Fraction(sum(alpha), 2))
+    table = padic_module.WeightTable((1, 1), 3)
+    assert table[(2, 0)] == 2 + 1  # 2/2 is integral and reads as an int
+    with pytest.raises(ValueError, match="integer"):
+        table[(1, 0)]
+    assert (1, 0) not in table
+
+
+@pytest.mark.parametrize("d,cap", [(1, 0), (1, 5), (2, 3), (3, 0), (3, 8), (4, 2)])
+def test_tensor_kernel_multiplies_and_adds_the_tables(d, cap):
+    tables = [[1] + [7 * i + k + 2 for k in range(cap)] for i in range(d)]
+    sums = [[0] + row[1:] for row in tables]
+    indices = indices_up_to(d, cap)
+    products = tuple(math.prod(t[b] for t, b in zip(tables, beta)) for beta in indices)
+    assert tensor_kernel(d, cap, "*")(*tables) == products
+    assert tensor_kernel(d, cap, "+")(*sums) == tuple(sum(t[b] for t, b in zip(sums, beta)) for beta in indices)
+    assert len(indices) == math.comb(d + cap, d)
+    assert set(indices) == {b for b in product(range(cap + 1), repeat=d) if sum(b) <= cap}
