@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groups import PValuedGroup, Point
@@ -72,7 +71,7 @@ def basis_moment(beta: MultiIndex, alpha: MultiIndex) -> int:
 
 def _nonzero(indices, values) -> dict:
     """{index: value} over the nonzero values, in index order."""
-    return dict(zip(indices, values)) if all(values) else {i: v for i, v in zip(indices, values) if v}
+    return {i: v for i, v in zip(indices, values) if v}
 
 
 def _powers(x, cap: int) -> list:
@@ -554,12 +553,6 @@ def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRec
     ]
 
 
-@lru_cache(maxsize=None)
-def _poly_factor(alpha: MultiIndex, p: int) -> int:
-    """(p * alpha_1) ... (p * alpha_d) over the nonzero alpha_i: the polynomial factor of the continuity bound."""
-    return math.prod(p * a for a in alpha if a)
-
-
 def _comparison_plan(G: PValuedGroup, N: int, sigma: Fraction) -> tuple:
     """(regime1, contraction, regime2, completion, level, damped) for check_comparison_maps at (N, sigma).
 
@@ -618,7 +611,7 @@ def check_comparison_maps(
     for alpha, v in lam.valuations().items():
         # lhs - rhs = damped.weight(alpha) - level.weight(alpha): -v(d_alpha) is on both sides
         gap = damped[alpha] * level_den - level[alpha] * damped_den
-        factor = _poly_factor(alpha, p)
+        factor = math.prod(p * a for a in alpha if a)
         if not p_power_at_most(gap, damped_den * level_den, factor, p):
             lhs, rhs = LogMag(-v - level.weight(alpha)), LogMag(-v - damped.weight(alpha))
             bad.append({"alpha": list(alpha), "lhs": lhs, "rhs": rhs, "factor": factor})
