@@ -79,19 +79,20 @@ def _random_poly(rng: random.Random, dim: int, deg: int, p: int, cap: int) -> Tr
             idx = tuple(rng.randrange(deg + 1) for _ in range(dim))
         num = rng.randrange(-(p**3), p**3 + 1) or 1
         nums[idx] = nums.get(idx, 0) + num * p ** (2 - rng.randrange(3))
-    terms = {i: Fraction(n, p * p) for i, n in nums.items() if n} or {(0,) * dim: 1}
-    return TruncatedSeries(dim, cap, terms, exact=True)
+    nums = {i: n for i, n in nums.items() if n} or {(0,) * dim: p * p}
+    return TruncatedSeries.from_numerators(dim, cap, nums, p * p, exact=True)
 
 
 def suite_mahler(G: PValuedGroup, trials: int, seed: int) -> List[CheckRecord]:
     """Gauss-vs-binomial norm identity and conversion round trips at G's prime."""
     rng = random.Random(f"{seed}:mahler:{G.name}")
-    radii = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+    # one tuple per (dim, radius), so the weight tables are looked up by identical keys
+    radii = {dim: [(r,) * dim for r in (Fraction(1, 4), Fraction(1, 2), Fraction(1))] for dim in (1, 2)}
     bad_norm, bad_round = [], []
     for t in range(trials):
         dim, deg = (1, 12) if t % 2 == 0 else (2, 6)
         f = _random_poly(rng, dim, deg, G.p, cap=deg)
-        rho = [rng.choice(radii)] * dim
+        rho = rng.choice(radii[dim])
         m = taylor_to_mahler(f)
         equal, gmag, mmag = verify_norm_identity(f, rho, G.p, m)
         if not equal:

@@ -236,20 +236,22 @@ class PValuedGroup:
         xi, yi = self.invert(x), self.invert(y)
         return self.multiply(self.multiply(self.multiply(xi, yi), x), y)
 
-    def omega_of(self, x: Sequence):
-        """min_i omega_i + v(x_i) as a Fraction; +inf exactly at the identity.
-
-        Compared in ints over the omegas' common denominator.
-        """
+    def omega_num(self, x: Sequence):
+        """_omega_den * omega(x) as an int, min_i _omega_nums[i] + _omega_den * v(x_i); +inf exactly at the identity."""
         x = self.check_point(x)
         p, den = self.p, self._omega_den
-        best = None
+        best = INFINITY
         for num, c in zip(self._omega_nums, x):
             if c:
                 cand = num + den * valuation(c, p)
-                if best is None or cand < best:
+                if cand < best:
                     best = cand
-        return INFINITY if best is None else Fraction(best, den)
+        return best
+
+    def omega_of(self, x: Sequence):
+        """min_i omega_i + v(x_i) as a Fraction; +inf exactly at the identity."""
+        w = self.omega_num(x)
+        return INFINITY if w is INFINITY else Fraction(w, self._omega_den)
 
     def degmax(self) -> int:
         return max(f.degree() for f in self.F)
@@ -529,17 +531,17 @@ def check_pvaluation(
     bad: Dict[str, list] = {"quotient": [], "commutator": [], "power": []}
     for k in range(samples):
         x, y = pts[2 * k], pts[2 * k + 1]
-        wx, wy = G.omega_of(x), G.omega_of(y)
+        wx, wy = G.omega_num(x), G.omega_num(y)
         q = G.multiply(x, G.invert(y))
-        if G.omega_of(q) < min(wx, wy):
+        if G.omega_num(q) < min(wx, wy):
             bad["quotient"].append([format_fraction(c) for c in x + y])
         if wx is not INFINITY and wy is not INFINITY:
             c = G.commutator(x, y)
-            if G.omega_of(c) < wx + wy:
+            if G.omega_num(c) < wx + wy:
                 bad["commutator"].append([format_fraction(v) for v in x + y])
         if wx is not INFINITY:
             xp = G.power(x, G.p)
-            if G.omega_of(xp) != wx + 1:
+            if G.omega_num(xp) != wx + G._omega_den:  # omega(x^p) = omega(x) + 1, over the common denominator
                 bad["power"].append([format_fraction(v) for v in x])
     anchors = {
         "quotient": "omega(x y^-1) >= min(omega(x), omega(y)) on samples",

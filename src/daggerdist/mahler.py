@@ -23,6 +23,7 @@ from .padic import (
     multi_binom_value,
     multi_factorial,
     numerators,
+    same_ratios,
     scatter,
     taylor_row,
     valuation_pairs,
@@ -80,7 +81,7 @@ class MahlerFamily:
     def __eq__(self, other):
         if not isinstance(other, MahlerFamily):
             return NotImplemented
-        return (self.dim, self.coeffs) == (other.dim, other.coeffs)
+        return self.dim == other.dim and same_ratios(self.nums, self.den, other.nums, other.den)
 
     def __repr__(self):
         return f"MahlerFamily({dict(self.sorted_coeffs())})"
@@ -107,9 +108,7 @@ def mahler_to_taylor(m: MahlerFamily) -> TruncatedSeries:
     facts = {alpha: multi_factorial(alpha) for alpha in m.nums}
     lcm = math.lcm(*facts.values())
     nums = {alpha: n * (lcm // facts[alpha]) for alpha, n in m.nums.items()}
-    den = m.den * lcm
-    terms = {beta: Fraction(t, den) for beta, t in scatter(taylor_row, nums).items()}
-    return TruncatedSeries(m.dim, m.cap, terms, exact=True)
+    return TruncatedSeries.from_numerators(m.dim, m.cap, scatter(taylor_row, nums), m.den * lcm, exact=True)
 
 
 def mahler_norm(m: MahlerFamily, rho: Sequence[Rational], p: int) -> NormValue:
@@ -145,7 +144,7 @@ def verify_norm_identity(
     by default f is converted here.  Returns (equal, gauss_mag, mahler_mag).
     Requires positive radii.
     """
-    rho = tuple(map(Fraction, rho))
+    rho = tuple(r if type(r) is Fraction else Fraction(r) for r in rho)
     if any(r <= 0 for r in rho):
         raise ValueError("norm identity requires positive radii")
     g = f.gauss_norm(rho, p)

@@ -218,6 +218,11 @@ def numerators(values: Mapping[MultiIndex, Rational]) -> Tuple[Dict[MultiIndex, 
     return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 
+def same_ratios(a: Mapping[MultiIndex, int], da: int, b: Mapping[MultiIndex, int], db: int) -> bool:
+    """Whether a[k] / da == b[k] / db for every k, the keys being the same; no fraction need be reduced."""
+    return a.keys() == b.keys() and all(n * db == b[k] * da for k, n in a.items())
+
+
 def binom_value(x: Rational, k: int) -> Fraction:
     """binom(x, k) = x(x-1)...(x-k+1)/k! for rational x."""
     if k < 0:
@@ -257,8 +262,8 @@ class LogMag:
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: Rational | None):
-        if exponent is None:
-            self.exponent = None
+        if exponent is None or type(exponent) is Fraction:
+            self.exponent = exponent
         else:
             self.exponent = Fraction(exponent)
 

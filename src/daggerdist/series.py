@@ -19,6 +19,7 @@ from .padic import (
     numerators,
     parse_fraction,
     parse_int,
+    same_ratios,
     valuation_pairs,
     weight_table,
     weighted_sup,
@@ -67,18 +68,34 @@ class TruncatedSeries:
 
     The terms are not changed after construction, so the evaluation kernel is
     compiled once, on the first :meth:`evaluate`, and the int numerators once,
-    on the first :meth:`numerators`.
+    on the first :meth:`numerators`.  A series built by :meth:`from_numerators`
+    builds its Fraction ``terms`` on first read instead.
     """
 
-    __slots__ = ("dim", "cap", "terms", "exact", "_kernel", "_numerators")
+    __slots__ = ("dim", "cap", "_terms", "exact", "_kernel", "_numerators")
 
     def __init__(self, dim: int, cap: int, terms: Mapping[MultiIndex, Rational], exact: bool = True):
-        self.dim = dim
-        self.cap = cap
-        self.terms = clean_terms(dim, cap, terms)
-        self.exact = bool(exact)
+        self._set(dim, cap, clean_terms(dim, cap, terms), None, exact)
+
+    @classmethod
+    def from_numerators(
+        cls, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int, exact: bool = True
+    ) -> "TruncatedSeries":
+        """The series of terms nums[alpha] / den, unchecked: the indices must be valid and the numerators nonzero."""
+        f = cls.__new__(cls)
+        f._set(dim, cap, None, (nums, den), exact)
+        return f
+
+    def _set(self, dim: int, cap: int, terms, nums_den, exact: bool):
+        self.dim, self.cap, self._terms, self._numerators, self.exact = dim, cap, terms, nums_den, bool(exact)
         self._kernel = None
-        self._numerators = None
+
+    @property
+    def terms(self) -> Dict[MultiIndex, Fraction]:
+        if self._terms is None:
+            nums, den = self._numerators
+            self._terms = {k: Fraction(n, den) for k, n in nums.items()}
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -119,7 +136,7 @@ class TruncatedSeries:
         return not self.terms
 
     def numerators(self) -> Tuple[Dict[MultiIndex, int], int]:
-        """The terms as int numerators over their least common denominator (see :func:`padic.numerators`)."""
+        """The terms as int numerators over a common denominator, the least one unless built :meth:`from_numerators`."""
         if self._numerators is None:
             self._numerators = numerators(self.terms)
         return self._numerators
@@ -127,7 +144,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.dim, self.terms) == (other.dim, other.terms)
+        return self.dim == other.dim and same_ratios(*self.numerators(), *other.numerators())
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))

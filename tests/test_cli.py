@@ -416,6 +416,21 @@ def test_report_bytes_pinned(key, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("workload", ["allsuites-h3", "lawcheck-h5"])
+def test_benchmark_workloads_reproduce_their_reference_reports(workload, tmp_path, monkeypatch):
+    """The arguments perfbench/run.py runs, at its reference seed, give the digests of perfbench/reference.json."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its sibling tracing.py
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    reference = json.loads((bench / "reference.json").read_text())
+    assert reference["seed"] == run.REFERENCE_SEED
+    out = tmp_path / "report.json"
+    assert main(["verify", *run.WORKLOADS[workload], "--seed", str(run.REFERENCE_SEED), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == reference["workloads"][workload]["sha256"]
+
+
 def test_inconclusive_counted_only_when_present():
     rep = Report(group="g", seed=0)
     rep.extend([CheckRecord(check_id="a/b", anchor="a", verdict="pass")])

@@ -22,7 +22,8 @@ from daggerdist.groups import (
     load_group,
     pth_root_mod,
 )
-from daggerdist.padic import INFINITY, valuation
+from daggerdist.padic import INFINITY, format_fraction, valuation
+from daggerdist.report import record
 from test_distributions import H_HALF
 
 
@@ -64,6 +65,12 @@ def test_omega_of():
     assert H3.omega_of([0, 0, 0]) == INFINITY
     assert H3.omega_of([3, 0, 0]) == 2
     assert H3.omega_of([3, 1, 9]) == 1
+    assert H3.omega_num([0, 0, 0]) is INFINITY
+    assert (H3.omega_num([3, 0, 0]), H3.omega_num([3, 1, 9])) == (2, 1)
+    # omegas 5/4, 1, 3/4 over the common denominator 4
+    G = _shifted_omega(builtin_heisenberg(5), [Fraction(5, 4), 1, Fraction(3, 4)])
+    assert (G.omega_num([0, 5, 1]), G.omega_num([1, 0, 25]), G.omega_num([0, 25, 0])) == (3, 5, 12)
+    assert G.omega_of([0, 5, 1]) == Fraction(3, 4)
     assert H3.commutator([1, 0, 0], [0, 1, 0]) == (0, 0, 3)
 
 
@@ -169,6 +176,67 @@ def test_pvaluation_samples():
         recs = check_pvaluation(G, samples=40, seed=5)
         assert len(recs) == 3
         assert all(r.verdict == "pass" for r in recs)
+
+
+def _shifted_omega(G, omega):
+    """G with its law and inverse kept and its omega values replaced."""
+    return groups_module.PValuedGroup(G.name, G.p, G.d, omega, G.F, G.I, G.model)
+
+
+def _fraction_check_pvaluation(G, samples, seed, precision=12):
+    """check_pvaluation before the integer comparison: omega as Fractions, + 1 for the p-th power."""
+    rng = random.Random(f"{seed}:pval:{G.name}")
+    pts = groups_module.sample_points(G, rng, 2 * samples, precision)
+    bad = {"quotient": [], "commutator": [], "power": []}
+    for k in range(samples):
+        x, y = pts[2 * k], pts[2 * k + 1]
+        wx, wy = _reference_omega_of(G, x), _reference_omega_of(G, y)
+        if _reference_omega_of(G, G.multiply(x, G.invert(y))) < min(wx, wy):
+            bad["quotient"].append([format_fraction(c) for c in x + y])
+        if wx is not INFINITY and wy is not INFINITY:
+            if _reference_omega_of(G, G.commutator(x, y)) < wx + wy:
+                bad["commutator"].append([format_fraction(v) for v in x + y])
+        if wx is not INFINITY and _reference_omega_of(G, G.power(x, G.p)) != wx + 1:
+            bad["power"].append([format_fraction(v) for v in x])
+    anchors = {
+        "quotient": "omega(x y^-1) >= min(omega(x), omega(y)) on samples",
+        "commutator": "omega([x, y]) >= omega(x) + omega(y) on samples",
+        "power": "omega(x^p) = omega(x) + 1 on samples",
+    }
+    params = {"group": G.name, "samples": samples, "seed": seed, "precision": precision}
+    return [record(f"pvaluation/{name}", anchor, params, bad[name]) for name, anchor in anchors.items()]
+
+
+def _group_id(G):
+    return f"{G.name}-omega={','.join(map(str, G.omega))}"
+
+
+_H5 = builtin_heisenberg(5)
+# heisenberg(5) with one omega one step (1/4) too high or too low: omega is then no p-valuation
+_H5_OFF_BY_A_STEP = [
+    _shifted_omega(_H5, [Fraction(5, 4), 1, 1]),
+    _shifted_omega(_H5, [1, 1, Fraction(3, 4)]),
+]
+
+
+@pytest.mark.parametrize(
+    "G", [H3, _H5, builtin_abelian(2, 3), builtin_abelian(3, 2), H_HALF, *_H5_OFF_BY_A_STEP], ids=_group_id
+)
+def test_check_pvaluation_matches_the_fraction_loop(G):
+    for seed in (0, 7):
+        assert check_pvaluation(G, samples=60, seed=seed) == _fraction_check_pvaluation(G, samples=60, seed=seed)
+
+
+@pytest.mark.parametrize("G", _H5_OFF_BY_A_STEP, ids=_group_id)
+def test_pvaluation_fails_on_an_omega_off_by_one_step(G):
+    records = {rec.check_id: rec for rec in check_pvaluation(G, samples=40, seed=7)}
+    rec = records["pvaluation/commutator"]
+    assert rec.verdict == "fail"
+    assert rec.witness["violations"]
+    for pair in rec.witness["violations"]:
+        x, y = [Fraction(c) for c in pair[:3]], [Fraction(c) for c in pair[3:]]
+        assert _reference_omega_of(G, G.commutator(x, y)) < _reference_omega_of(G, x) + _reference_omega_of(G, y)
+    assert check_pvaluation(_H5, samples=40, seed=7)[1].verdict == "pass"
 
 
 def test_pth_root_known_value():
@@ -409,6 +477,8 @@ def test_group_operations_match_the_term_walk(group, data):
     for z in (x, y, group.identity):
         omega = group.omega_of(z)
         assert omega == _reference_omega_of(group, z) and type(omega) is type(_reference_omega_of(group, z))
+        num = group.omega_num(z)
+        assert num is INFINITY if omega is INFINITY else (type(num) is int and num == omega * group._omega_den)
     assert group.omega_of(group.identity) is INFINITY
 
 

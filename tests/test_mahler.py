@@ -233,6 +233,39 @@ def test_from_numerators_matches_the_fraction_family(family, data):
     assert mahler_to_taylor(m).terms == _fraction_mahler_to_taylor(expect.coeffs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(family=_numerator_families(), data=st.data())
+def test_series_from_numerators_matches_the_fraction_series(family, data):
+    p, dim, cap, nums, den = family
+    f = TruncatedSeries.from_numerators(dim, cap, nums, den)
+    expect = TruncatedSeries(dim, cap, {a: Fraction(n, den) for a, n in nums.items()})
+    assert f.numerators() == (nums, den)
+    assert f.terms == expect.terms and (f.dim, f.cap, f.exact) == (dim, cap, True)
+    assert f == expect and expect == f and hash(f) == hash(expect)
+    assert f.gauss_norm([1] * dim, p) == expect.gauss_norm([1] * dim, p)
+    assert TruncatedSeries.from_numerators(dim, cap, {a: 3 * n for a, n in nums.items()}, 3 * den) == f
+
+    def series_and_family(nums, den):
+        return TruncatedSeries.from_numerators(dim, cap, nums, den), MahlerFamily.from_numerators(dim, cap, nums, den)
+
+    # the ratio rule against Fraction equality, on a second draw over f's indices and on f changed at one index
+    g_nums = data.draw(st.dictionaries(st.sampled_from(sorted(nums) or [(0,) * dim]), st.integers(-3, 3).filter(bool)))
+    g, g_family = series_and_family(g_nums, data.draw(st.sampled_from([1, 2, p, 4 * p])))
+    m = MahlerFamily.from_numerators(dim, cap, nums, den)
+    assert (f == g) == (f.terms == g.terms) == (m == g_family)
+    if nums:
+        a = data.draw(st.sampled_from(sorted(nums)))
+        for changed in ({**nums, a: nums[a] + den}, {k: n for k, n in nums.items() if k != a}):
+            assert all(x != y for x, y in zip(series_and_family(changed, den), (f, m)))
+
+
+def test_series_from_numerators_zero_series():
+    zero = TruncatedSeries.from_numerators(2, 4, {}, 9)
+    assert zero == TruncatedSeries.zero(2, 4) and hash(zero) == hash(TruncatedSeries.zero(2, 4))
+    assert zero.is_zero() and zero.terms == {} and zero.degree() == -1
+    assert zero != TruncatedSeries.from_numerators(2, 4, {(0, 0): 9}, 9)
+
+
 def test_from_numerators_zero_family_and_read_only_view():
     zero = MahlerFamily.from_numerators(2, 4, {}, 9)
     assert zero == MahlerFamily(2, 4, {}) and not zero.coeffs
@@ -270,8 +303,8 @@ def test_random_poly_draws_what_the_fraction_version_drew(seed, p, shape):
     dim, deg = shape
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        f = _random_poly(rng, dim, deg, p, cap=deg)
-        assert f == _fraction_random_poly(oracle_rng, dim, deg, p, cap=deg)
+        f, expect = _random_poly(rng, dim, deg, p, cap=deg), _fraction_random_poly(oracle_rng, dim, deg, p, cap=deg)
+        assert f.terms == expect.terms and f == expect and hash(f) == hash(expect)
         assert (f.dim, f.cap, f.exact) == (dim, deg, True)
     assert rng.getstate() == oracle_rng.getstate()
 

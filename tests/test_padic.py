@@ -21,6 +21,7 @@ from daggerdist.padic import (
     p_power_at_most,
     parse_fraction,
     parse_int,
+    same_ratios,
     stirling_second,
     tensor_kernel,
     valuation,
@@ -228,3 +229,16 @@ def test_tensor_kernel_multiplies_and_adds_the_tables(d, cap):
     assert tensor_kernel(d, cap, "+")(*sums) == tuple(sum(t[b] for t, b in zip(sums, beta)) for beta in indices)
     assert len(indices) == math.comb(d + cap, d)
     assert set(indices) == {b for b in product(range(cap + 1), repeat=d) if sum(b) <= cap}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), scale=st.sampled_from([1, 2, 3, 9]))
+def test_same_ratios_is_fraction_equality(data, scale):
+    keys = st.sampled_from([(0,), (1,), (2,), (5,)])
+    nums = st.dictionaries(keys, st.integers(-4, 4).filter(bool), max_size=3)
+    dens = st.sampled_from([1, 2, 3, 6])
+    a, da, b, db = data.draw(nums), data.draw(dens), data.draw(nums), data.draw(dens)
+    as_fractions = {k: Fraction(n, da) for k, n in a.items()} == {k: Fraction(n, db) for k, n in b.items()}
+    assert same_ratios(a, da, b, db) == same_ratios(b, db, a, da) == as_fractions
+    # the same values over an unreduced denominator
+    assert same_ratios(a, da, {k: scale * n for k, n in a.items()}, scale * da)
