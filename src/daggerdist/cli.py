@@ -80,7 +80,7 @@ def _random_poly(rng: random.Random, dim: int, deg: int, p: int, cap: int) -> Tr
         num = rng.randrange(-(p**3), p**3 + 1) or 1
         nums[idx] = nums.get(idx, 0) + num * p ** (2 - rng.randrange(3))
     nums = {i: n for i, n in nums.items() if n} or {(0,) * dim: p * p}
-    return TruncatedSeries.from_numerators(dim, cap, nums, p * p, exact=True)
+    return TruncatedSeries.from_numerators(dim, cap, nums, p * p)
 
 
 def suite_mahler(G: PValuedGroup, trials: int, seed: int) -> List[CheckRecord]:

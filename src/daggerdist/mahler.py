@@ -108,7 +108,7 @@ def mahler_to_taylor(m: MahlerFamily) -> TruncatedSeries:
     facts = {alpha: multi_factorial(alpha) for alpha in m.nums}
     lcm = math.lcm(*facts.values())
     nums = {alpha: n * (lcm // facts[alpha]) for alpha, n in m.nums.items()}
-    return TruncatedSeries.from_numerators(m.dim, m.cap, scatter(taylor_row, nums), m.den * lcm, exact=True)
+    return TruncatedSeries.from_numerators(m.dim, m.cap, scatter(taylor_row, nums), m.den * lcm)
 
 
 def mahler_norm(m: MahlerFamily, rho: Sequence[Rational], p: int) -> NormValue:

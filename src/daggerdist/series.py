@@ -78,12 +78,10 @@ class TruncatedSeries:
         self._set(dim, cap, clean_terms(dim, cap, terms), None, exact)
 
     @classmethod
-    def from_numerators(
-        cls, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int, exact: bool = True
-    ) -> "TruncatedSeries":
-        """The series of terms nums[alpha] / den, unchecked: the indices must be valid and the numerators nonzero."""
+    def from_numerators(cls, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int) -> "TruncatedSeries":
+        """The exact series of terms nums[alpha] / den, unchecked: the indices must be valid and the numerators nonzero."""
         f = cls.__new__(cls)
-        f._set(dim, cap, None, (nums, den), exact)
+        f._set(dim, cap, None, (nums, den), True)
         return f
 
     def _set(self, dim: int, cap: int, terms, nums_den, exact: bool):
