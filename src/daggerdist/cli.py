@@ -123,7 +123,10 @@ def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List
     records = []
 
     def rand_point():
-        return [Fraction(rng.randrange(bound)) for _ in range(G.d)]
+        return [rng.randrange(bound) for _ in range(G.d)]
+
+    def witness(t, **points):  # the coordinates as Fractions, which the report writes as "n/1"
+        return {"trial": t, **{k: list(map(Fraction, v)) for k, v in points.items()}}
 
     bad = []
     for t in range(trials):
@@ -131,7 +134,7 @@ def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List
         conv = convolve(G, Distribution.dirac(G, x, cap), Distribution.dirac(G, y, cap), cap_out=cap)
         expect = Distribution.dirac(G, G.multiply(x, y), cap)
         if conv.moments != expect.moments:
-            bad.append({"trial": t, "x": x, "y": y})
+            bad.append(witness(t, x=x, y=y))
     records.append(
         record(
             "convolution/dirac-homomorphism",
@@ -148,7 +151,7 @@ def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List
         left = convolve(G, convolve(G, dx, dy, cap_out=cap), dz, cap_out=cap)
         right = convolve(G, dx, convolve(G, dy, dz, cap_out=cap), cap_out=cap)
         if left.moments != right.moments:
-            bad.append({"trial": t, "x": x, "y": y, "z": z})
+            bad.append(witness(t, x=x, y=y, z=z))
     records.append(
         record(
             "convolution/associativity",
@@ -182,7 +185,7 @@ def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List
         )
         expect = Distribution.dirac(G, G.multiply(y, x), cap)
         if conv.moments != expect.moments:
-            bad.append({"trial": t, "x": x, "y": y})
+            bad.append(witness(t, x=x, y=y))
     records.append(
         record(
             "convolution/opposite",
@@ -198,7 +201,7 @@ def _sample_distributions(G: PValuedGroup, rng: random.Random, count: int, cap: 
     out = []
     for k in range(count):
         if k % 3 == 0:
-            pt = [Fraction(rng.randrange(G.p**6)) for _ in range(G.d)]
+            pt = [rng.randrange(G.p**6) for _ in range(G.d)]
             out.append(Distribution.dirac(G, pt, cap))
         else:
             out.append(random_dcoeff_distribution(G, rng, cap=cap))

@@ -1,4 +1,4 @@
-"""Distributions on a p-valued group: Diracs, basis monomials, convolution,
+"""Distributions on a p-valued group: Diracs, basis combinations, convolution,
 and the three norm families.
 
 A distribution carries truncated moment data mu_beta = lambda(Z^beta) as the
@@ -9,14 +9,15 @@ binom(x_i, k), through one compiled :func:`~daggerdist.padic.tensor_kernel`
 per (d, cap).  A finite basis combination derives its moments only when they
 are read.  Convolution consumes the moment side through the expanded
 group-law monomials F^gamma, compiled once per group and output cap into a
-plan that names the moments it reads.
+plan that names the moments it reads and their largest degree.
 
 The basis side feeds every norm through one cached valuation table per
 distribution, alpha -> v_p(d_alpha) (:meth:`Distribution.valuations`); a
 Dirac sums it from per-coordinate valuations with the same kernel.  The norm
-weights are tabled per index, and the comparison maps keep their regime data
-per (N, sigma) in a group plan.  Norms computed from truncated data are
-certified lower bounds and are only ever placed on the small side of asserted
+weights are tabled per index, one table per (norm, radius) or (norm, N) in a
+group plan; the comparison maps keep their regime data and tables per
+(N, sigma) there too.  Norms computed from truncated data are certified
+lower bounds and are only ever placed on the small side of asserted
 inequalities.  Both basis changes gather int numerators over a common
 denominator through the basis rows of :mod:`daggerdist.padic`, the transpose
 of the Mahler conversions.
@@ -62,13 +63,6 @@ def _ratio(num: int, den: int):
     return Fraction(num, den) if r else q
 
 
-def basis_moment(beta: MultiIndex, alpha: MultiIndex) -> int:
-    """Moment of the basis monomial b^alpha at Z^beta: prod s(beta_i, alpha_i) * alpha!."""
-    if len(beta) != len(alpha):
-        raise ValueError("length mismatch")
-    return gather(mahler_row, {tuple(alpha): 1}, [tuple(beta)])[0]
-
-
 def _nonzero(indices, values) -> dict:
     """{index: value} over the nonzero values, in index order."""
     return {i: v for i, v in zip(indices, values) if v}
@@ -99,8 +93,9 @@ class Distribution:
     ``exact`` means the stored data determines the whole distribution: either
     ``point`` is set (a Dirac, moments are monomial evaluations) or ``dcoeffs``
     is the complete finite basis expansion.  Exact distributions can produce
-    moments of any degree on demand.  Moments and coefficients are exact
-    rationals, stored as ``int`` where they are integers.
+    moments of any degree on demand.  Moments, coefficients and the point's
+    coordinates are exact rationals, kept as ``int`` where they are integers
+    (the point as :meth:`PValuedGroup.check_point` gives it).
 
     ``moments`` may be None for an exact basis expansion without a point: the
     moments up to cap are then derived from ``dcoeffs`` on first read, once.
@@ -120,7 +115,7 @@ class Distribution:
         self._moments = None if moments is None else {tuple(k): _exact(v) for k, v in moments.items()}
         self.dcoeffs = None if dcoeffs is None else {tuple(k): _exact(v) for k, v in dcoeffs.items()}
         self.exact = bool(exact)
-        self.point = None if point is None else tuple(Fraction(c) for c in point)
+        self.point = None if point is None else group.check_point(point)
         self._valuations = self._coordinate_binomials = None
         if self.exact and self.point is None and self.dcoeffs is None:
             raise ValueError("an exact distribution needs a point or a full basis expansion")
@@ -144,18 +139,11 @@ class Distribution:
         tensor = tensor_kernel(G.d, cap, "*")
         indices = indices_up_to(G.d, cap)
         lam = cls.__new__(cls)
-        lam.group, lam.cap, lam.exact, lam.point = G, cap, True, tuple(map(Fraction, x))
+        lam.group, lam.cap, lam.exact, lam.point = G, cap, True, x
         lam._moments = _nonzero(indices, tensor(*[_powers(c, cap) for c in x]))
         lam.dcoeffs = _nonzero(indices, tensor(*binoms))
         lam._valuations, lam._coordinate_binomials = None, binoms
         return lam
-
-    @classmethod
-    def b_monomial(cls, G: PValuedGroup, alpha: Sequence[int], cap: int) -> "Distribution":
-        alpha = tuple(int(a) for a in alpha)
-        if sum(alpha) > cap:
-            raise ValueError(f"|alpha|={sum(alpha)} exceeds cap {cap}")
-        return cls.from_dcoeffs(G, {alpha: Fraction(1)}, cap)
 
     @classmethod
     def from_dcoeffs(cls, G: PValuedGroup, dcoeffs: Dict[MultiIndex, Fraction], cap: int) -> "Distribution":
@@ -179,11 +167,7 @@ class Distribution:
         if sum(beta) <= self.cap:
             return self.moments.get(beta, 0)
         if self.point is not None:
-            mu = Fraction(1)
-            for c, b in zip(self.point, beta):
-                if b:
-                    mu *= c**b
-            return mu
+            return math.prod(c**b for c, b in zip(self.point, beta))
         if self.exact and self.dcoeffs is not None:
             nums, den = numerators(self.dcoeffs)
             return _ratio(gather(mahler_row, nums, [beta])[0], den)
@@ -247,10 +231,11 @@ def _compile_plan(G: PValuedGroup, cap_out: int) -> tuple:
 
     F^gamma = sum_{i, j} c_ij X^i Y^j / den, so (lam x mu)(F^gamma) =
     sum_i lam(Z^i) sum_j c_ij mu(Z^j) / den.  Returns (rows, left, right,
-    den): ``rows`` holds, per gamma in grlex order, the pairs (position of i
-    in ``left``, ((position of j in ``right``, c_ij), ...)); the c_ij are int
-    numerators over the common denominator ``den`` of the law coefficients
-    (1 for integral laws).
+    den, read): ``rows`` holds, per gamma in grlex order, the pairs (position
+    of i in ``left``, ((position of j in ``right``, c_ij), ...)); the c_ij are
+    int numerators over the common denominator ``den`` of the law
+    coefficients (1 for integral laws).  ``read`` is the largest degree of an
+    index in ``left`` or ``right``: cap_out for a law of degree 1 in each block.
     """
     d, degmax = G.d, G.degmax()
     monomials = [
@@ -268,7 +253,12 @@ def _compile_plan(G: PValuedGroup, cap_out: int) -> tuple:
             j = right.setdefault(idx[d:], len(right))
             by_left.setdefault(i, []).append((j, c.numerator * (den // c.denominator)))
         rows.append((gamma, tuple((i, tuple(pairs)) for i, pairs in by_left.items())))
-    return tuple(rows), tuple(left), tuple(right), den
+    return tuple(rows), tuple(left), tuple(right), den, max(map(sum, [*left, *right]))
+
+
+def _convolution_plan(G: PValuedGroup, cap_out: int) -> tuple:
+    """The group's cached :func:`_compile_plan` for cap_out."""
+    return G.plan(("convolution", cap_out), lambda G: _compile_plan(G, cap_out))
 
 
 def convolve(
@@ -303,7 +293,7 @@ def convolve(
                 f"truncated input of cap {side.cap} cannot support output cap {cap_out} "
                 f"(needs moments up to degree {needed})"
             )
-    plan, left, right, law_den = G.plan(("convolution", cap_out), lambda G: _compile_plan(G, cap_out))
+    plan, left, right, law_den, _ = _convolution_plan(G, cap_out)
     m1, den1 = lam._moment_numerators(left)
     m2, den2 = mu._moment_numerators(right)
     den = den1 * den2 * law_den
@@ -330,32 +320,34 @@ def convolve(
 # -- norm families ---------------------------------------------------------
 
 
-def _weighted_sup(lam: Distribution, weights: Sequence[Fraction], factorial: bool) -> NormValue:
-    """sup over the basis coefficients of -v(d_alpha) - [v(alpha!)] - sum_i w_i alpha_i."""
-    p = lam.group.p
-    table = weight_table(tuple(weights), p if factorial else None)
-    return NormValue(weighted_sup(lam.valuations().items(), p, table, sign=-1), lam.exact)
+def _weighted_sup(lam: Distribution, key: tuple, weights, factorial: bool) -> NormValue:
+    """sup over the basis coefficients of -v(d_alpha) - [v(alpha!)] - sum_i w_i alpha_i.
+
+    The table of the w_i = ``weights(G)`` is built once per ``key`` in the group's plans.
+    """
+    G = lam.group
+    table = G.plan(key, lambda G: weight_table(tuple(weights(G)), G.p if factorial else None))
+    return NormValue(weighted_sup(lam.valuations().items(), G.p, table, sign=-1), lam.exact)
 
 
 def st_norm(lam: Distribution, sigma: Fraction) -> NormValue:
     """sup |d_alpha| s^(tau alpha) with s = p^-sigma and tau(alpha) = sum omega_i alpha_i."""
-    sigma = Fraction(sigma)
-    return _weighted_sup(lam, [sigma * w for w in lam.group.omega], factorial=False)
+    return _weighted_sup(lam, ("st_norm", sigma), lambda G: (Fraction(sigma) * w for w in G.omega), False)
 
 
 def st_norm_prime(lam: Distribution, sigma: Fraction) -> NormValue:
     """sup |d_alpha| s^|alpha|."""
-    return _weighted_sup(lam, [Fraction(sigma)] * lam.group.d, factorial=False)
+    return _weighted_sup(lam, ("st_norm_prime", sigma), lambda G: [Fraction(sigma)] * G.d, False)
 
 
 def dagger_seminorm(lam: Distribution, sigma: Fraction) -> NormValue:
     """sup |alpha! d_alpha| s^|alpha|."""
-    return _weighted_sup(lam, [Fraction(sigma)] * lam.group.d, factorial=True)
+    return _weighted_sup(lam, ("dagger_seminorm", sigma), lambda G: [Fraction(sigma)] * G.d, True)
 
 
 def dagger_norm(lam: Distribution, N: int) -> NormValue:
     """Dual Banach norm at level N: sup |alpha! d_alpha| p^(-sum tau_{N,i} alpha_i)."""
-    return _weighted_sup(lam, lam.group.neighborhood_params(N).tau, factorial=True)
+    return _weighted_sup(lam, ("dagger_norm", N), lambda G: G.neighborhood_params(N).tau, True)
 
 
 # -- randomized families for property checks -------------------------------
@@ -446,10 +438,12 @@ def check_banach_submult_N(
     rng = random.Random(f"{seed}:banach:{G.name}:{N}")
     bad = []
     bound = G.p**6
+    # Diracs at the degree the product reads; a Dirac's norm is p^0 at every cap
+    read = _convolution_plan(G, cap)[-1]
     for t in range(trials):
         if t % 2 == 0:
-            lam = Distribution.dirac(G, [Fraction(rng.randrange(bound)) for _ in range(G.d)], G.degmax() * cap)
-            mu = Distribution.dirac(G, [Fraction(rng.randrange(bound)) for _ in range(G.d)], G.degmax() * cap)
+            lam = Distribution.dirac(G, [rng.randrange(bound) for _ in range(G.d)], read)
+            mu = Distribution.dirac(G, [rng.randrange(bound) for _ in range(G.d)], read)
         else:
             lam = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
             mu = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
@@ -557,16 +551,18 @@ def _comparison_plan(G: PValuedGroup, N: int, sigma: Fraction) -> tuple:
     """(regime1, contraction, regime2, completion, level, damped) for check_comparison_maps at (N, sigma).
 
     The regime exponents of both directions, whether the first regime holds,
-    and the weights of the three norms compared (``damped`` is None outside
-    the continuity regime); their weight tables are looked up on every call.
+    and the weight tables of the three norms compared (``damped`` is None
+    outside the continuity regime).
     """
     eps = Fraction(1, G.p - 1)
     tau = G.neighborhood_params(N).tau
     regime1 = tuple(t - sigma * min(G.omega) + eps for t in tau)
     regime2 = tuple(sigma * max(G.omega) - t - eps for t in tau)
-    completion = tuple(sigma * w for w in G.omega)
-    damped = tuple(c - r for c, r in zip(completion, regime2)) if all(r < 0 for r in regime2) else None
-    return regime1, all(r < 0 for r in regime1), regime2, completion, tuple(tau), damped
+    completion = weight_table(tuple(sigma * w for w in G.omega), None)
+    damped = None
+    if all(r < 0 for r in regime2):
+        damped = weight_table(tuple(c - r for c, r in zip(completion.weights, regime2)), None)
+    return regime1, all(r < 0 for r in regime1), regime2, completion, weight_table(tau, G.p), damped
 
 
 def check_comparison_maps(
@@ -584,10 +580,9 @@ def check_comparison_maps(
     """
     sigma = Fraction(sigma)
     p = G.p
-    regime1, contraction, regime2, completion, level_weights, damped_weights = G.plan(
+    regime1, contraction, regime2, completion, level, damped = G.plan(
         ("comparison", N, sigma), lambda G: _comparison_plan(G, N, sigma)
     )
-    level = weight_table(level_weights, p)
 
     params = {"group": G.name, "N": N, "sigma": sigma, "regime_exponents": list(regime1)}
     if not contraction:
@@ -598,14 +593,13 @@ def check_comparison_maps(
             "embeddings/comparison-contraction",
             "per-coefficient contraction from the level-N dual into the completion",
             params,
-            _weight_violations(lam.valuations(), weight_table(completion, None), level),
+            _weight_violations(lam.valuations(), completion, level),
         )
 
     params = {"group": G.name, "N": N, "sigma": sigma, "regime_exponents": list(regime2), "poly_factor_exponent": 1}
-    if damped_weights is None:
+    if damped is None:
         anchor = "continuity regime: the completion radius beats each polydisc radius"
         return [first, _regime_unmet("embeddings/comparison-continuity", anchor, params)]
-    damped = weight_table(damped_weights, None)
     level_den, damped_den = level.den, damped.den
     bad = []
     for alpha, v in lam.valuations().items():

@@ -124,6 +124,7 @@ class PValuedGroup:
         violations = self.validate()
         if violations:
             raise GroupConfigError(violations)
+        self._degmax = max(f.degree() for f in self.F)
 
     # -- invariants --------------------------------------------------------
 
@@ -254,7 +255,7 @@ class PValuedGroup:
         return INFINITY if w is INFINITY else Fraction(w, self._omega_den)
 
     def degmax(self) -> int:
-        return max(f.degree() for f in self.F)
+        return self._degmax
 
     def neighborhood_params(self, N: int) -> NeighborhoodParams:
         """tau_i = (omega_i - 1/(p-1)) / (N+1), built once per N."""

@@ -112,9 +112,10 @@ class Report:
         return [r for r in self.records if r.verdict == FAIL]
 
     def to_dict(self) -> Dict[str, Any]:
-        ordered = sorted(
-            self.records,
-            key=lambda r: (r.check_id, json.dumps(render(r.params), sort_keys=True)),
+        # each record rendered once, then sorted stably by check and rendered params
+        checks = sorted(
+            (r.to_dict() for r in self.records),
+            key=lambda rec: (rec["check"], json.dumps(rec["params"], sort_keys=True)),
         )
         counts = {
             verdict: sum(r.verdict == verdict for r in self.records)
@@ -127,7 +128,7 @@ class Report:
             "group": self.group,
             "seed": self.seed,
             "counts": counts,
-            "checks": [r.to_dict() for r in ordered],
+            "checks": checks,
         }
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from daggerdist import cli
 from daggerdist.cli import ALL_SUITES, main, resolve_group, run_suites, suite_convolution, suite_mahler
@@ -20,8 +21,19 @@ from daggerdist.groups import (
     check_saturation,
     group_to_config,
 )
-from daggerdist.padic import LogMag
-from daggerdist.report import CheckRecord, Report, emit_json, emit_text, render
+from daggerdist.padic import INFINITY, LogMag
+from daggerdist.report import (
+    FAIL,
+    INCONCLUSIVE,
+    LOWER_BOUND_PASS,
+    PASS,
+    REGIME_UNMET,
+    CheckRecord,
+    Report,
+    emit_json,
+    emit_text,
+    render,
+)
 from test_distributions import H_HALF
 
 
@@ -60,6 +72,62 @@ def test_report_json_fields():
     assert data["schema"] == 1
     assert data["counts"]["pass"] == 1
     assert data["checks"][0]["params"]["tau"] == "1/4"
+
+
+def _double_render_to_dict(report):
+    """Report.to_dict as it was: params rendered once for the sort key and again for the output."""
+    ordered = sorted(report.records, key=lambda r: (r.check_id, json.dumps(render(r.params), sort_keys=True)))
+    verdicts = (PASS, LOWER_BOUND_PASS, REGIME_UNMET, INCONCLUSIVE, FAIL)
+    counts = {v: sum(r.verdict == v for r in report.records) for v in verdicts}
+    if not counts[INCONCLUSIVE]:
+        del counts[INCONCLUSIVE]
+    checks = [r.to_dict() for r in ordered]
+    return {"schema": 1, "group": report.group, "seed": report.seed, "counts": counts, "checks": checks}
+
+
+_exact_leaves = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(LogMag, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))),
+    st.just(LogMag.bottom()),
+    st.just(INFINITY),
+    st.booleans(),
+    st.sampled_from(["a", "b", "1/2"]),
+)
+_report_values = st.recursive(
+    _exact_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["x", "alpha"]), inner, max_size=2),
+    max_leaves=6,
+)
+_records = st.builds(
+    CheckRecord,
+    check_id=st.sampled_from(["norms/a", "norms/b", "embeddings/c"]),
+    anchor=st.just("a statement"),
+    verdict=st.sampled_from([PASS, LOWER_BOUND_PASS, REGIME_UNMET, INCONCLUSIVE, FAIL]),
+    params=st.dictionaries(st.sampled_from(["N", "sigma", "group"]), _report_values, max_size=3),
+    witness=st.none() | st.fixed_dictionaries({"violations": st.lists(_report_values, max_size=3)}),
+    details=st.dictionaries(st.sampled_from(["tail", "M"]), _report_values, max_size=2),
+)
+
+
+_NESTED = {"violations": [{"alpha": [1, 0], "lhs": LogMag(Fraction(-1, 2)), "rhs": LogMag.bottom()}, INFINITY]}
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(_records, max_size=8))
+@example(
+    [
+        CheckRecord("norms/a", "s", FAIL, {"sigma": Fraction(3, 4), "N": 2}, _NESTED),
+        CheckRecord("norms/a", "s", PASS, {"sigma": Fraction(1, 4), "N": 2}),
+        CheckRecord("norms/a", "s", REGIME_UNMET, {"sigma": Fraction(3, 4), "N": 2}, details={"M": [INFINITY]}),
+        CheckRecord("embeddings/c", "s", PASS, {"N": [Fraction(1, 3), LogMag(1)]}),
+    ]
+)
+def test_report_renders_each_record_once_in_the_order_of_the_double_render(records):
+    # records share check ids and often params, so the stable sort's tie order is exercised too
+    report = Report(group="g", seed=3, records=records)
+    assert report.to_dict() == _double_render_to_dict(report)
+    assert emit_json(report) == json.dumps(_double_render_to_dict(report), indent=2).encode() + b"\n"
 
 
 def test_empty_suites_empty_report_exit_zero(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -11,7 +12,6 @@ from daggerdist import distributions as dist_module, padic as padic_module
 from daggerdist.distributions import (
     Distribution,
     InsufficientCap,
-    basis_moment,
     check_banach_submult_N,
     check_comparison_maps,
     check_contact_embedding,
@@ -27,10 +27,19 @@ from daggerdist.distributions import (
 )
 from daggerdist.cli import run_suites
 from daggerdist.functions import DaggerFunction, pair
-from daggerdist.groups import builtin_abelian, builtin_heisenberg, group_to_config, load_group
+from daggerdist.groups import (
+    PValuedGroup,
+    builtin_abelian,
+    builtin_heisenberg,
+    check_formal_group_axioms,
+    group_to_config,
+    load_group,
+)
 from daggerdist.padic import (
     LogMag,
+    gather,
     indices_up_to,
+    mahler_row,
     multi_binom_value,
     multi_factorial_valuation,
     stirling_second,
@@ -39,11 +48,26 @@ from daggerdist.padic import (
     weight_table,
     weighted_sup,
 )
-from daggerdist.report import FAIL, PASS, REGIME_UNMET, CheckRecord, record
+from daggerdist.report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, Report, emit_json, record
 from daggerdist.series import TruncatedSeries
 
 H3 = builtin_heisenberg(3)
 A32 = builtin_abelian(3, 2)
+
+
+def basis_moment(beta, alpha):
+    """Moment of the basis monomial b^alpha at Z^beta, prod s(beta_i, alpha_i) * alpha!, through the basis rows."""
+    if len(beta) != len(alpha):
+        raise ValueError("length mismatch")
+    return gather(mahler_row, {tuple(alpha): 1}, [tuple(beta)])[0]
+
+
+def b_monomial(G, alpha, cap):
+    """The distribution whose only basis coefficient is d_alpha = 1."""
+    alpha = tuple(int(a) for a in alpha)
+    if sum(alpha) > cap:
+        raise ValueError(f"|alpha|={sum(alpha)} exceeds cap {cap}")
+    return Distribution.from_dcoeffs(G, {alpha: Fraction(1)}, cap)
 
 
 def test_dirac_moments_and_dcoeffs():
@@ -71,12 +95,12 @@ def test_basis_moment_values():
 
 
 def test_b_monomial_and_from_dcoeffs():
-    lam = Distribution.b_monomial(A32, (1, 1), 4)
+    lam = b_monomial(A32, (1, 1), 4)
     assert lam.dcoeffs == {(1, 1): 1}
     assert lam.moment((1, 1)) == 1
     assert lam.moment((2, 1)) == basis_moment((2,), (1,))
     with pytest.raises(ValueError):
-        Distribution.b_monomial(A32, (3, 3), 4)
+        b_monomial(A32, (3, 3), 4)
 
 
 def test_truncated_moment_raises_beyond_cap():
@@ -280,13 +304,15 @@ def test_embedding_checks_fail_with_witnesses_on_a_broken_factorial(monkeypatch,
 
     monkeypatch.setattr(padic_module, "multi_factorial_valuation", lambda alpha, p: broken(alpha))
     padic_module.weight_table.cache_clear()
+    # a new group: its plans hold no weight table built before the fault
+    G = builtin_heisenberg(3)
     try:
         dcoeffs = {(1, 0, 0): Fraction(1, 3), (0, 2, 1): Fraction(9)}
-        lam = Distribution.from_dcoeffs(H3, dcoeffs, 4)
+        lam = Distribution.from_dcoeffs(G, dcoeffs, 4)
         found = {
             "contact": check_contact_embedding(lam, Fraction(3, 4))[0],
-            "contraction": check_comparison_maps(H3, 4, Fraction(1), lam)[0],
-            "continuity": check_comparison_maps(H3, 1, Fraction(1, 4), lam)[1],
+            "contraction": check_comparison_maps(G, 4, Fraction(1), lam)[0],
+            "continuity": check_comparison_maps(G, 1, Fraction(1, 4), lam)[1],
         }
     finally:
         padic_module.weight_table.cache_clear()
@@ -545,7 +571,9 @@ def test_tensor_dirac_matches_the_per_index_loop(data):
     # the same values in the same (grlex) key order: witnesses serialize dcoeffs in that order
     assert list(got.moments.items()) == list(want.moments.items())
     assert list(got.dcoeffs.items()) == list(want.dcoeffs.items())
-    assert got.point == want.point and all(type(c) is Fraction for c in got.point)
+    # the point as check_point gives it: ints at integer coordinates, Fractions elsewhere
+    assert got.point == want.point == G.check_point(x)
+    assert [type(c) for c in got.point] == [int if Fraction(c).denominator == 1 else Fraction for c in x]
     assert (got.group, got.cap, got.exact) == (want.group, want.cap, want.exact)
     assert [got.moment(b) for b in indices_up_to(G.d, cap + 2)] == [want.moment(b) for b in indices_up_to(G.d, cap + 2)]
     # the separable valuation table against one valuation per coefficient
@@ -793,3 +821,92 @@ def test_convolution_suite_fails_on_a_corrupted_dirac_power_table(monkeypatch):
     assert rec.verdict == FAIL
     assert len(rec.witness["violations"]) == 3
     assert all(set(v) == {"trial", "x", "y"} for v in rec.witness["violations"])
+    # the points are drawn as ints and written as "n/1" strings, as the report has always written them
+    assert [(v["x"], v["y"]) for v in rec.to_dict()["witness"]["violations"]] == [
+        (["67/1", "443/1", "526/1"], ["523/1", "591/1", "318/1"]),
+        (["262/1", "130/1", "561/1"], ["341/1", "671/1", "338/1"]),
+        (["719/1", "670/1", "595/1"], ["233/1", "458/1", "336/1"]),
+    ]
+    calls.clear()
+    report = Report(group="H3", seed=1)
+    report.extend(suite_convolution(H3, trials=6, seed=1, cap=4))
+    opposite = next(r for r in report.records if r.check_id == "convolution/opposite")
+    assert opposite.to_dict()["witness"]["violations"] == [
+        {"trial": 0, "x": ["55/1", "479/1", "258/1"], "y": ["586/1", "712/1", "582/1"]}
+    ]
+    # the whole failure report, byte for byte as it was with Fraction draws
+    digest = "4263c3e92d044d9af7c9efb100752640c4a2698ceeb1314cbe7e76335fba7cea"
+    assert hashlib.sha256(emit_json(report)).hexdigest() == digest
+
+
+# -- Diracs at the convolution plan's read degree ----------------------------
+
+
+def _cubic_cocycle_group(p=3):
+    """Z_p^2 with F_2 = X_2 + Y_2 + p((X_1 + Y_1)^3 - X_1^3 - Y_1^3): degree 2 in one block.
+
+    The cocycle is a coboundary, so the law is associative with inverse -x;
+    F_2^k holds X_1^(2k) Y_1^k, so the plan reads moments of degree 2 * cap_out.
+    """
+    d, cap = 2, 3
+    X = [TruncatedSeries.variable(i, 2 * d, cap) for i in range(d)]
+    Y = [TruncatedSeries.variable(d + i, 2 * d, cap) for i in range(d)]
+    cocycle = (X[0] * X[0] * Y[0] + X[0] * Y[0] * Y[0]).scale(3 * p)
+    I = [TruncatedSeries.variable(i, d, cap).scale(-1) for i in range(d)]
+    omega = [Fraction(1)] * d
+    return PValuedGroup("cubic-cocycle", p, d, omega, [X[0] + Y[0], X[1] + Y[1] + cocycle], I)
+
+
+COCYCLE = _cubic_cocycle_group()
+
+
+def test_the_cubic_cocycle_law_is_a_formal_group_law():
+    assert COCYCLE.degmax() == 3
+    assert {r.verdict for r in check_formal_group_axioms(COCYCLE)} == {PASS}
+
+
+def test_the_plan_reads_up_to_cap_on_the_builtins_and_past_it_on_a_higher_degree_law():
+    for G in CONV_GROUPS:
+        for cap in range(5):
+            _, left, right, _, read = dist_module._convolution_plan(G, cap)
+            assert read == max(map(sum, left + right)) == cap
+    for cap in range(1, 5):
+        _, left, right, _, read = dist_module._convolution_plan(COCYCLE, cap)
+        assert read == max(map(sum, left + right)) == 2 * cap < COCYCLE.degmax() * cap
+
+
+def _banach_at_degmax_cap(G, N, trials, seed, cap):
+    """check_banach_submult_N as it was: Diracs at Fraction draws, every input built at degmax * cap."""
+    rng = random.Random(f"{seed}:banach:{G.name}:{N}")
+    bad, bound, big = [], G.p**6, G.degmax() * cap
+    for t in range(trials):
+        if t % 2 == 0:
+            lam = Distribution.dirac(G, [Fraction(rng.randrange(bound)) for _ in range(G.d)], big)
+            mu = Distribution.dirac(G, [Fraction(rng.randrange(bound)) for _ in range(G.d)], big)
+        else:
+            lam = random_dcoeff_distribution(G, rng, cap=big)
+            mu = random_dcoeff_distribution(G, rng, cap=big)
+        conv = dist_module.convolve(G, lam, mu, cap_out=cap)
+        lhs, rhs = dagger_norm(conv, N).mag, dagger_norm(lam, N).mag * dagger_norm(mu, N).mag
+        if not lhs <= rhs:
+            bad.append({"trial": t, "lhs": lhs, "rhs": rhs})
+    anchor = "level-N dual Banach norm is submultiplicative (c = 1, truncated left side)"
+    params = {"group": G.name, "N": N, "trials": trials, "seed": seed, "cap": cap}
+    return [record("norms/banach-submultiplicative", anchor, params, bad, ok=LOWER_BOUND_PASS)]
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["sound", "convolve-loses-p"])
+@pytest.mark.parametrize("N, cap", [(1, 2), (4, 4)])
+@pytest.mark.parametrize("G", CONV_GROUPS + [COCYCLE], ids=lambda G: G.name)
+def test_banach_check_at_the_read_degree_gives_the_records_at_degmax_cap(G, N, cap, faulty, monkeypatch):
+    if faulty:
+        convolve_ = dist_module.convolve
+
+        def scaled(G, lam, mu, cap_out=None, opposite=False):
+            nu = convolve_(G, lam, mu, cap_out=cap_out, opposite=opposite)
+            return Distribution(G, nu.cap, {b: Fraction(m, G.p) for b, m in nu.moments.items()})
+
+        monkeypatch.setattr(dist_module, "convolve", scaled)
+    got = [r.to_dict() for r in check_banach_submult_N(G, N, trials=6, seed=5, cap=cap)]
+    assert got == [r.to_dict() for r in _banach_at_degmax_cap(G, N, 6, 5, cap)]
+    assert got[0]["verdict"] == (FAIL if faulty else LOWER_BOUND_PASS)
