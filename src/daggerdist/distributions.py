@@ -9,7 +9,7 @@ binom(x_i, k), through one compiled :func:`~daggerdist.padic.tensor_kernel`
 per (d, cap).  A finite basis combination derives its moments only when they
 are read.  Convolution consumes the moment side through the expanded
 group-law monomials F^gamma, compiled once per group and output cap into a
-plan that names the moments it reads and their largest degree.
+plan that names the moments it reads.
 
 The basis side feeds every norm through one cached valuation table per
 distribution, alpha -> v_p(d_alpha) (:meth:`Distribution.valuations`); a
@@ -231,11 +231,10 @@ def _compile_plan(G: PValuedGroup, cap_out: int) -> tuple:
 
     F^gamma = sum_{i, j} c_ij X^i Y^j / den, so (lam x mu)(F^gamma) =
     sum_i lam(Z^i) sum_j c_ij mu(Z^j) / den.  Returns (rows, left, right,
-    den, read): ``rows`` holds, per gamma in grlex order, the pairs (position
-    of i in ``left``, ((position of j in ``right``, c_ij), ...)); the c_ij are
-    int numerators over the common denominator ``den`` of the law
-    coefficients (1 for integral laws).  ``read`` is the largest degree of an
-    index in ``left`` or ``right``: cap_out for a law of degree 1 in each block.
+    den): ``rows`` holds, per gamma in grlex order, the pairs (position of i
+    in ``left``, ((position of j in ``right``, c_ij), ...)); the c_ij are int
+    numerators over the common denominator ``den`` of the law coefficients
+    (1 for integral laws).
     """
     d, degmax = G.d, G.degmax()
     monomials = [
@@ -253,12 +252,7 @@ def _compile_plan(G: PValuedGroup, cap_out: int) -> tuple:
             j = right.setdefault(idx[d:], len(right))
             by_left.setdefault(i, []).append((j, c.numerator * (den // c.denominator)))
         rows.append((gamma, tuple((i, tuple(pairs)) for i, pairs in by_left.items())))
-    return tuple(rows), tuple(left), tuple(right), den, max(map(sum, [*left, *right]))
-
-
-def _convolution_plan(G: PValuedGroup, cap_out: int) -> tuple:
-    """The group's cached :func:`_compile_plan` for cap_out."""
-    return G.plan(("convolution", cap_out), lambda G: _compile_plan(G, cap_out))
+    return tuple(rows), tuple(left), tuple(right), den
 
 
 def convolve(
@@ -293,7 +287,7 @@ def convolve(
                 f"truncated input of cap {side.cap} cannot support output cap {cap_out} "
                 f"(needs moments up to degree {needed})"
             )
-    plan, left, right, law_den, _ = _convolution_plan(G, cap_out)
+    plan, left, right, law_den = G.plan(("convolution", cap_out), lambda G: _compile_plan(G, cap_out))
     m1, den1 = lam._moment_numerators(left)
     m2, den2 = mu._moment_numerators(right)
     den = den1 * den2 * law_den
@@ -438,12 +432,10 @@ def check_banach_submult_N(
     rng = random.Random(f"{seed}:banach:{G.name}:{N}")
     bad = []
     bound = G.p**6
-    # Diracs at the degree the product reads; a Dirac's norm is p^0 at every cap
-    read = _convolution_plan(G, cap)[-1]
     for t in range(trials):
-        if t % 2 == 0:
-            lam = Distribution.dirac(G, [rng.randrange(bound) for _ in range(G.d)], read)
-            mu = Distribution.dirac(G, [rng.randrange(bound) for _ in range(G.d)], read)
+        if t % 2 == 0:  # Diracs at cap: exact, read beyond it from the point, of norm p^0 at every cap
+            lam = Distribution.dirac(G, [rng.randrange(bound) for _ in range(G.d)], cap)
+            mu = Distribution.dirac(G, [rng.randrange(bound) for _ in range(G.d)], cap)
         else:
             lam = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
             mu = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
