@@ -95,7 +95,7 @@ class Distribution:
     is the complete finite basis expansion.  Exact distributions can produce
     moments of any degree on demand.  Moments, coefficients and the point's
     coordinates are exact rationals, kept as ``int`` where they are integers
-    (the point as :meth:`PValuedGroup.check_point` gives it).
+    (the point as :meth:`PValuedGroup.check_point` or ``multiply`` gives it).
 
     ``moments`` may be None for an exact basis expansion without a point: the
     moments up to cap are then derived from ``dcoeffs`` on first read, once.
@@ -138,18 +138,23 @@ class Distribution:
         binoms = [_binomials(c, cap) for c in x]
         tensor = tensor_kernel(G.d, cap, "*")
         indices = indices_up_to(G.d, cap)
-        lam = cls.__new__(cls)
-        lam.group, lam.cap, lam.exact, lam.point = G, cap, True, x
-        lam._moments = _nonzero(indices, tensor(*[_powers(c, cap) for c in x]))
-        lam.dcoeffs = _nonzero(indices, tensor(*binoms))
-        lam._valuations, lam._coordinate_binomials = None, binoms
-        return lam
+        moments = _nonzero(indices, tensor(*[_powers(c, cap) for c in x]))
+        return cls._filled(G, cap, True, x, moments, _nonzero(indices, tensor(*binoms)), binoms)
 
     @classmethod
     def from_dcoeffs(cls, G: PValuedGroup, dcoeffs: Dict[MultiIndex, Fraction], cap: int) -> "Distribution":
         """A finite basis combination; exact by construction, its moments derived when read."""
         dcoeffs = {tuple(k): _exact(v) for k, v in dcoeffs.items() if v != 0}
-        return cls(G, cap, None, dcoeffs, exact=True)
+        return cls._filled(G, cap, True, point=None, moments=None, dcoeffs=dcoeffs)
+
+    @classmethod
+    def _filled(cls, G, cap, exact, point, moments, dcoeffs=None, binoms=None) -> "Distribution":
+        """The instance as given, without __init__'s copies and checks: int or Fraction values, a checked point."""
+        lam = cls.__new__(cls)
+        lam.group, lam.cap, lam.exact, lam.point = G, cap, exact, point
+        lam._moments, lam.dcoeffs = moments, dcoeffs
+        lam._valuations, lam._coordinate_binomials = None, binoms
+        return lam
 
     # -- moments and basis coefficients ------------------------------------
 
@@ -303,12 +308,11 @@ def convolve(
                 acc += a * inner
         if acc:
             moments[gamma] = _ratio(acc, den)
+    # a product of Diracs is the Dirac at the product of the points
     point = None
-    exact = False
     if lam.point is not None and mu.point is not None:
         point = G.multiply(lam.point, mu.point)
-        exact = True
-    return Distribution(G, cap_out, moments, exact=exact, point=point)
+    return Distribution._filled(G, cap_out, point is not None, point, moments)
 
 
 # -- norm families ---------------------------------------------------------

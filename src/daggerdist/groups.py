@@ -239,7 +239,10 @@ class PValuedGroup:
 
     def omega_num(self, x: Sequence):
         """_omega_den * omega(x) as an int, min_i _omega_nums[i] + _omega_den * v(x_i); +inf exactly at the identity."""
-        x = self.check_point(x)
+        return self._omega_num(self.check_point(x))
+
+    def _omega_num(self, x: Point):
+        """:meth:`omega_num` of a point as :meth:`check_point` or the law kernels return it, unchecked."""
         p, den = self.p, self._omega_den
         best = INFINITY
         for num, c in zip(self._omega_nums, x):
@@ -531,18 +534,19 @@ def check_pvaluation(
     pts = sample_points(G, rng, 2 * samples, precision)
     bad: Dict[str, list] = {"quotient": [], "commutator": [], "power": []}
     for k in range(samples):
-        x, y = pts[2 * k], pts[2 * k + 1]
-        wx, wy = G.omega_num(x), G.omega_num(y)
+        # each sample is checked once: the points multiply, commutator and power return need no second check
+        x, y = G.check_point(pts[2 * k]), G.check_point(pts[2 * k + 1])
+        wx, wy = G._omega_num(x), G._omega_num(y)
         q = G.multiply(x, G.invert(y))
-        if G.omega_num(q) < min(wx, wy):
+        if G._omega_num(q) < min(wx, wy):
             bad["quotient"].append([format_fraction(c) for c in x + y])
         if wx is not INFINITY and wy is not INFINITY:
             c = G.commutator(x, y)
-            if G.omega_num(c) < wx + wy:
+            if G._omega_num(c) < wx + wy:
                 bad["commutator"].append([format_fraction(v) for v in x + y])
         if wx is not INFINITY:
             xp = G.power(x, G.p)
-            if G.omega_num(xp) != wx + G._omega_den:  # omega(x^p) = omega(x) + 1, over the common denominator
+            if G._omega_num(xp) != wx + G._omega_den:  # omega(x^p) = omega(x) + 1, over the common denominator
                 bad["power"].append([format_fraction(v) for v in x])
     anchors = {
         "quotient": "omega(x y^-1) >= min(omega(x), omega(y)) on samples",

@@ -29,6 +29,7 @@ from .padic import (
     valuation_pairs,
     weight_table,
     weighted_sup,
+    weighted_sup_num,
 )
 from .series import DimensionMismatch, NormValue, TruncatedSeries, clean_terms
 
@@ -135,18 +136,38 @@ def binomial_poly(alpha: MultiIndex, cap: Optional[int] = None) -> TruncatedSeri
     return TruncatedSeries(len(alpha), sum(alpha), terms).with_cap(sum(alpha) if cap is None else cap)
 
 
+class NormIdentity:
+    """The norm identity at one radius vector rho > 0 and prime p, decided on scaled ints.
+
+    The Gauss table (sum rho_i alpha_i) and the Mahler table (plus the int
+    v_p(alpha!)) are resolved once and share the denominator lcm(rho
+    denominators), so the two sups compare as ints, None being bottom.
+    """
+
+    def __init__(self, rho: Sequence[Rational], p: int):
+        self.rho = tuple(r if type(r) is Fraction else Fraction(r) for r in rho)
+        if any(r <= 0 for r in self.rho):
+            raise ValueError("norm identity requires positive radii")
+        self.p, self.gauss, self.mahler = p, weight_table(self.rho, None), weight_table(self.rho, p)
+
+    def holds(self, f: TruncatedSeries, family: MahlerFamily) -> bool:
+        """Whether the Gauss norm of f equals the Mahler-side norm of family, both of rho's dimension (unchecked)."""
+        p = self.p
+        nums, den = f.numerators()
+        gauss = weighted_sup_num(valuation_pairs(nums, p), p, self.gauss, den=den)
+        return gauss == weighted_sup_num(valuation_pairs(family.nums, p), p, self.mahler, den=family.den)
+
+
 def verify_norm_identity(
     f: TruncatedSeries, rho: Sequence[Rational], p: int, family: Optional[MahlerFamily] = None
 ):
     """Compare the Gauss norm of f with the Mahler-side norm, exactly.
 
     ``family`` is f's Mahler family if the caller has already converted f;
-    by default f is converted here.  Returns (equal, gauss_mag, mahler_mag).
-    Requires positive radii.
+    by default f is converted here.  Returns (equal, gauss_mag, mahler_mag); the
+    norms check the dimensions, the checker that the radii are positive.
     """
-    rho = tuple(r if type(r) is Fraction else Fraction(r) for r in rho)
-    if any(r <= 0 for r in rho):
-        raise ValueError("norm identity requires positive radii")
-    g = f.gauss_norm(rho, p)
-    m = mahler_norm(taylor_to_mahler(f) if family is None else family, rho, p)
-    return g.mag == m.mag, g.mag, m.mag
+    check = NormIdentity(rho, p)
+    m = taylor_to_mahler(f) if family is None else family
+    gauss, mahler = f.gauss_norm(check.rho, p).mag, mahler_norm(m, check.rho, p).mag
+    return check.holds(f, m), gauss, mahler

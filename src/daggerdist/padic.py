@@ -15,8 +15,8 @@ Hot paths keep rationals as int numerators over one common denominator
 (:func:`numerators`).  A product over coordinates, such as a Dirac's
 x^beta and binom(x, beta) or the valuation v_p(binom(x, beta)) as a sum, is
 one compiled :func:`tensor_kernel` per (d, cap).  Every weighted norm is one
-:func:`weighted_sup` over a :class:`WeightTable`; it reads valuations, and
-given numerators over a denominator ``den`` it takes v_p(den) once.
+:func:`weighted_sup_num` over a :class:`WeightTable`, in ints over the table's
+denominator; it reads valuations, and given numerators over ``den`` takes v_p(den) once.
 """
 from __future__ import annotations
 
@@ -85,8 +85,9 @@ def multi_factorial_valuation(alpha: MultiIndex, p: int) -> int:
     return sum(factorial_valuation(a, p) for a in alpha)
 
 
+@lru_cache(maxsize=1024)
 def multi_factorial(alpha: MultiIndex) -> int:
-    """alpha! = alpha_1! ... alpha_d! as an int."""
+    """alpha! = alpha_1! ... alpha_d! as an int, computed once per index."""
     return math.prod(map(math.factorial, alpha))
 
 
@@ -378,28 +379,31 @@ def valuation_pairs(coeffs: Mapping[MultiIndex, Rational], p: int) -> Iterable[T
     return zip(coeffs, map(valuation, coeffs.values(), repeat(p)))
 
 
-def weighted_sup(
+def weighted_sup_num(
     valuations: Iterable[Tuple[MultiIndex, int]], p: int, table: WeightTable, sign: int = 1, den: int = 1
-) -> LogMag:
-    """sup over the (alpha, v_p(c_alpha)) pairs of -v_p(c_alpha / den) + sign * table.weight(alpha), exactly.
+) -> Optional[int]:
+    """table.den * sup over the (alpha, v_p(c_alpha)) pairs of -v_p(c_alpha / den) + sign * table.weight(alpha).
 
     The c_alpha may be int numerators over the positive common denominator
-    ``den``, whose valuation is then taken once.  The sup runs over ints
-    scaled by ``table.den``, and one Fraction is built at the end; bottom
-    when there are no pairs.
+    ``den``, whose valuation is taken once; None (bottom) when there are no pairs.
     """
     scale = table.den
     best = max((sign * table[a] - v * scale for a, v in valuations), default=None)
-    if best is None:
-        return LogMag.bottom()
-    return LogMag(Fraction(best + _int_valuation(den, p) * scale, scale))
+    return None if best is None else best + _int_valuation(den, p) * scale
+
+
+def weighted_sup(valuations, p: int, table: WeightTable, sign: int = 1, den: int = 1) -> LogMag:
+    """:func:`weighted_sup_num` as a magnitude: one Fraction is built at the end, bottom when there are no pairs."""
+    best = weighted_sup_num(valuations, p, table, sign, den)
+    return LogMag(None if best is None else Fraction(best, table.den))
 
 
 def format_fraction(x) -> str:
     """Rational (or +inf) as a "num/den" report string."""
-    if x == INFINITY:
-        return "inf"
-    x = Fraction(x)
+    if type(x) is not Fraction and type(x) is not int:  # both carry numerator and denominator
+        if x == INFINITY:
+            return "inf"
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

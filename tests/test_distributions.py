@@ -901,3 +901,25 @@ def test_banach_check_with_diracs_at_cap_gives_the_records_at_degmax_cap(G, N, c
     got = [r.to_dict() for r in check_banach_submult_N(G, N, trials=6, seed=5, cap=cap)]
     assert got == [r.to_dict() for r in _banach_at_degmax_cap(G, N, 6, 5, cap)]
     assert got[0]["verdict"] == (FAIL if faulty else LOWER_BOUND_PASS)
+
+
+@pytest.mark.parametrize("G", [H3, A32, H_HALF], ids=lambda G: G.name)
+def test_convolve_and_from_dcoeffs_fill_what_init_fills(G):
+    # the outputs are filled directly; __init__ on the same data must give the same attributes and value types
+    def same(lam, ref):
+        assert vars(lam) == vars(ref)
+        for name in ("_moments", "dcoeffs"):
+            table = getattr(lam, name)
+            assert table is None or [type(v) for v in table.values()] == [type(v) for v in getattr(ref, name).values()]
+
+    rng = random.Random(5)
+    x, y = ([rng.randrange(G.p**4) for _ in range(G.d)] for _ in range(2))
+    lam, mu = Distribution.dirac(G, x, 3), Distribution.dirac(G, y, 3)
+    nu = convolve(G, lam, mu)
+    same(nu, Distribution(G, nu.cap, nu.moments, exact=True, point=G.multiply(x, y)))
+    truncated = [Distribution(G, 4, d.moments) for d in (lam, mu)]
+    out = convolve(G, *truncated, cap_out=2)
+    same(out, Distribution(G, 2, out.moments))
+    dcoeffs = {(0,) * G.d: 3, (1,) + (0,) * (G.d - 1): Fraction(1, 2), (0, 1) + (0,) * (G.d - 2): 0}
+    nonzero = {k: v for k, v in dcoeffs.items() if v}
+    same(Distribution.from_dcoeffs(G, dcoeffs, 4), Distribution(G, 4, None, nonzero, exact=True))

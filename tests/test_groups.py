@@ -61,6 +61,16 @@ def test_non_prime_p_rejected(p):
         load_group(cfg)
 
 
+@pytest.mark.parametrize("fn", ["omega_num", "omega_of"])
+def test_public_omega_still_checks_the_point(fn):
+    omega = getattr(H3, fn)
+    with pytest.raises(ValueError, match="coordinates"):
+        omega([3, 0])
+    with pytest.raises(ValueError, match="not a p-adic integer"):
+        omega([Fraction(1, 3), 0, 0])
+    assert omega([Fraction(3), Fraction(2, 5), 0]) == omega([3, Fraction(2, 5), 0])
+
+
 def test_omega_of():
     assert H3.omega_of([0, 0, 0]) == INFINITY
     assert H3.omega_of([3, 0, 0]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daggerdist import mahler as mahler_module
+from daggerdist import cli as cli_module, mahler as mahler_module
 from daggerdist.cli import _random_poly, suite_mahler
 from daggerdist.groups import builtin_heisenberg
 from daggerdist.mahler import (
     MahlerFamily,
+    NormIdentity,
     binomial_poly,
     evaluate_mahler,
     mahler_norm,
@@ -17,8 +19,10 @@ from daggerdist.mahler import (
     taylor_to_mahler,
     verify_norm_identity,
 )
-from daggerdist.padic import LogMag, digit_sum, falling_coeff, stirling_second, valuation
+from daggerdist.padic import LogMag, digit_sum, falling_coeff, grlex_key, stirling_second, valuation
+from daggerdist.report import Report, emit_json
 from daggerdist.series import TruncatedSeries
+from test_series import _fraction_gauss_norm
 
 
 def test_monomial_expansion_against_sympy():
@@ -205,6 +209,58 @@ def test_suite_mahler_fails_on_a_corrupted_taylor_row(monkeypatch):
     assert records["mahler/roundtrip"].verdict == "fail"
     assert records["mahler/roundtrip"].witness["violations"]
     assert records["mahler/norm-identity"].verdict == "pass"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), dim=st.integers(1, 2))
+def test_norm_identity_checker_matches_the_fraction_norms(data, p, dim):
+    index = st.tuples(*[st.integers(0, 6)] * dim)
+    coeff = st.builds(Fraction, st.integers(-(p**4), p**4), st.sampled_from([1, p, p * p, 7 * p]))
+    f = TruncatedSeries(dim, 6 * dim, data.draw(st.dictionaries(index, coeff, max_size=5)))
+    rho = data.draw(st.lists(st.builds(Fraction, st.integers(1, 8), st.integers(1, 4)), min_size=dim, max_size=dim))
+    check = NormIdentity(rho, p)
+    m = taylor_to_mahler(f)
+    # f's own family, a second draw, f's family with one numerator scaled by p, and the zero family
+    families = [m, MahlerFamily(dim, 6 * dim, data.draw(st.dictionaries(index, coeff, max_size=5)))]
+    if m.nums:
+        a = data.draw(st.sampled_from(sorted(m.nums)))
+        families.append(MahlerFamily.from_numerators(dim, 6 * dim, {**m.nums, a: p * m.nums[a]}, m.den))
+    families.append(MahlerFamily(dim, 6 * dim, {}))
+    gauss = _fraction_gauss_norm(f, rho, p)
+    for family in families:
+        mahler = _fraction_mahler_norm(family, rho, p)
+        assert check.holds(f, family) == (gauss == mahler)
+        assert verify_norm_identity(f, rho, p, family) == (gauss == mahler, gauss, mahler)
+    assert check.holds(f, m) and check.holds(f, families[-1]) == f.is_zero()
+
+
+def test_suite_mahler_fails_on_a_family_with_one_numerator_scaled_by_p(monkeypatch):
+    # the top Mahler coefficient of each draw scaled by p: the norms differ wherever it attains the sup
+    G = builtin_heisenberg(3)
+    convert = cli_module.taylor_to_mahler
+
+    def scaled(f):
+        m = convert(f)
+        top = max(m.nums, key=grlex_key)
+        return MahlerFamily.from_numerators(m.dim, m.cap, {**m.nums, top: G.p * m.nums[top]}, m.den)
+
+    monkeypatch.setattr(cli_module, "taylor_to_mahler", scaled)
+    report = Report(group=G.name, seed=0)
+    report.extend(suite_mahler(G, trials=12, seed=0))
+    norm = report.records[0].to_dict()
+    assert (norm["check"], norm["verdict"]) == ("mahler/norm-identity", "fail")
+    assert norm["witness"]["violations"][1] == {"gauss": "p^1/1", "mahler": "p^1/2", "trial": 1}
+    # the whole failure report, byte for byte as the LogMag comparison wrote it
+    digest = "e2f262b159c4b8116b53dd2608f241a20ae6d1572b07edca186ce165d5853c36"
+    assert hashlib.sha256(emit_json(report)).hexdigest() == digest
+
+
+def test_norm_identity_checker_rejects_radii_once_and_wrapper_checks_dimensions():
+    with pytest.raises(ValueError, match="positive radii"):
+        NormIdentity([Fraction(1, 2), 0], 3)
+    f = TruncatedSeries(2, 2, {(1, 1): 1})
+    with pytest.raises(ValueError, match="radii"):
+        verify_norm_identity(f, [Fraction(1, 2)], 3)
 
 
 @st.composite

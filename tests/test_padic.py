@@ -17,6 +17,7 @@ from daggerdist.padic import (
     indices_up_to,
     leq_with_integer_factor,
     multi_binom_value,
+    multi_factorial,
     multi_factorial_valuation,
     p_power_at_most,
     parse_fraction,
@@ -28,6 +29,7 @@ from daggerdist.padic import (
     valuation_pairs,
     weight_table,
     weighted_sup,
+    weighted_sup_num,
 )
 
 nonzero_rationals = st.fractions(
@@ -142,6 +144,20 @@ def test_fraction_formatting_roundtrip():
     assert parse_fraction("5") == 5
 
 
+def _fraction_format_fraction(x):
+    """format_fraction as first written: one Fraction built for every value."""
+    if x == INFINITY:
+        return "inf"
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.integers(-(10**30), 10**30), st.fractions(), st.just(INFINITY)))
+def test_format_fraction_matches_the_fraction_version(x):
+    assert format_fraction(x) == _fraction_format_fraction(x)
+
+
 def test_booleans_are_not_numbers():
     for value in (True, False):
         with pytest.raises(TypeError, match="boolean"):
@@ -171,6 +187,17 @@ def test_weighted_sup_over_a_denominator_matches_the_fractions(data, p, dim, sig
     fractions = {a: Fraction(n, den) for a, n in nums.items()}
     got = weighted_sup(valuation_pairs(nums, p), p, table, sign, den=den)
     assert got == weighted_sup(valuation_pairs(fractions, p), p, table, sign)
+    # the int kernel behind it: the sup scaled by table.den, None for bottom
+    scaled = weighted_sup_num(valuation_pairs(nums, p), p, table, sign, den=den)
+    assert got == (LogMag.bottom() if scaled is None else LogMag(Fraction(scaled, table.den)))
+    assert type(scaled) is int or (scaled is None and not nums)
+
+
+def test_multi_factorial_is_computed_once_per_index():
+    multi_factorial.cache_clear()
+    for alpha in [(0,), (3,), (2, 4), (2, 4), (3,), (0, 0, 5)]:
+        assert multi_factorial(alpha) == math.prod(math.factorial(a) for a in alpha)
+    assert (multi_factorial.cache_info().hits, multi_factorial.cache_info().misses) == (2, 4)
 
 
 def test_weight_table_reads_int_and_fraction_radii_alike():
