@@ -103,6 +103,10 @@ def test_norm_identity_requires_positive_radii():
     f = TruncatedSeries(1, 2, {(1,): 1})
     with pytest.raises(ValueError):
         verify_norm_identity(f, [Fraction(0)], 3)
+    with pytest.raises(ValueError, match="positive radii"):
+        NormIdentity([Fraction(1, 2), 0], 3)
+    with pytest.raises(ValueError, match="radii"):  # the wrapper's norms check the dimension
+        verify_norm_identity(TruncatedSeries(2, 2, {(1, 1): 1}), [Fraction(1, 2)], 3)
 
 
 def test_mahler_family_validation():
@@ -253,14 +257,6 @@ def test_suite_mahler_fails_on_a_family_with_one_numerator_scaled_by_p(monkeypat
     # the whole failure report, byte for byte as the LogMag comparison wrote it
     digest = "e2f262b159c4b8116b53dd2608f241a20ae6d1572b07edca186ce165d5853c36"
     assert hashlib.sha256(emit_json(report)).hexdigest() == digest
-
-
-def test_norm_identity_checker_rejects_radii_once_and_wrapper_checks_dimensions():
-    with pytest.raises(ValueError, match="positive radii"):
-        NormIdentity([Fraction(1, 2), 0], 3)
-    f = TruncatedSeries(2, 2, {(1, 1): 1})
-    with pytest.raises(ValueError, match="radii"):
-        verify_norm_identity(f, [Fraction(1, 2)], 3)
 
 
 @st.composite
