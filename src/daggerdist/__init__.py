@@ -1,5 +1,5 @@
 """Exact-arithmetic verification toolkit for polynomial p-valued groups,
-binomial-basis function theory, and distribution-algebra norms.
+the binomial (Mahler) basis, and distribution-algebra norms.
 
 Everything is computed over exact rationals; norms are p-power magnitudes
 compared through their exponents, so no floating point or tolerances appear
@@ -14,7 +14,6 @@ from .distributions import (
     st_norm,
     st_norm_prime,
 )
-from .functions import DaggerFunction, pair
 from .groups import (
     GroupConfigError,
     PValuedGroup,
@@ -30,7 +29,6 @@ from .series import TruncatedSeries
 
 __all__ = [
     "CheckRecord",
-    "DaggerFunction",
     "Distribution",
     "GroupConfigError",
     "INFINITY",
@@ -51,7 +49,6 @@ __all__ = [
     "load_group",
     "mahler_norm",
     "mahler_to_taylor",
-    "pair",
     "st_norm",
     "st_norm_prime",
     "taylor_to_mahler",

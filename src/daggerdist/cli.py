@@ -254,7 +254,7 @@ def suite_embeddings(
 # call, so rebinding that name (as a tracer does) takes effect.
 SUITES = {
     "group-axioms": lambda G, o: check_formal_group_axioms(G)
-    + (check_model_consistency(G, samples=o.trials, seed=o.seed) if G.model is not None else []),
+    + check_model_consistency(G, samples=o.trials, seed=o.seed),
     "pvaluation": lambda G, o: check_pvaluation(G, samples=o.trials, seed=o.seed),
     "saturation": lambda G, o: check_saturation(G, samples=min(10, max(o.trials // 10, 3)), seed=o.seed),
     "coeff-bound": lambda G, o: check_coefficient_bound(G),

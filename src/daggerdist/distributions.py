@@ -14,13 +14,13 @@ plan that names the moments it reads.
 The basis side feeds every norm through one cached valuation table per
 distribution, alpha -> v_p(d_alpha) (:meth:`Distribution.valuations`); a
 Dirac sums it from per-coordinate valuations with the same kernel.  The norm
-weights are tabled per index, one table per (norm, radius) or (norm, N) in a
-group plan; the comparison maps keep their regime data and tables per
-(N, sigma) there too.  Norms computed from truncated data are certified
-lower bounds and are only ever placed on the small side of asserted
-inequalities.  Both basis changes gather int numerators over a common
-denominator through the basis rows of :mod:`daggerdist.padic`, the transpose
-of the Mahler conversions.
+weights are tabled per index in the group's plans, one table per distinct
+weight vector, which each (norm, radius) or (norm, N) finds through its own
+key; the comparison maps keep their regime data per (N, sigma) there too.
+Norms computed from truncated data are certified lower bounds and are only
+ever placed on the small side of asserted inequalities.  Both basis
+changes gather int numerators over a common denominator through the basis
+rows of :mod:`daggerdist.padic`, the transpose of the Mahler conversions.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ from .padic import (
     taylor_row,
     tensor_kernel,
     valuation,
-    weight_table,
     weighted_sup,
 )
 from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, record
@@ -318,34 +317,53 @@ def convolve(
 # -- norm families ---------------------------------------------------------
 
 
-def _weighted_sup(lam: Distribution, key: tuple, weights, factorial: bool) -> NormValue:
-    """sup over the basis coefficients of -v(d_alpha) - [v(alpha!)] - sum_i w_i alpha_i.
+def _weights_table(G: PValuedGroup, weights: tuple, p: Optional[int]) -> WeightTable:
+    """The table of the weights w_i, plus v_p(alpha!) if ``p`` is given: one per value in the group's plans.
 
-    The table of the w_i = ``weights(G)`` is built once per ``key`` in the group's plans.
+    Equal weights share it whichever norm reads them, such as ||.||_s and
+    ||.||'_s where omega is constant.
     """
-    G = lam.group
-    table = G.plan(key, lambda G: weight_table(tuple(weights(G)), G.p if factorial else None))
-    return NormValue(weighted_sup(lam.valuations().items(), G.p, table, sign=-1), lam.exact)
+    return G.plan(("weights", weights, p), lambda G: WeightTable(weights, p))
+
+
+def _table(G: PValuedGroup, key: tuple, weights, factorial: bool) -> WeightTable:
+    """:func:`_weights_table` of ``weights(G)``, found through ``key`` so that a norm call builds no weight vector."""
+    return G.plan(key, lambda G: _weights_table(G, tuple(weights(G)), G.p if factorial else None))
+
+
+def _st_table(G: PValuedGroup, sigma: Fraction) -> WeightTable:
+    """The weights sigma * omega_i of ||.||_s, shared by the norm and the embedding checks."""
+    return _table(G, ("st_norm", sigma), lambda G: (Fraction(sigma) * w for w in G.omega), False)
+
+
+def _dagger_table(G: PValuedGroup, N: int) -> WeightTable:
+    """The weights tau_{N,i} plus v_p(alpha!) of ||.||_N, shared by the norm and the comparison maps."""
+    return _table(G, ("dagger_norm", N), lambda G: G.neighborhood_params(N).tau, True)
+
+
+def _weighted_sup(lam: Distribution, table: WeightTable) -> NormValue:
+    """sup over the basis coefficients of -v(d_alpha) - table.weight(alpha)."""
+    return NormValue(weighted_sup(lam.valuations().items(), lam.group.p, table, sign=-1), lam.exact)
 
 
 def st_norm(lam: Distribution, sigma: Fraction) -> NormValue:
     """sup |d_alpha| s^(tau alpha) with s = p^-sigma and tau(alpha) = sum omega_i alpha_i."""
-    return _weighted_sup(lam, ("st_norm", sigma), lambda G: (Fraction(sigma) * w for w in G.omega), False)
+    return _weighted_sup(lam, _st_table(lam.group, sigma))
 
 
 def st_norm_prime(lam: Distribution, sigma: Fraction) -> NormValue:
     """sup |d_alpha| s^|alpha|."""
-    return _weighted_sup(lam, ("st_norm_prime", sigma), lambda G: [Fraction(sigma)] * G.d, False)
+    return _weighted_sup(lam, _table(lam.group, ("st_norm_prime", sigma), lambda G: [Fraction(sigma)] * G.d, False))
 
 
 def dagger_seminorm(lam: Distribution, sigma: Fraction) -> NormValue:
     """sup |alpha! d_alpha| s^|alpha|."""
-    return _weighted_sup(lam, ("dagger_seminorm", sigma), lambda G: [Fraction(sigma)] * G.d, True)
+    return _weighted_sup(lam, _table(lam.group, ("dagger_seminorm", sigma), lambda G: [Fraction(sigma)] * G.d, True))
 
 
 def dagger_norm(lam: Distribution, N: int) -> NormValue:
     """Dual Banach norm at level N: sup |alpha! d_alpha| p^(-sum tau_{N,i} alpha_i)."""
-    return _weighted_sup(lam, ("dagger_norm", N), lambda G: G.neighborhood_params(N).tau, True)
+    return _weighted_sup(lam, _dagger_table(lam.group, N))
 
 
 # -- randomized families for property checks -------------------------------
@@ -531,8 +549,8 @@ def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRec
     params = {"group": G.name, "sigma": sigma, "damping_exponent": damping}
     if not damping < 0:
         return [_regime_unmet("embeddings/contact", "inclusion regime sigma * min(omega) > 1/(p-1)", params)]
-    small = weight_table(tuple(sigma * w for w in G.omega), None)
-    large = weight_table((-damping,) * G.d, G.p)
+    small = _st_table(G, sigma)
+    large = _table(G, ("contact", sigma), lambda G: (-damping,) * G.d, True)
     return [
         record(
             "embeddings/contact",
@@ -554,11 +572,11 @@ def _comparison_plan(G: PValuedGroup, N: int, sigma: Fraction) -> tuple:
     tau = G.neighborhood_params(N).tau
     regime1 = tuple(t - sigma * min(G.omega) + eps for t in tau)
     regime2 = tuple(sigma * max(G.omega) - t - eps for t in tau)
-    completion = weight_table(tuple(sigma * w for w in G.omega), None)
+    completion = _st_table(G, sigma)
     damped = None
     if all(r < 0 for r in regime2):
-        damped = weight_table(tuple(c - r for c, r in zip(completion.weights, regime2)), None)
-    return regime1, all(r < 0 for r in regime1), regime2, completion, weight_table(tau, G.p), damped
+        damped = _weights_table(G, tuple(c - r for c, r in zip(completion.weights, regime2)), None)
+    return regime1, all(r < 0 for r in regime1), regime2, completion, _dagger_table(G, N), damped
 
 
 def check_comparison_maps(

@@ -118,8 +118,6 @@ class PValuedGroup:
         self.F = tuple(F)
         self.I = tuple(I)
         self.model = model
-        self._fi_powers: Dict[Tuple[int, int], TruncatedSeries] = {}
-        self._f_monomials: Dict[Tuple[int, ...], TruncatedSeries] = {}
         self._plans: Dict[Hashable, object] = {}
         violations = self.validate()
         if violations:
@@ -233,9 +231,10 @@ class PValuedGroup:
         return out
 
     def commutator(self, x: Sequence, y: Sequence) -> Point:
-        # x^-1 y^-1 x y
-        xi, yi = self.invert(x), self.invert(y)
-        return self.multiply(self.multiply(self.multiply(xi, yi), x), y)
+        """x^-1 y^-1 x y; x and y are checked once, the kernels' own results are not."""
+        x, y = self.check_point(x), self.check_point(y)
+        law, inverse = self.plan("law", _law_kernel), self.plan("inverse", _inverse_kernel)
+        return law(*law(*law(*inverse(*x), *inverse(*y)), *x), *y)
 
     def omega_num(self, x: Sequence):
         """_omega_den * omega(x) as an int, min_i _omega_nums[i] + _omega_den * v(x_i); +inf exactly at the identity."""
@@ -272,21 +271,6 @@ class PValuedGroup:
 
         return self.plan(("neighborhood_params", N), build)
 
-    # -- cached group-law expansions --------------------------------------
-
-    def f_monomial(self, gamma: Sequence[int], cap: int) -> TruncatedSeries:
-        """Exact expansion of prod_i F_i^gamma_i in the 2d variables."""
-        gamma = tuple(int(g) for g in gamma)
-        key = gamma + (cap,)
-        if key in self._f_monomials:
-            return self._f_monomials[key]
-        out = TruncatedSeries.constant(1, 2 * self.d, cap)
-        for i, k in enumerate(gamma):
-            if k:
-                out = out * self._fi_power(i, k, cap)
-        self._f_monomials[key] = out
-        return out
-
     def plan(self, key: Hashable, build: Callable[["PValuedGroup"], object]) -> object:
         """build(self), computed once per key: code or tables compiled from the law, such as its kernel."""
         try:
@@ -295,16 +279,16 @@ class PValuedGroup:
             out = self._plans[key] = build(self)
             return out
 
-    def _fi_power(self, i: int, k: int, cap: int) -> TruncatedSeries:
-        key = (i, k, cap)
-        if key in self._fi_powers:
-            return self._fi_powers[key]
-        if k == 1:
-            out = self.F[i].with_cap(cap)
-        else:
-            out = self._fi_power(i, k - 1, cap) * self.F[i].with_cap(cap)
-        self._fi_powers[key] = out
-        return out
+    def f_monomial(self, gamma: Sequence[int], cap: int) -> TruncatedSeries:
+        """prod_i F_i^gamma_i in the 2d variables, truncated at cap.
+
+        The whole product is built once per gamma in the plans, at cap
+        max(degmax * |gamma|, 1), as F^(gamma - e_i) F_i for the first i with
+        gamma_i > 0; another cap reads it through :meth:`TruncatedSeries.with_cap`.
+        """
+        gamma = tuple(int(g) for g in gamma)
+        whole = self.plan(("f_monomial", gamma), lambda G: _f_monomial(G, gamma))
+        return whole if whole.cap == cap else whole.with_cap(cap)
 
     def __repr__(self):
         return f"PValuedGroup({self.name}, p={self.p}, d={self.d})"
@@ -316,6 +300,15 @@ def _law_kernel(G: PValuedGroup):
 
 def _inverse_kernel(G: PValuedGroup):
     return compile_polys(G.I, G.d)
+
+
+def _f_monomial(G: PValuedGroup, gamma: Tuple[int, ...]) -> TruncatedSeries:
+    cap = max(G.degmax() * sum(gamma), 1)
+    for i, k in enumerate(gamma):
+        if k:
+            rest = gamma[:i] + (k - 1,) + gamma[i + 1 :]
+            return G.f_monomial(rest, cap) * G.F[i].with_cap(cap)
+    return TruncatedSeries.constant(1, 2 * G.d, cap)
 
 
 # -- built-ins -------------------------------------------------------------
@@ -493,16 +486,9 @@ def sample_points(G: PValuedGroup, rng: random.Random, count: int, precision: in
 def check_model_consistency(
     G: PValuedGroup, samples: int = 100, seed: int = 0, precision: int = 12
 ) -> List[CheckRecord]:
-    """Chart-level multiply/invert must agree exactly with the coordinate model."""
+    """Chart-level multiply/invert must agree exactly with the coordinate model; no records without one."""
     if G.model is None:
-        return [
-            CheckRecord(
-                check_id="model/available",
-                anchor="coordinate model present for cross-checks",
-                verdict=PASS,
-                params={"group": G.name, "note": "no model configured; nothing to check"},
-            )
-        ]
+        return []
     rng = random.Random(f"{seed}:model:{G.name}")
     pts = sample_points(G, rng, 2 * samples, precision)
     bad = []

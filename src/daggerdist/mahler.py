@@ -20,7 +20,6 @@ from .padic import (
     Rational,
     grlex_key,
     mahler_row,
-    multi_binom_value,
     multi_factorial,
     numerators,
     same_ratios,
@@ -117,23 +116,6 @@ def mahler_norm(m: MahlerFamily, rho: Sequence[Rational], p: int) -> NormValue:
     if len(rho) != m.dim:
         raise DimensionMismatch(f"expected {m.dim} radii, got {len(rho)}")
     return NormValue(weighted_sup(valuation_pairs(m.nums, p), p, weight_table(tuple(rho), p), den=m.den), m.exact)
-
-
-def evaluate_mahler(m: MahlerFamily, x: Sequence[Rational]) -> Fraction:
-    """sum m_alpha * binom(x, alpha) over the support."""
-    x = tuple(Fraction(v) for v in x)
-    total = Fraction(0)
-    for alpha, ma in m.coeffs.items():
-        total += ma * multi_binom_value(x, alpha)
-    return total
-
-
-def binomial_poly(alpha: MultiIndex, cap: Optional[int] = None) -> TruncatedSeries:
-    """The polynomial binom(x, alpha) = prod_i binom(x_i, alpha_i), read off the Taylor row of alpha."""
-    alpha = tuple(int(a) for a in alpha) or (0,)
-    fact = multi_factorial(alpha)
-    terms = {beta: Fraction(w, fact) for beta, w in taylor_row(alpha)}
-    return TruncatedSeries(len(alpha), sum(alpha), terms).with_cap(sum(alpha) if cap is None else cap)
 
 
 class NormIdentity:

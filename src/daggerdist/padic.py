@@ -272,13 +272,6 @@ class LogMag:
     def bottom(cls) -> "LogMag":
         return cls(None)
 
-    @classmethod
-    def of(cls, x: Rational, p: int) -> "LogMag":
-        """Magnitude |x|_p of an exact rational."""
-        if x == 0:
-            return cls.bottom()
-        return cls(-valuation(x, p))
-
     @property
     def is_bottom(self) -> bool:
         return self.exponent is None
@@ -307,22 +300,6 @@ class LogMag:
         if self.is_bottom:
             return "LogMag(zero)"
         return f"LogMag(p^{self.exponent})"
-
-
-def leq_with_integer_factor(lhs: LogMag, rhs: LogMag, factor: int, p: int) -> bool:
-    """Decide p^lhs <= factor * p^rhs exactly, for a positive integer factor.
-
-    Reduces to an integer power comparison p^a <= factor^b with a/b the
-    normalized exponent difference.
-    """
-    if factor < 1:
-        raise ValueError("factor must be a positive integer")
-    if lhs.is_bottom:
-        return True
-    if rhs.is_bottom:
-        return False
-    q = lhs.exponent - rhs.exponent
-    return p_power_at_most(q.numerator, q.denominator, factor, p)
 
 
 def p_power_at_most(g: int, D: int, factor: int, p: int) -> bool:

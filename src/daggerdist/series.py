@@ -201,16 +201,6 @@ class TruncatedSeries:
         )
         return TruncatedSeries(self.dim, cap, terms, exact)
 
-    def power(self, k: int, cap: Optional[int] = None) -> "TruncatedSeries":
-        if k < 0:
-            raise ValueError("negative power")
-        cap = self.cap if cap is None else cap
-        out = TruncatedSeries.constant(1, self.dim, cap)
-        base = self.with_cap(cap)
-        for _ in range(k):
-            out = out * base
-        return out
-
     def with_cap(self, cap: int) -> "TruncatedSeries":
         """Reinterpret at a different cap; dropping terms clears exactness."""
         terms = {i: c for i, c in self.terms.items() if sum(i) <= cap}
@@ -265,24 +255,6 @@ class TruncatedSeries:
         if kernel is None:
             kernel = self._kernel = compile_polys((self,), self.dim)
         return kernel(*xs)[0]
-
-    def partial_evaluate(self, fixed: Mapping[int, Rational]) -> "TruncatedSeries":
-        """Fix some variables to scalars; result lives in the remaining ones."""
-        fixed = {int(i): Fraction(v) for i, v in fixed.items()}
-        keep = [i for i in range(self.dim) if i not in fixed]
-        if not keep:
-            raise ValueError("at least one variable must remain")
-        terms: Dict[MultiIndex, Fraction] = {}
-        for idx, c in self.terms.items():
-            val = c
-            for i, v in fixed.items():
-                if idx[i]:
-                    val *= v ** idx[i]
-            if val == 0:
-                continue
-            new_idx = tuple(idx[i] for i in keep)
-            terms[new_idx] = terms.get(new_idx, Fraction(0)) + val
-        return TruncatedSeries(len(keep), self.cap, terms, self.exact)
 
     def embed(self, new_dim: int, positions: Sequence[int]) -> "TruncatedSeries":
         """Rename variable i to variable positions[i] in a larger ring."""
@@ -398,7 +370,3 @@ def terms_from_records(records) -> Dict[MultiIndex, Fraction]:
         terms[idx] = parse_fraction(rec["coeff"])
     return terms
 
-
-def series_from_records(records, dim: int, cap: int, exact: bool = True) -> TruncatedSeries:
-    """The inverse of :func:`series_to_records`; a bad or repeated index raises."""
-    return TruncatedSeries(dim, cap, terms_from_records(records), exact)

@@ -193,12 +193,17 @@ def test_zero_work_is_inconclusive():
     assert not rep.failed
 
 
-def test_suites_run_through_the_names_the_benchmark_traces(monkeypatch):
-    """Every checker name perfbench/tracing.py rebinds in ``cli`` is what run_suites calls."""
+def _benchmark_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_suites_run_through_the_names_the_benchmark_traces(monkeypatch):
+    """Every checker name perfbench/tracing.py rebinds in ``cli`` is what run_suites calls."""
+    tracing = _benchmark_tracing()
     assert list(tracing.SUITES) == ALL_SUITES
     calls = {}
 
@@ -216,6 +221,26 @@ def test_suites_run_through_the_names_the_benchmark_traces(monkeypatch):
     G = builtin_abelian(3, 1)
     run_suites(G, ALL_SUITES, n_range=[1, 2], sigmas=[Fraction(1, 2)], cap=2, trials=2, seed=1)
     assert sorted(calls) == sorted(names)
+
+
+def test_every_name_the_benchmark_wraps_resolves():
+    """The spans, the leaves and the counters of perfbench/tracing.py name functions that exist.
+
+    A method is wrapped on its class, so it must be found in the class ``__dict__``.
+    """
+    tracing = _benchmark_tracing()
+    counters = [
+        ("distributions", "Distribution.moment"),
+        ("groups", "PValuedGroup.power"),
+        ("groups", "pth_root_mod"),
+        ("groups", "PValuedGroup.f_monomial"),
+    ]
+    for module, attr in [entry[:2] for entry in tracing.SPANS + tracing.LEAVES] + counters:
+        owner = importlib.import_module(f"daggerdist.{module}")
+        if "." in attr:
+            cls, attr = attr.split(".")
+            owner = vars(owner)[cls]
+        assert attr in vars(owner), (module, attr)
 
 
 def test_corrupted_config_fails_with_witness(tmp_path):

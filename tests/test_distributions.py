@@ -26,15 +26,16 @@ from daggerdist.distributions import (
     st_norm_prime,
 )
 from daggerdist.cli import run_suites
-from daggerdist.functions import DaggerFunction, pair
 from daggerdist.groups import (
     PValuedGroup,
     builtin_abelian,
     builtin_heisenberg,
     check_formal_group_axioms,
+    check_model_consistency,
     group_to_config,
     load_group,
 )
+from daggerdist.mahler import taylor_to_mahler
 from daggerdist.padic import (
     LogMag,
     gather,
@@ -303,19 +304,15 @@ def test_embedding_checks_fail_with_witnesses_on_a_broken_factorial(monkeypatch,
         return Fraction(shift * sum(alpha))
 
     monkeypatch.setattr(padic_module, "multi_factorial_valuation", lambda alpha, p: broken(alpha))
-    padic_module.weight_table.cache_clear()
-    # a new group: its plans hold no weight table built before the fault
+    # a new group: its plans, the only cache of these weight tables, hold none built before the fault
     G = builtin_heisenberg(3)
-    try:
-        dcoeffs = {(1, 0, 0): Fraction(1, 3), (0, 2, 1): Fraction(9)}
-        lam = Distribution.from_dcoeffs(G, dcoeffs, 4)
-        found = {
-            "contact": check_contact_embedding(lam, Fraction(3, 4))[0],
-            "contraction": check_comparison_maps(G, 4, Fraction(1), lam)[0],
-            "continuity": check_comparison_maps(G, 1, Fraction(1, 4), lam)[1],
-        }
-    finally:
-        padic_module.weight_table.cache_clear()
+    dcoeffs = {(1, 0, 0): Fraction(1, 3), (0, 2, 1): Fraction(9)}
+    lam = Distribution.from_dcoeffs(G, dcoeffs, 4)
+    found = {
+        "contact": check_contact_embedding(lam, Fraction(3, 4))[0],
+        "contraction": check_comparison_maps(G, 4, Fraction(1), lam)[0],
+        "continuity": check_comparison_maps(G, 1, Fraction(1, 4), lam)[1],
+    }
     # p = 3, omega = 1, 1/(p-1) = 1/2; the exponents as the checks state them
     expected = {"contact": {}, "contraction": {}, "continuity": {}}
     for alpha, d in dcoeffs.items():
@@ -364,6 +361,33 @@ def test_half_heisenberg_config_loads_and_passes():
         H_HALF, ["convolution", "norms"], n_range=[1, 2], sigmas=[Fraction(1, 2)], cap=4, trials=6, seed=1
     )
     assert rep.records and not rep.failed
+
+
+def test_the_model_check_adds_no_record_without_a_model():
+    # H_HALF has no coordinate model, so the group-axioms suite is the formal axioms alone
+    assert check_model_consistency(H_HALF) == []
+    rep = run_suites(H_HALF, ["group-axioms"], n_range=[1], sigmas=[Fraction(1, 2)], cap=2, trials=3, seed=0)
+    assert rep.records == check_formal_group_axioms(H_HALF)
+
+
+def _f_monomial_power_product(G, gamma, cap):
+    """f_monomial as it was: the product over i of the powers F_i^k, each a chain of factors F_i truncated at cap."""
+    out = TruncatedSeries.constant(1, 2 * G.d, cap)
+    for i, k in enumerate(gamma):
+        if k:
+            power = G.F[i].with_cap(cap)
+            for _ in range(k - 1):
+                power = power * G.F[i].with_cap(cap)
+            out = out * power
+    return out
+
+
+@pytest.mark.parametrize("G", [H3, builtin_heisenberg(5), A32, builtin_abelian(2, 3), H_HALF], ids=lambda G: G.name)
+def test_f_monomial_matches_the_power_product(G):
+    for gamma in _all_indices(G.d, 4):
+        for cap in range(G.degmax() * sum(gamma) + 2):
+            got, want = G.f_monomial(gamma, cap), _f_monomial_power_product(G, gamma, cap)
+            assert (got.terms, got.exact, got.cap) == (want.terms, want.exact, want.cap)
 
 
 def _convolve_per_term(G, lam, mu, cap_out=None, opposite=False):
@@ -459,6 +483,100 @@ def test_convolve_plan_matches_per_term_loop(data):
     assert got.moments == want.moments
 
 
+# -- the pairing with polynomial functions on the chart ----------------------
+
+
+def _pair(lam, f):
+    """<lam, f> = sum_beta c_beta lam(Z^beta) for an exact polynomial f on the chart."""
+    return sum((c * lam.moment(beta) for beta, c in f.terms.items()), Fraction(0))
+
+
+def _comul(f, G, cap):
+    """f(F(X, Y)) in 2d variables: f pulled back along the group law."""
+    return f.substitute([Fi.with_cap(cap) for Fi in G.F], cap=cap)
+
+
+def test_pair_convolution_vs_comul():
+    # convolution is the transpose of comultiplication: <lam * mu, f> = <lam x mu, f(F(X, Y))>,
+    # which on Diracs is f at the product of the two points
+    f = TruncatedSeries(3, 2, {(1, 0, 1): 1, (0, 1, 0): 2})
+    comul = _comul(f, H3, 4)
+    assert comul.exact
+
+    def pair_product(lam, mu):
+        return sum((c * lam.moment(i[:3]) * mu.moment(i[3:]) for i, c in comul.terms.items()), Fraction(0))
+
+    x, y = [3, 0, 6], [0, 9, 3]
+    dx, dy = Distribution.dirac(H3, x, 4), Distribution.dirac(H3, y, 4)
+    assert _pair(dx, f) == f.evaluate(x)
+    assert _pair(convolve(H3, dx, dy, cap_out=4), f) == pair_product(dx, dy) == f.evaluate(H3.multiply(x, y))
+    rng = random.Random(4)
+    for _ in range(5):
+        lam, mu = (random_dcoeff_distribution(H3, rng, cap=4) for _ in range(2))
+        assert _pair(convolve(H3, lam, mu, cap_out=2), f) == pair_product(lam, mu)
+
+
+def test_comul_evaluates_to_product():
+    f = TruncatedSeries(3, 2, {(1, 0, 1): 1, (0, 1, 0): 2})
+    two = _comul(f, H3, 4)
+    rng = random.Random(4)
+    for _ in range(10):
+        x = [Fraction(3 * rng.randrange(27)) for _ in range(3)]
+        y = [Fraction(3 * rng.randrange(27)) for _ in range(3)]
+        assert two.evaluate(x + y) == f.evaluate(H3.multiply(x, y))
+
+
+def test_comul_counit():
+    # setting the second block to the identity recovers f: F(X, 0) = X
+    f = TruncatedSeries(3, 2, {(1, 0, 1): 1, (0, 1, 0): 2})
+    two = _comul(f, H3, 4)
+    first = [TruncatedSeries.variable(i, 3, two.cap) for i in range(3)]
+    restricted = two.substitute(first + [TruncatedSeries.zero(3, two.cap)] * 3, cap=two.cap)
+    assert restricted == f.with_cap(restricted.cap)
+
+
+def test_inv_pullback():
+    # f(I(X)) is f composed with the inverse, and pulling back twice gives f again
+    f = TruncatedSeries(3, 2, {(1, 0, 1): 1, (0, 1, 0): 2})
+
+    def inv_pullback(g, cap=4):
+        return g.substitute([Ii.with_cap(cap) for Ii in H3.I], cap=cap)
+
+    g = inv_pullback(f)
+    for x in ([1, 1, 0], [3, 0, 9], [0, 2, 5]):
+        assert g.evaluate(x) == f.evaluate(H3.invert(x))
+    assert inv_pullback(g).evaluate([1, 2, 3]) == f.evaluate([1, 2, 3])
+
+
+@st.composite
+def _pairing_cases(draw):
+    """A Dirac or a basis combination at cap >= deg f, and a polynomial f on the same chart."""
+    G = draw(st.sampled_from([H3, builtin_abelian(5, 2), builtin_abelian(2, 3)]))
+    deg = draw(st.integers(0, 4))
+    cap = draw(st.integers(deg, deg + 2))
+
+    def indices(top):
+        index = st.lists(st.integers(0, top), min_size=G.d, max_size=G.d).map(tuple)
+        return index.filter(lambda i: sum(i) <= top)
+
+    coeff = st.builds(Fraction, st.integers(-(G.p**3), G.p**3), st.sampled_from([1, G.p, G.p**2]))
+    f = TruncatedSeries(G.d, deg, draw(st.dictionaries(indices(deg), coeff, max_size=4)))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-(G.p**4), G.p**4), min_size=G.d, max_size=G.d))
+        return Distribution.dirac(G, x, cap), f
+    return Distribution.from_dcoeffs(G, draw(st.dictionaries(indices(cap), coeff, max_size=4)), cap), f
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_pairing_cases())
+def test_pairing_is_the_mahler_coefficients_against_the_basis_coefficients(case):
+    # <lam, f> = sum_alpha m_alpha(f) d_alpha(lam): the two basis changes are transposes
+    lam, f = case
+    dcoeffs = lam.ensure_dcoeffs()
+    m = taylor_to_mahler(f).coeffs
+    assert _pair(lam, f) == sum((c * dcoeffs.get(alpha, 0) for alpha, c in m.items()), Fraction(0))
+
+
 # -- moments derived on demand ---------------------------------------------
 
 
@@ -472,7 +590,7 @@ def test_lazy_moments_match_eager_formula(dcoeffs, cap):
     expect = {beta: _eager_moment(dcoeffs, beta) for beta in _all_indices(3, cap + 2)}
     inside = {b: v for b, v in expect.items() if sum(b) <= cap and v != 0}
     beyond = [b for b in expect if sum(b) > cap]
-    f = DaggerFunction(H3, TruncatedSeries(3, cap + 2, {b: 1 + sum(b) for b in expect}))
+    f = TruncatedSeries(3, cap + 2, {b: 1 + sum(b) for b in expect})
 
     def fresh():
         return Distribution.from_dcoeffs(H3, dcoeffs, cap)
@@ -492,7 +610,7 @@ def test_lazy_moments_match_eager_formula(dcoeffs, cap):
         assert make().total_mass() == expect[(0, 0, 0)]
         solved = Distribution(H3, cap, make().moments).ensure_dcoeffs()
         assert solved == {a: d for a, d in dcoeffs.items() if d != 0 and sum(a) <= cap}
-        assert pair(make(), f) == sum(c * expect[b] for b, c in f.body.terms.items())
+        assert _pair(make(), f) == sum(c * expect[b] for b, c in f.terms.items())
 
 
 def test_lazy_moment_table_is_built_at_most_once(monkeypatch):
@@ -519,7 +637,7 @@ def test_lazy_moment_table_is_built_at_most_once(monkeypatch):
     assert lam == Distribution(H3, cap, lam.moments)
     lam.total_mass()
     Distribution(H3, cap, lam.moments).ensure_dcoeffs()
-    pair(lam, DaggerFunction(H3, TruncatedSeries(3, 2, {(1, 0, 1): 1, (0, 1, 0): 2})))
+    _pair(lam, TruncatedSeries(3, 2, {(1, 0, 1): 1, (0, 1, 0): 2}))
     convolve(H3, lam, dirac, cap_out=2)
     assert builds == [len(full)]
 

@@ -12,14 +12,21 @@ from daggerdist.groups import builtin_heisenberg
 from daggerdist.mahler import (
     MahlerFamily,
     NormIdentity,
-    binomial_poly,
-    evaluate_mahler,
     mahler_norm,
     mahler_to_taylor,
     taylor_to_mahler,
     verify_norm_identity,
 )
-from daggerdist.padic import LogMag, digit_sum, falling_coeff, grlex_key, stirling_second, valuation
+from daggerdist.padic import (
+    LogMag,
+    digit_sum,
+    falling_coeff,
+    grlex_key,
+    multi_binom_value,
+    stirling_second,
+    taylor_row,
+    valuation,
+)
 from daggerdist.report import Report, emit_json
 from daggerdist.series import TruncatedSeries
 from test_series import _fraction_gauss_norm
@@ -62,14 +69,13 @@ def test_pointwise_agreement():
     m = taylor_to_mahler(f)
     for x in ([0, 0], [3, 2], [Fraction(1, 2), 5], [-4, 7]):
         xs = [Fraction(v) for v in x]
-        assert evaluate_mahler(m, xs) == f.evaluate(xs)
+        assert sum(c * multi_binom_value(xs, alpha) for alpha, c in m.coeffs.items()) == f.evaluate(xs)
 
 
-def test_binomial_poly_values():
-    b = binomial_poly((2,))
-    # binom(x, 2) = x(x-1)/2
-    assert b.terms == {(2,): Fraction(1, 2), (1,): Fraction(-1, 2)}
-    b2 = binomial_poly((1, 2))
+def test_taylor_row_is_the_binomial_polynomial():
+    # alpha! binom(x, alpha) in monomials: 2! binom(x, 2) = x^2 - x
+    assert dict(taylor_row((2,))) == {(2,): 1, (1,): -1}
+    b2 = TruncatedSeries(2, 3, {beta: Fraction(w, 2) for beta, w in taylor_row((1, 2))})
     assert b2.evaluate([Fraction(4), Fraction(5)]) == 4 * 10
 
 

@@ -15,7 +15,6 @@ from daggerdist.padic import (
     falling_coeff,
     format_fraction,
     indices_up_to,
-    leq_with_integer_factor,
     multi_binom_value,
     multi_factorial,
     multi_factorial_valuation,
@@ -119,8 +118,6 @@ def test_logmag_ordering():
     big = LogMag(Fraction(3, 2))
     assert bot < one < big
     assert bot <= bot and not bot < bot
-    assert LogMag.of(Fraction(9), 3) == LogMag(-2)
-    assert LogMag.of(0, 3).is_bottom
 
 
 def test_logmag_multiplication():
@@ -128,13 +125,13 @@ def test_logmag_multiplication():
     assert (LogMag.bottom() * LogMag(2)).is_bottom
 
 
-def test_leq_with_integer_factor():
-    # p^(1/2) <= 2 * p^0 for p = 3: 3 <= 4 after squaring
-    assert leq_with_integer_factor(LogMag(Fraction(1, 2)), LogMag(0), 2, 3)
-    # p^(3/2) <= 2 * p^0 fails: 27 > 16
-    assert not leq_with_integer_factor(LogMag(Fraction(3, 2)), LogMag(0), 2, 3)
-    assert leq_with_integer_factor(LogMag.bottom(), LogMag(0), 1, 3)
-    assert not leq_with_integer_factor(LogMag(0), LogMag.bottom(), 5, 3)
+def test_p_power_at_most():
+    # p^(1/2) <= 2 for p = 3: 3 <= 4 after squaring
+    assert p_power_at_most(1, 2, 2, 3)
+    # p^(3/2) <= 2 fails: 27 > 16
+    assert not p_power_at_most(3, 2, 2, 3)
+    # a non-positive exponent is at most every positive integer factor
+    assert p_power_at_most(0, 1, 1, 3) and p_power_at_most(-5, 2, 1, 3)
 
 
 def test_fraction_formatting_roundtrip():
@@ -227,7 +224,6 @@ def test_int_power_decision_matches_the_fraction_one(g, D, factor, p, scale):
     want = _fraction_p_power_at_most(Fraction(g, D), factor, p)
     assert p_power_at_most(g, D, factor, p) == want
     assert p_power_at_most(scale * g, scale * D, factor, p) == want
-    assert leq_with_integer_factor(LogMag(Fraction(g, D)), LogMag(0), factor, p) == want
 
 
 def test_weight_table_keeps_int_numerators_and_int_entries():

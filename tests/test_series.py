@@ -13,8 +13,8 @@ from daggerdist.series import (
     DimensionMismatch,
     TruncatedSeries,
     compile_polys,
-    series_from_records,
     series_to_records,
+    terms_from_records,
 )
 
 
@@ -49,9 +49,7 @@ def test_multiplication_exact_flag():
     assert k.exact and k.terms == {(3,): 6}
 
 
-def test_power_and_with_cap():
-    f = poly(1, 8, {(1,): 1, (0,): 0})
-    assert f.power(3).terms == {(3,): 1}
+def test_with_cap():
     g = poly(1, 8, {(5,): 1, (1,): 1})
     trimmed = g.with_cap(3)
     assert trimmed.terms == {(1,): 1}
@@ -75,12 +73,9 @@ def test_substitute_requires_zero_constant_term():
         f.substitute([g])
 
 
-def test_evaluate_and_partial_evaluate():
+def test_evaluate():
     f = poly(2, 4, {(1, 1): 2, (0, 2): 1})
     assert f.evaluate([Fraction(3), Fraction(1, 2)]) == 2 * Fraction(3, 2) + Fraction(1, 4)
-    g = f.partial_evaluate({1: Fraction(2)})
-    assert g.dim == 1
-    assert g.terms == {(1,): 4, (0,): 4}
 
 
 _values = st.one_of(
@@ -227,5 +222,5 @@ def test_gauss_norm_multiplicative_sample():
 
 def test_record_roundtrip():
     f = poly(2, 3, {(1, 2): Fraction(-5, 3), (0, 0): 7})
-    back = series_from_records(series_to_records(f), 2, 3)
+    back = TruncatedSeries(2, 3, terms_from_records(series_to_records(f)))
     assert back == f
