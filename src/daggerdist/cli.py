@@ -14,7 +14,6 @@ be read or parsed, or an ``--out`` path that cannot be written.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import random
 import sys
@@ -54,7 +53,8 @@ def resolve_group(tag: str) -> PValuedGroup:
     tag = tag.strip()
     name, paren, rest = tag.partition("(")
     if paren and name in BUILTIN_TAGS:
-        params = list(inspect.signature(BUILTIN_TAGS[name]).parameters)
+        code = BUILTIN_TAGS[name].__code__
+        params = code.co_varnames[: code.co_argcount]
         try:
             args = [int(a) for a in rest[:-1].split(",")] if rest.endswith(")") else []
         except ValueError:

@@ -14,16 +14,15 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .padic import INFINITY, LogMag, Rational, format_fraction, is_prime, parse_fraction, parse_int, valuation
+from .padic import INFINITY, LogMag, format_fraction, int_valuation, is_prime, parse_fraction, parse_int, valuation
 from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, record, settled
 from .series import TruncatedSeries, compile_polys, series_to_records, terms_from_records
 
 # Coordinates are p-adic integers: ints, or Fractions whose denominator is prime to p.
-Point = Tuple[Rational, ...]
+Point = Tuple[Union[int, Fraction], ...]
 
 
 class GroupConfigError(ValueError):
@@ -82,8 +81,7 @@ class HeisenbergModel(CoordinateModel):
         return (-a[0], -a[1], -a[2] + a[0] * a[1])
 
 
-@dataclass(frozen=True)
-class NeighborhoodParams:
+class NeighborhoodParams(NamedTuple):
     """Radii of the N-th strict neighborhood polydisc."""
 
     N: int
@@ -246,7 +244,7 @@ class PValuedGroup:
         best = INFINITY
         for num, c in zip(self._omega_nums, x):
             if c:
-                cand = num + den * valuation(c, p)
+                cand = num + den * (int_valuation(c, p) if type(c) is int else valuation(c, p))
                 if cand < best:
                     best = cand
         return best

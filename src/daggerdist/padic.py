@@ -35,7 +35,8 @@ Row = Tuple[Tuple[MultiIndex, int], ...]
 INFINITY = math.inf
 
 
-def _int_valuation(n: int, p: int) -> int:
+def int_valuation(n: int, p: int) -> int:
+    """v_p of a nonzero int, without :func:`valuation`'s type dispatch."""
     if n == 0:
         raise ValueError("zero has no finite valuation")
     n = abs(n)
@@ -49,12 +50,12 @@ def _int_valuation(n: int, p: int) -> int:
 def valuation(x: Rational, p: int):
     """p-adic valuation of an exact rational: an int, or +inf for zero."""
     if type(x) is int:
-        return _int_valuation(x, p) if x else INFINITY
+        return int_valuation(x, p) if x else INFINITY
     if type(x) is not Fraction:
         x = Fraction(x)
     if not x.numerator:
         return INFINITY
-    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
 def is_prime(n: int) -> bool:
@@ -351,9 +352,9 @@ def weight_table(weights: Tuple[Rational, ...], p: Optional[int]) -> WeightTable
     return WeightTable(weights, p)
 
 
-def valuation_pairs(coeffs: Mapping[MultiIndex, Rational], p: int) -> Iterable[Tuple[MultiIndex, int]]:
-    """(alpha, v_p(c_alpha)) for the nonzero coefficients, in their order."""
-    return zip(coeffs, map(valuation, coeffs.values(), repeat(p)))
+def valuation_pairs(nums: Mapping[MultiIndex, int], p: int) -> Iterable[Tuple[MultiIndex, int]]:
+    """(alpha, v_p(n_alpha)) for nonzero int numerators, in their order, through :func:`int_valuation`."""
+    return zip(nums, map(int_valuation, nums.values(), repeat(p)))
 
 
 def weighted_sup_num(
@@ -366,7 +367,7 @@ def weighted_sup_num(
     """
     scale = table.den
     best = max((sign * table[a] - v * scale for a, v in valuations), default=None)
-    return None if best is None else best + _int_valuation(den, p) * scale
+    return None if best is None else best + int_valuation(den, p) * scale
 
 
 def weighted_sup(valuations, p: int, table: WeightTable, sign: int = 1, den: int = 1) -> LogMag:

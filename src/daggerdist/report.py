@@ -21,8 +21,8 @@ order, and all rationals are rendered as "num/den" strings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from .padic import INFINITY, LogMag, format_fraction
@@ -53,14 +53,29 @@ def render(value: Any) -> Any:
     return value
 
 
-@dataclass
-class CheckRecord:
-    check_id: str
-    anchor: str  # human-readable statement of what is being checked
-    verdict: str
-    params: Dict[str, Any] = field(default_factory=dict)
-    witness: Optional[Dict[str, Any]] = None
-    details: Dict[str, Any] = field(default_factory=dict)
+class _Fields:
+    """Field-wise ``==`` and ``repr`` over ``__slots__``, as a dataclass has; mutable, so unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        get = attrgetter(*self.__slots__)
+        return get(self) == get(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+
+class CheckRecord(_Fields):
+    """One check's outcome; ``anchor`` states what is checked, ``params`` and ``details`` default to fresh dicts."""
+
+    __slots__ = ("check_id", "anchor", "verdict", "params", "witness", "details")
+
+    def __init__(self, check_id: str, anchor: str, verdict: str, params=None, witness=None, details=None):
+        self.check_id, self.anchor, self.verdict, self.witness = check_id, anchor, verdict, witness
+        self.params: Dict[str, Any] = {} if params is None else params
+        self.details: Dict[str, Any] = {} if details is None else details
 
     def to_dict(self) -> Dict[str, Any]:
         out = {
@@ -98,11 +113,11 @@ def record(
     )
 
 
-@dataclass
-class Report:
-    group: str
-    seed: Optional[int]
-    records: List[CheckRecord] = field(default_factory=list)
+class Report(_Fields):
+    __slots__ = ("group", "seed", "records")
+
+    def __init__(self, group: str, seed: Optional[int], records: Optional[List[CheckRecord]] = None):
+        self.group, self.seed, self.records = group, seed, [] if records is None else records
 
     def extend(self, records):
         self.records.extend(records)

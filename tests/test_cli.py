@@ -2,7 +2,9 @@ import functools
 import hashlib
 import importlib.util
 import json
+import os
 import runpy
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -369,6 +371,55 @@ def test_bad_group_gives_one_line_error(command, tag, capsys):
     assert main([command, "--group", tag]) != 0
     err = capsys.readouterr().err
     assert err.startswith("daggerdist: error: ") and err.count("\n") == 1
+
+
+# the error lines as they read when the expected arity came from inspect.signature of the builtin
+WRONG_ARITY_ERRORS = {
+    "abelian(3)": "malformed group tag 'abelian(3)', expected abelian(p,d)",
+    "heisenberg(3,4)": "malformed group tag 'heisenberg(3,4)', expected heisenberg(p)",
+    "heisenberg()": "malformed group tag 'heisenberg()', expected heisenberg(p)",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(WRONG_ARITY_ERRORS))
+def test_wrong_arity_tag_error_is_pinned(tag, capsys):
+    assert main(["verify", "--group", tag]) == 2
+    assert capsys.readouterr().err == f"daggerdist: error: invalid group data: {WRONG_ARITY_ERRORS[tag]}\n"
+
+
+def test_cli_loads_no_dataclasses_or_inspect():
+    """Every CLI call pays for what importing the package loads, so these stdlib modules stay out."""
+    code = (
+        "import sys\n"
+        "from daggerdist.cli import main\n"
+        "main(['verify', '--group', 'abelian(3,1)', '--suites', 'coeff-bound'])\n"
+        "sys.stderr.write(repr(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == "[]", done.stderr
+
+
+def test_check_record_and_report_compare_field_by_field():
+    fields = ("check_id", "anchor", "verdict", "params", "witness", "details")
+    values = ("a/b", "anchor", FAIL, {"N": 1}, {"violations": [1]}, {"M": [2]})
+    rec = CheckRecord(*values)
+    assert rec == CheckRecord(**dict(zip(fields, values))) and not rec != CheckRecord(*values)
+    for i, other in enumerate(("a/c", "other", PASS, {"N": 2}, None, {})):
+        changed = CheckRecord(*values[:i], other, *values[i + 1 :])
+        assert changed != rec and not changed == rec
+    bare, again = CheckRecord("a/b", "anchor", PASS), CheckRecord("a/b", "anchor", PASS)
+    assert (bare.params, bare.witness, bare.details) == ({}, None, {})
+    assert bare.params is not again.params and bare.details is not again.details
+    assert repr(bare) == (
+        "CheckRecord(check_id='a/b', anchor='anchor', verdict='pass', params={}, witness=None, details={})"
+    )
+    with pytest.raises(TypeError):
+        hash(bare)
+    first, second = Report("g", 1), Report(group="g", seed=1)
+    assert first.records == [] and first.records is not second.records and first == second
+    first.extend([bare])
+    assert first != second and first == Report("g", 1, [again])
 
 
 def test_bad_config_file_gives_one_line_error(tmp_path, capsys):

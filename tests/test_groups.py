@@ -9,6 +9,7 @@ from daggerdist import groups as groups_module
 from daggerdist.cli import main
 from daggerdist.groups import (
     GroupConfigError,
+    NeighborhoodParams,
     RootSearchExhausted,
     builtin_abelian,
     builtin_heisenberg,
@@ -526,6 +527,10 @@ def test_neighborhood_params():
     assert params.tau == (Fraction(1, 4),) * 3
     assert params.rho == (Fraction(1, 4),) * 6
     assert builtin_abelian(2, 1).neighborhood_params(3).tau == (Fraction(1, 4),)
+    assert params.dim == len(params.tau) == 3
+    assert builtin_heisenberg(3).neighborhood_params(1) == params == NeighborhoodParams(1, params.tau, params.rho)
+    with pytest.raises(AttributeError):
+        params.N = 2
 
 
 def test_neighborhood_params_built_once_per_level():
