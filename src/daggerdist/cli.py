@@ -8,8 +8,9 @@ Single entry point with three subcommands:
 
 Reports are byte-deterministic for a fixed (config, seed); the process exits
 1 iff some check has verdict ``fail``, and 2 with a one-line error for a bad
-group tag or config, a bad ``verify`` option, a ``convert`` input that cannot
-be read or parsed, or an ``--out`` path that cannot be written.
+group tag or config, a bad ``verify`` option or a repeated entry in one, a
+``convert`` input that cannot be read or parsed, or an ``--out`` path that
+cannot be written.
 """
 from __future__ import annotations
 
@@ -268,7 +269,6 @@ SUITES = {
     ),
     "embeddings": lambda G, o: suite_embeddings(G, o.sigmas, o.n_range, seed=o.seed, cap=min(o.cap, 4)),
 }
-ALL_SUITES = list(SUITES)
 
 
 class InputError(ValueError):
@@ -298,7 +298,15 @@ def _parse_suites(text: str) -> List[str]:
     for s in suites:
         if s not in SUITES:
             raise InputError(f"unknown suite: {s} (choose from {', '.join(SUITES)})")
+    _reject_repeats("--suites", suites)
     return suites
+
+
+def _reject_repeats(option: str, values: list):
+    """An :class:`InputError` naming the first value that repeats (equal rationals count as one)."""
+    for k, v in enumerate(values):
+        if v in values[:k]:
+            raise InputError(f"{option} lists {v} more than once")
 
 
 def _parse_range(text: str) -> List[int]:
@@ -319,6 +327,7 @@ def _parse_sigmas(text: str) -> List[Fraction]:
         sigmas = []
     if not sigmas:
         raise InputError(f"bad --sigma {text!r}, expected a comma list of rationals a/b")
+    _reject_repeats("--sigma", sigmas)
     return sigmas
 
 
@@ -409,11 +418,7 @@ def cmd_convert(args) -> int:
         source = TruncatedSeries(dim, cap, terms) if to_mahler else MahlerFamily(dim, cap, terms)
     except (ValueError, TypeError) as e:
         raise InputError(f"bad polynomial in {args.infile!r}: {e}") from e
-    if to_mahler:
-        m = taylor_to_mahler(source)
-        records = [{"index": list(a), "coeff": format_fraction(c)} for a, c in m.sorted_coeffs()]
-    else:
-        records = series_to_records(mahler_to_taylor(source))
+    records = series_to_records(taylor_to_mahler(source) if to_mahler else mahler_to_taylor(source))
     out = json.dumps({"dim": dim, "cap": cap, "terms": records}, indent=2) + "\n"
     _write_out(out.encode(), args.out)
     return 0

@@ -14,9 +14,10 @@ plan that names the moments it reads.
 The basis side feeds every norm through one cached valuation table per
 distribution, alpha -> v_p(d_alpha) (:meth:`Distribution.valuations`); a
 Dirac sums it from per-coordinate valuations with the same kernel.  The norm
-weights are tabled per index in the group's plans, one table per distinct
-weight vector, which each (norm, radius) or (norm, N) finds through its own
-key; the comparison maps keep their regime data per (N, sigma) there too.
+weights are tabled per index, one :func:`~daggerdist.padic.weight_table` per
+distinct weight vector, which each (norm, radius) or (norm, N) finds through
+its own key in the group's plans; the comparison maps keep their regime data
+per (N, sigma) there too.
 Norms computed from truncated data are certified lower bounds and are only
 ever placed on the small side of asserted inequalities.  Both basis
 changes gather int numerators over a common denominator through the basis
@@ -46,6 +47,7 @@ from .padic import (
     taylor_row,
     tensor_kernel,
     valuation,
+    weight_table,
     weighted_sup,
 )
 from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, record
@@ -237,24 +239,22 @@ def _compile_plan(G: PValuedGroup, cap_out: int) -> tuple:
     sum_i lam(Z^i) sum_j c_ij mu(Z^j) / den.  Returns (rows, left, right,
     den): ``rows`` holds, per gamma in grlex order, the pairs (position of i
     in ``left``, ((position of j in ``right``, c_ij), ...)); the c_ij are int
-    numerators over the common denominator ``den`` of the law coefficients
+    numerators over ``den``, the lcm of the stored denominators of the F^gamma
     (1 for integral laws).
     """
     d, degmax = G.d, G.degmax()
-    monomials = [
-        (gamma, G.f_monomial(gamma, cap=max(degmax * sum(gamma), 1)).terms)
-        for gamma in indices_up_to(d, cap_out)
-    ]
-    den = math.lcm(*(c.denominator for _, terms in monomials for c in terms.values()))
+    monomials = [(gamma, G.f_monomial(gamma, max(degmax * sum(gamma), 1))) for gamma in indices_up_to(d, cap_out)]
+    den = math.lcm(*(f.den for _, f in monomials))
     left: Dict[MultiIndex, int] = {}
     right: Dict[MultiIndex, int] = {}
     rows = []
-    for gamma, terms in monomials:
+    for gamma, f in monomials:
+        scale = den // f.den
         by_left: Dict[int, list] = {}
-        for idx, c in terms.items():
+        for idx, n in f.nums.items():
             i = left.setdefault(idx[:d], len(left))
             j = right.setdefault(idx[d:], len(right))
-            by_left.setdefault(i, []).append((j, c.numerator * (den // c.denominator)))
+            by_left.setdefault(i, []).append((j, n * scale))
         rows.append((gamma, tuple((i, tuple(pairs)) for i, pairs in by_left.items())))
     return tuple(rows), tuple(left), tuple(right), den
 
@@ -317,18 +317,9 @@ def convolve(
 # -- norm families ---------------------------------------------------------
 
 
-def _weights_table(G: PValuedGroup, weights: tuple, p: Optional[int]) -> WeightTable:
-    """The table of the weights w_i, plus v_p(alpha!) if ``p`` is given: one per value in the group's plans.
-
-    Equal weights share it whichever norm reads them, such as ||.||_s and
-    ||.||'_s where omega is constant.
-    """
-    return G.plan(("weights", weights, p), lambda G: WeightTable(weights, p))
-
-
 def _table(G: PValuedGroup, key: tuple, weights, factorial: bool) -> WeightTable:
-    """:func:`_weights_table` of ``weights(G)``, found through ``key`` so that a norm call builds no weight vector."""
-    return G.plan(key, lambda G: _weights_table(G, tuple(weights(G)), G.p if factorial else None))
+    """:func:`~daggerdist.padic.weight_table` of ``weights(G)``, found through ``key``: a norm call builds no vector."""
+    return G.plan(key, lambda G: weight_table(tuple(weights(G)), G.p if factorial else None))
 
 
 def _st_table(G: PValuedGroup, sigma: Fraction) -> WeightTable:
@@ -575,7 +566,7 @@ def _comparison_plan(G: PValuedGroup, N: int, sigma: Fraction) -> tuple:
     completion = _st_table(G, sigma)
     damped = None
     if all(r < 0 for r in regime2):
-        damped = _weights_table(G, tuple(c - r for c, r in zip(completion.weights, regime2)), None)
+        damped = weight_table(tuple(c - r for c, r in zip(completion.weights, regime2)), None)
     return regime1, all(r < 0 for r in regime1), regime2, completion, _dagger_table(G, N), damped
 
 

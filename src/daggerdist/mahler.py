@@ -1,28 +1,25 @@
 """Binomial (Mahler) basis versus monomial (Taylor) basis.
 
-A family is kept as int numerators over one denominator.  Both conversions
-scatter int numerators through the basis-row tables of :mod:`daggerdist.padic`
-(``mahler_row`` for Taylor to Mahler, ``taylor_row`` for the way back), the
-same tables the distributions gather through, and the Mahler norm reads the
-numerators directly.  Only exact polynomials are converted: the formulas sum
-over all dominating indices, so a truncated tail would silently corrupt the
-output coefficients.
+A Mahler family is a :class:`~daggerdist.series.Coefficients`, as a series
+is: int numerators over one positive denominator, with ``Fraction``s built
+only for its read-only view ``coeffs`` and what reads it (``repr``, records).
+Both conversions scatter the int numerators through the basis-row tables of
+:mod:`daggerdist.padic` (``mahler_row`` for Taylor to Mahler, ``taylor_row``
+for the way back), the same tables the distributions gather through, and the
+Mahler norm reads the numerators directly.  Only exact polynomials are
+converted: the formulas sum over all dominating indices, so a truncated tail
+would silently corrupt the output coefficients.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .padic import (
-    MultiIndex,
     Rational,
-    grlex_key,
     mahler_row,
     multi_factorial,
-    numerators,
-    same_ratios,
     scatter,
     taylor_row,
     valuation_pairs,
@@ -30,61 +27,18 @@ from .padic import (
     weighted_sup,
     weighted_sup_num,
 )
-from .series import DimensionMismatch, NormValue, TruncatedSeries, clean_terms
+from .series import Coefficients, DimensionMismatch, NormValue, TruncatedSeries
 
 
-class MahlerFamily:
-    """Finite family of binomial-basis coefficients m_alpha = nums[alpha] / den.
+class MahlerFamily(Coefficients):
+    """Finite family of binomial-basis coefficients m_alpha = nums[alpha] / den; ``coeffs`` is its Fraction view."""
 
-    ``nums`` maps each index of the support to a nonzero int and ``den`` is a
-    positive int, as :func:`padic.numerators` returns them; they need not be
-    in lowest terms.  ``coeffs`` is the read-only Fraction view, built on
-    first read.
-    """
+    __slots__ = ()
 
-    __slots__ = ("dim", "cap", "nums", "den", "exact", "_coeffs")
-
-    def __init__(self, dim: int, cap: int, coeffs: Mapping[MultiIndex, Rational], exact: bool = True):
-        nums, den = numerators(clean_terms(dim, cap, coeffs))
-        self._set(dim, cap, nums, den, exact)
-
-    @classmethod
-    def from_numerators(
-        cls, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int, exact: bool = True
-    ) -> "MahlerFamily":
-        """The family nums[alpha] / den, unchecked: the indices must be valid and the numerators nonzero."""
-        m = cls.__new__(cls)
-        m._set(dim, cap, nums, den, exact)
-        return m
-
-    def _set(self, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int, exact: bool):
-        self.dim = dim
-        self.cap = cap
-        self.nums = nums
-        self.den = den
-        self.exact = bool(exact)
-        self._coeffs = None
-
-    @property
-    def coeffs(self) -> Mapping[MultiIndex, Fraction]:
-        if self._coeffs is None:
-            den = self.den
-            self._coeffs = MappingProxyType({a: Fraction(n, den) for a, n in self.nums.items()})
-        return self._coeffs
-
-    def coefficient(self, idx: MultiIndex) -> Fraction:
-        return self.coeffs.get(tuple(idx), Fraction(0))
-
-    def sorted_coeffs(self):
-        return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def __eq__(self, other):
-        if not isinstance(other, MahlerFamily):
-            return NotImplemented
-        return self.dim == other.dim and same_ratios(self.nums, self.den, other.nums, other.den)
+    coeffs = Coefficients.terms
 
     def __repr__(self):
-        return f"MahlerFamily({dict(self.sorted_coeffs())})"
+        return f"MahlerFamily({dict(self.sorted_terms())})"
 
 
 def taylor_to_mahler(f: TruncatedSeries) -> MahlerFamily:

@@ -12,9 +12,11 @@ row table; distributions, their duals under <lam, f> = sum_alpha m_alpha(f)
 d_alpha(lam), :func:`gather` through the same table.
 
 Hot paths keep rationals as int numerators over one common denominator
-(:func:`numerators`).  A product over coordinates, such as a Dirac's
-x^beta and binom(x, beta) or the valuation v_p(binom(x, beta)) as a sum, is
-one compiled :func:`tensor_kernel` per (d, cap).  Every weighted norm is one
+(:func:`numerators`); a series or a Mahler family stores only that form, and
+:func:`same_ratios` compares two of them without reducing either.  A product
+over coordinates, such as a Dirac's x^beta and binom(x, beta) or the
+valuation v_p(binom(x, beta)) as a sum, is one compiled :func:`tensor_kernel`
+per (d, cap).  Every weighted norm is one
 :func:`weighted_sup_num` over a :class:`WeightTable`, in ints over the table's
 denominator; it reads valuations, and given numerators over ``den`` takes v_p(den) once.
 """
@@ -346,8 +348,9 @@ class WeightTable(dict):
 def weight_table(weights: Tuple[Rational, ...], p: Optional[int]) -> WeightTable:
     """The weights of one norm at one radius vector; ``p`` adds v_p(alpha!).
 
-    The weights are read as Fractions once, when the table is built; equal
-    radius vectors share one table whether given as ints or Fractions.
+    The one cache of weight tables, for the series, Mahler and distribution
+    norms alike.  The weights are read as Fractions once, when the table is
+    built; equal radius vectors share one table whether given as ints or Fractions.
     """
     return WeightTable(weights, p)
 

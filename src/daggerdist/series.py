@@ -1,20 +1,32 @@
-"""Truncated multivariate power series over exact rationals.
+"""Truncated multivariate power series over exact rationals, stored as ints.
 
-A series is a finite association of multi-indices (total degree <= cap) to
-nonzero rational coefficients.  The ``exact`` flag is True iff the stored
-terms are the whole object (i.e. the series is a polynomial and nothing was
-lost to truncation).  All arithmetic is exact; truncation only ever drops
-high-degree tails, and the flag records when that may have happened.
+A coefficient family (a :class:`TruncatedSeries`, or a Mahler family of
+:mod:`daggerdist.mahler`) has one stored form: int numerators ``nums`` over
+one positive denominator ``den``, not necessarily in lowest terms.  A series
+maps multi-indices of total degree <= cap to nonzero coefficients.  The
+``exact`` flag is True iff the stored terms are the whole object (i.e. the
+series is a polynomial and nothing was lost to truncation).  Sums, products,
+scaling, truncation, embedding and substitution all run on the ints;
+truncation only ever drops high-degree tails, and the flag records when that
+may have happened.
+
+``Fraction``s are built only at the edges: the read-only view ``terms`` (and
+from it :meth:`Coefficients.coefficient`, :meth:`Coefficients.sorted_terms`,
+``repr``, :func:`series_to_records` and :func:`compile_polys`), and the
+rationals a constructor or :func:`terms_from_records` reads.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .padic import (
     LogMag,
     MultiIndex,
     Rational,
+    format_fraction,
     grlex_key,
     numerators,
     parse_fraction,
@@ -63,37 +75,72 @@ def clean_terms(dim: int, cap: int, terms: Mapping[MultiIndex, Rational]) -> Dic
     return out
 
 
-class TruncatedSeries:
+def _nonzero(nums: Dict[MultiIndex, int]) -> Dict[MultiIndex, int]:
+    return {i: n for i, n in nums.items() if n}
+
+
+class Coefficients:
+    """A finite family alpha -> nums[alpha] / den of rationals: nonzero ints over one positive int.
+
+    Equality compares the ratios, so neither side need be reduced.  ``terms``
+    is the read-only Fraction view, built on first read.
+    """
+
+    __slots__ = ("dim", "cap", "nums", "den", "exact", "_terms")
+
+    def __init__(self, dim: int, cap: int, terms: Mapping[MultiIndex, Rational], exact: bool = True):
+        self._set(dim, cap, *numerators(clean_terms(dim, cap, terms)), exact)
+
+    @classmethod
+    def from_numerators(cls, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int, exact: bool = True):
+        """The family nums[alpha] / den, unchecked: the indices must be valid and the numerators nonzero."""
+        f = cls.__new__(cls)
+        f._set(dim, cap, nums, den, exact)
+        return f
+
+    def _set(self, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int, exact: bool):
+        self.dim, self.cap, self.nums, self.den, self.exact = dim, cap, nums, den, bool(exact)
+        self._terms = None
+
+    @property
+    def terms(self) -> Mapping[MultiIndex, Fraction]:
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({k: Fraction(n, den) for k, n in self.nums.items()})
+        return self._terms
+
+    def coefficient(self, idx: MultiIndex) -> Fraction:
+        return self.terms.get(tuple(idx), Fraction(0))
+
+    def sorted_terms(self) -> Iterable[Tuple[MultiIndex, Fraction]]:
+        """Terms in graded-lexicographic order (deterministic)."""
+        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+
+    def numerators(self) -> Tuple[Dict[MultiIndex, int], int]:
+        """(nums, den); ``den`` is the least common denominator for a family the constructor built."""
+        return self.nums, self.den
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and same_ratios(self.nums, self.den, other.nums, other.den)
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.terms.items())))
+
+
+class TruncatedSeries(Coefficients):
     """Sparse polynomial / truncated series with a total-degree cap.
 
     The terms are not changed after construction, so the evaluation kernel is
-    compiled once, on the first :meth:`evaluate`, and the int numerators once,
-    on the first :meth:`numerators`.  A series built by :meth:`from_numerators`
-    builds its Fraction ``terms`` on first read instead.
+    compiled once, on the first :meth:`evaluate`.
     """
 
-    __slots__ = ("dim", "cap", "_terms", "exact", "_kernel", "_numerators")
+    __slots__ = ("_kernel",)
 
+    # defined in this class body, where perfbench/tracing.py looks it up to wrap it
     def __init__(self, dim: int, cap: int, terms: Mapping[MultiIndex, Rational], exact: bool = True):
-        self._set(dim, cap, clean_terms(dim, cap, terms), None, exact)
-
-    @classmethod
-    def from_numerators(cls, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int) -> "TruncatedSeries":
-        """The exact series of terms nums[alpha] / den, unchecked: the indices must be valid and the numerators nonzero."""
-        f = cls.__new__(cls)
-        f._set(dim, cap, None, (nums, den), True)
-        return f
-
-    def _set(self, dim: int, cap: int, terms, nums_den, exact: bool):
-        self.dim, self.cap, self._terms, self._numerators, self.exact = dim, cap, terms, nums_den, bool(exact)
-        self._kernel = None
-
-    @property
-    def terms(self) -> Dict[MultiIndex, Fraction]:
-        if self._terms is None:
-            nums, den = self._numerators
-            self._terms = {k: Fraction(n, den) for k, n in nums.items()}
-        return self._terms
+        super().__init__(dim, cap, terms, exact)
 
     # -- constructors ------------------------------------------------------
 
@@ -116,36 +163,13 @@ class TruncatedSeries:
 
     def degree(self) -> int:
         """Total degree of the stored terms (-1 for the zero series)."""
-        if not self.terms:
-            return -1
-        return max(sum(idx) for idx in self.terms)
-
-    def coefficient(self, idx: MultiIndex) -> Fraction:
-        return self.terms.get(tuple(idx), Fraction(0))
+        return max(map(sum, self.nums), default=-1)
 
     def constant_term(self) -> Fraction:
         return self.coefficient((0,) * self.dim)
 
-    def sorted_terms(self) -> Iterable[Tuple[MultiIndex, Fraction]]:
-        """Terms in graded-lexicographic order (deterministic)."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def numerators(self) -> Tuple[Dict[MultiIndex, int], int]:
-        """The terms as int numerators over a common denominator, the least one unless built :meth:`from_numerators`."""
-        if self._numerators is None:
-            self._numerators = numerators(self.terms)
-        return self._numerators
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.dim == other.dim and same_ratios(*self.numerators(), *other.numerators())
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return not self.nums
 
     def __repr__(self):
         parts = [f"{c}*Z^{idx}" for idx, c in self.sorted_terms()] or ["0"]
@@ -161,51 +185,51 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_dim(other)
         cap = min(self.cap, other.cap)
-        terms: Dict[MultiIndex, Fraction] = {}
-        for idx, c in self.terms.items():
-            if sum(idx) <= cap:
-                terms[idx] = terms.get(idx, Fraction(0)) + c
-        for idx, c in other.terms.items():
-            if sum(idx) <= cap:
-                terms[idx] = terms.get(idx, Fraction(0)) + c
+        den = math.lcm(self.den, other.den)
+        nums: Dict[MultiIndex, int] = {}
+        for f in (self, other):
+            scale = den // f.den
+            for idx, n in f.nums.items():
+                if sum(idx) <= cap:
+                    nums[idx] = nums.get(idx, 0) + n * scale
         exact = self.exact and other.exact and self.degree() <= cap and other.degree() <= cap
-        return TruncatedSeries(self.dim, cap, terms, exact)
+        return TruncatedSeries.from_numerators(self.dim, cap, _nonzero(nums), den, exact)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.dim, self.cap, {i: -c for i, c in self.terms.items()}, self.exact)
+        return self.scale(-1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def scale(self, c: Rational) -> "TruncatedSeries":
         c = Fraction(c)
-        if c == 0:
-            return TruncatedSeries(self.dim, self.cap, {}, self.exact)
-        return TruncatedSeries(self.dim, self.cap, {i: c * v for i, v in self.terms.items()}, self.exact)
+        a = c.numerator
+        nums = {i: a * n for i, n in self.nums.items()} if a else {}
+        return TruncatedSeries.from_numerators(self.dim, self.cap, nums, self.den * c.denominator, self.exact)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_dim(other)
         cap = min(self.cap, other.cap)
-        terms: Dict[MultiIndex, Fraction] = {}
-        for i1, c1 in self.terms.items():
+        nums: Dict[MultiIndex, int] = {}
+        for i1, n1 in self.nums.items():
             d1 = sum(i1)
-            for i2, c2 in other.terms.items():
+            for i2, n2 in other.nums.items():
                 if d1 + sum(i2) > cap:
                     continue
                 idx = tuple(a + b for a, b in zip(i1, i2))
-                terms[idx] = terms.get(idx, Fraction(0)) + c1 * c2
+                nums[idx] = nums.get(idx, 0) + n1 * n2
         exact = (
             self.exact
             and other.exact
             and (self.is_zero() or other.is_zero() or self.degree() + other.degree() <= cap)
         )
-        return TruncatedSeries(self.dim, cap, terms, exact)
+        return TruncatedSeries.from_numerators(self.dim, cap, _nonzero(nums), self.den * other.den, exact)
 
     def with_cap(self, cap: int) -> "TruncatedSeries":
         """Reinterpret at a different cap; dropping terms clears exactness."""
-        terms = {i: c for i, c in self.terms.items() if sum(i) <= cap}
-        exact = self.exact and len(terms) == len(self.terms)
-        return TruncatedSeries(self.dim, cap, terms, exact)
+        nums = {i: n for i, n in self.nums.items() if sum(i) <= cap}
+        exact = self.exact and len(nums) == len(self.nums)
+        return TruncatedSeries.from_numerators(self.dim, cap, nums, self.den, exact)
 
     # -- composition and evaluation ---------------------------------------
 
@@ -218,30 +242,32 @@ class TruncatedSeries:
         if len(gs) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} substitution series, got {len(gs)}")
         edim = gs[0].dim
+        origin = (0,) * edim
         for g in gs:
             if g.dim != edim:
                 raise DimensionMismatch("substitution series have mixed dimensions")
-            if g.constant_term() != 0:
+            if origin in g.nums:
                 raise ValueError("substitution series must have zero constant term")
         if cap is None:
             cap = min([self.cap] + [g.cap for g in gs])
+        gs = [g.with_cap(cap) for g in gs]
         out = TruncatedSeries.zero(edim, cap)
         powers = [{0: TruncatedSeries.constant(1, edim, cap)} for _ in gs]
 
         def g_power(i: int, k: int) -> TruncatedSeries:
             memo = powers[i]
             if k not in memo:
-                memo[k] = g_power(i, k - 1) * gs[i].with_cap(cap)
+                memo[k] = g_power(i, k - 1) * gs[i]
             return memo[k]
 
-        for idx, c in self.terms.items():
-            part = TruncatedSeries.constant(c, edim, cap)
+        # sum_idx nums[idx] g^idx, divided by den at the end
+        for idx, n in self.nums.items():
+            part = TruncatedSeries.from_numerators(edim, cap, {origin: n}, 1)
             for i, k in enumerate(idx):
                 if k:
                     part = part * g_power(i, k)
             out = out + part
-        exact = out.exact and self.exact
-        return TruncatedSeries(edim, cap, out.terms, exact)
+        return TruncatedSeries.from_numerators(edim, cap, out.nums, out.den * self.den, out.exact and self.exact)
 
     def evaluate(self, xs: Sequence[Rational]) -> Rational:
         """Exact sum over the stored terms at the point ``xs``.
@@ -251,7 +277,7 @@ class TruncatedSeries:
         """
         if len(xs) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(xs)}")
-        kernel = self._kernel
+        kernel = getattr(self, "_kernel", None)  # unset until the first call
         if kernel is None:
             kernel = self._kernel = compile_polys((self,), self.dim)
         return kernel(*xs)[0]
@@ -260,13 +286,13 @@ class TruncatedSeries:
         """Rename variable i to variable positions[i] in a larger ring."""
         if len(positions) != self.dim:
             raise DimensionMismatch("positions must list one slot per variable")
-        terms: Dict[MultiIndex, Fraction] = {}
-        for idx, c in self.terms.items():
+        nums: Dict[MultiIndex, int] = {}
+        for idx, n in self.nums.items():
             new_idx = [0] * new_dim
             for i, k in enumerate(idx):
                 new_idx[positions[i]] += k
-            terms[tuple(new_idx)] = c
-        return TruncatedSeries(new_dim, self.cap, terms, self.exact)
+            nums[tuple(new_idx)] = n
+        return TruncatedSeries.from_numerators(new_dim, self.cap, nums, self.den, self.exact)
 
     # -- norms -------------------------------------------------------------
 
@@ -278,8 +304,8 @@ class TruncatedSeries:
         """
         if len(rho) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} radii, got {len(rho)}")
-        nums, den = self.numerators()
-        return NormValue(weighted_sup(valuation_pairs(nums, p), p, weight_table(tuple(rho), None), den=den), self.exact)
+        table = weight_table(tuple(rho), None)
+        return NormValue(weighted_sup(valuation_pairs(self.nums, p), p, table, den=self.den), self.exact)
 
 
 #: Terms per parenthesized group in a kernel's sums: one flat chain of a few
@@ -347,10 +373,8 @@ def compile_polys(polys: Sequence[TruncatedSeries], nvars: int) -> Callable[...,
     return kernel
 
 
-def series_to_records(f: TruncatedSeries) -> list:
-    """Deterministic serialization as {index, coeff} records."""
-    from .padic import format_fraction
-
+def series_to_records(f: Coefficients) -> list:
+    """Deterministic serialization of a series or Mahler family as {index, coeff} records."""
     return [{"index": list(idx), "coeff": format_fraction(c)} for idx, c in f.sorted_terms()]
 
 

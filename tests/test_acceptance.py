@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from daggerdist import distributions as dist
-from daggerdist.cli import run_suites, ALL_SUITES, DEFAULT_SIGMAS
+from daggerdist.cli import SUITES, run_suites, DEFAULT_SIGMAS
 from daggerdist.distributions import Distribution, convolve, random_dcoeff_distribution
 from daggerdist.groups import (
     builtin_abelian,
@@ -240,7 +240,7 @@ def test_criterion_13_determinism():
 
     def run():
         rep = run_suites(
-            G, ALL_SUITES, n_range, SIGMAS, cap=8, trials=100, seed=7
+            G, list(SUITES), n_range, SIGMAS, cap=8, trials=100, seed=7
         )
         return emit_json(rep)
 

@@ -303,7 +303,8 @@ def test_embedding_checks_fail_with_witnesses_on_a_broken_factorial(monkeypatch,
         return Fraction(shift * sum(alpha))
 
     monkeypatch.setattr(padic_module, "multi_factorial_valuation", lambda alpha, p: broken(alpha))
-    # a new group: its plans, the only cache of these weight tables, hold none built before the fault
+    # a new group and uncached tables: no table built before the fault is read, none built under it is kept
+    monkeypatch.setattr(dist_module, "weight_table", padic_module.WeightTable)
     G = builtin_heisenberg(3)
     dcoeffs = {(1, 0, 0): Fraction(1, 3), (0, 2, 1): Fraction(9)}
     lam = Distribution.from_dcoeffs(G, dcoeffs, 4)

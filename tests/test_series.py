@@ -16,6 +16,7 @@ from daggerdist.series import (
     series_to_records,
     terms_from_records,
 )
+from test_distributions import H_HALF
 
 
 def poly(dim, cap, terms):
@@ -203,7 +204,7 @@ def _random_poly(rng, dim, deg, cap):
 
 def test_numerators_are_computed_once():
     f = poly(2, 3, {(1, 2): Fraction(-5, 3), (0, 0): Fraction(7, 2), (1, 0): 4})
-    assert f.numerators() is f.numerators()
+    assert f.numerators()[0] is f.nums  # the stored form, built once by the constructor
     assert f.numerators() == ({(1, 2): -10, (0, 0): 21, (1, 0): 24}, 6)
     assert poly(1, 2, {}).numerators() == ({}, 1)
 
@@ -224,3 +225,157 @@ def test_record_roundtrip():
     f = poly(2, 3, {(1, 2): Fraction(-5, 3), (0, 0): 7})
     back = TruncatedSeries(2, 3, terms_from_records(series_to_records(f)))
     assert back == f
+
+
+# -- the int arithmetic against the Fraction-terms loops it replaced --------
+
+
+class _FractionSeries:
+    """A reference series kept as Fraction terms, with the arithmetic as first written on them."""
+
+    def __init__(self, dim, cap, terms, exact):
+        self.dim, self.cap, self.exact = dim, cap, exact
+        self.terms = {i: Fraction(c) for i, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, f):
+        return cls(f.dim, f.cap, dict(f.terms), f.exact)
+
+    def degree(self):
+        return max(map(sum, self.terms), default=-1)
+
+    def __add__(self, other):
+        cap = min(self.cap, other.cap)
+        terms = {}
+        for f in (self, other):
+            for idx, c in f.terms.items():
+                if sum(idx) <= cap:
+                    terms[idx] = terms.get(idx, Fraction(0)) + c
+        exact = self.exact and other.exact and self.degree() <= cap and other.degree() <= cap
+        return _FractionSeries(self.dim, cap, terms, exact)
+
+    def scale(self, c):
+        return _FractionSeries(self.dim, self.cap, {i: c * v for i, v in self.terms.items()}, self.exact)
+
+    def __mul__(self, other):
+        cap = min(self.cap, other.cap)
+        terms = {}
+        for i1, c1 in self.terms.items():
+            for i2, c2 in other.terms.items():
+                if sum(i1) + sum(i2) <= cap:
+                    idx = tuple(a + b for a, b in zip(i1, i2))
+                    terms[idx] = terms.get(idx, Fraction(0)) + c1 * c2
+        exact = self.exact and other.exact and (
+            not self.terms or not other.terms or self.degree() + other.degree() <= cap
+        )
+        return _FractionSeries(self.dim, cap, terms, exact)
+
+    def with_cap(self, cap):
+        terms = {i: c for i, c in self.terms.items() if sum(i) <= cap}
+        return _FractionSeries(self.dim, cap, terms, self.exact and len(terms) == len(self.terms))
+
+    def embed(self, new_dim, positions):
+        terms = {}
+        for idx, c in self.terms.items():
+            new_idx = [0] * new_dim
+            for i, k in enumerate(idx):
+                new_idx[positions[i]] += k
+            terms[tuple(new_idx)] = c
+        return _FractionSeries(new_dim, self.cap, terms, self.exact)
+
+    def substitute(self, gs, cap):
+        edim = gs[0].dim
+        out = _FractionSeries(edim, cap, {}, True)
+        one = _FractionSeries(edim, cap, {(0,) * edim: 1}, True)
+        for idx, c in self.terms.items():
+            part = one.scale(c)
+            for i, k in enumerate(idx):
+                for _ in range(k):
+                    part = part * gs[i].with_cap(cap)
+            out = out + part
+        return _FractionSeries(edim, cap, out.terms, out.exact and self.exact)
+
+
+def _same(got, want):
+    """got (a TruncatedSeries) and want (a reference) hold the same coefficients, cap, dimension and flag."""
+    assert (got.dim, got.cap, got.exact) == (want.dim, want.cap, want.exact)
+    assert dict(got.terms) == want.terms and got == TruncatedSeries(want.dim, want.cap, want.terms)
+    assert got.den > 0 and all(got.nums.values())
+
+
+@st.composite
+def _int_series(draw, dim, cap=None, constant=True):
+    """A series built from numerators over a denominator, often not reduced (den 3, numerators 3k)."""
+    cap = draw(st.integers(0, 5)) if cap is None else cap
+    den = draw(st.sampled_from([1, 2, 3, 6, 9]))
+    index = st.tuples(*[st.integers(0, 3)] * dim).filter(lambda i: sum(i) <= cap and (constant or sum(i)))
+    numerator = st.builds(lambda n, k: n * k, st.integers(-20, 20).filter(bool), st.sampled_from([1, 3, den]))
+    nums = draw(st.dictionaries(index, numerator, max_size=5))
+    return TruncatedSeries.from_numerators(dim, cap, nums, den, draw(st.booleans()))
+
+
+def _operands(dim):
+    """Numerator draws, and the F (dim 6) or I (dim 3) polynomials of the law with the coefficient -3/2."""
+    law = [f for f in [*H_HALF.F, *H_HALF.I] if f.dim == dim]
+    if dim > 3:
+        return st.sampled_from(law)
+    return st.one_of(_int_series(dim), *([st.sampled_from(law)] if law else []))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2, 3, 6]))
+def test_int_arithmetic_matches_the_fraction_terms(data, dim):
+    f, g = data.draw(_operands(dim)), data.draw(_operands(dim))
+    rf, rg = _FractionSeries.of(f), _FractionSeries.of(g)
+    _same(f + g, rf + rg)
+    _same(f - g, rf + rg.scale(-1))
+    _same(-f, rf.scale(-1))
+    c = data.draw(st.sampled_from([0, 1, -3, Fraction(2, 3), Fraction(-9, 4)]))
+    _same(f.scale(c), rf.scale(Fraction(c)))
+    _same(f * g, rf * rg)
+    cap = data.draw(st.integers(0, 6))
+    _same(f.with_cap(cap), rf.with_cap(cap))
+    positions = data.draw(st.permutations(range(dim + 1)))[:dim]
+    _same(f.embed(dim + 1, positions), rf.embed(dim + 1, positions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2, 3, 6]), edim=st.integers(1, 3))
+def test_int_substitute_matches_the_fraction_terms(data, dim, edim):
+    f = data.draw(_operands(dim))
+    gs = [data.draw(_int_series(edim, constant=False)) for _ in range(dim)]
+    cap = min([f.cap] + [g.cap for g in gs])
+    _same(f.substitute(gs), _FractionSeries.of(f).substitute([_FractionSeries.of(g) for g in gs], cap))
+
+
+def test_int_substitute_on_the_non_integral_law():
+    # F_i(x, I(x)) = 0 and I(I(x)) = x for the law with -3/2: dens 2 and 4 meet in the sums
+    d, cap = H_HALF.d, 6
+    xs = [TruncatedSeries.variable(i, d, cap) for i in range(d)]
+    inv = [g.with_cap(cap) for g in H_HALF.I]
+    for i in range(d):
+        got = H_HALF.F[i].substitute(xs + inv, cap=cap)
+        want = _FractionSeries.of(H_HALF.F[i]).substitute([_FractionSeries.of(g) for g in xs + inv], cap)
+        _same(got, want)
+        assert got.is_zero()
+        _same(H_HALF.I[i].substitute(inv), _FractionSeries.of(xs[i]).with_cap(H_HALF.I[i].cap))
+
+
+def test_kernel_of_an_unreduced_integral_series_returns_ints():
+    # (3, 6, -9) / 3 is the integral series 1 + 2x - 3xy^2: its kernel keeps the int path
+    f = TruncatedSeries.from_numerators(2, 3, {(0, 0): 3, (1, 0): 6, (1, 2): -9}, 3)
+    kernel = compile_polys([f], 2)
+    assert "if type(v0) is type(v1) is int:" in kernel.source
+    value, = kernel(2, 5)
+    assert type(value) is int and value == 1 + 4 - 3 * 2 * 25
+    assert type(f.evaluate([2, 5])) is int
+    assert f.evaluate([Fraction(1, 2), 1]) == Fraction(1 + 1 - Fraction(3, 2))
+
+
+def test_int_results_need_not_be_reduced():
+    x = TruncatedSeries.from_numerators(1, 4, {(1,): 3}, 3)  # x, stored as 3x / 3
+    square = x * x
+    assert square.numerators() == ({(2,): 9}, 9)
+    assert square == TruncatedSeries(1, 4, {(2,): 1}) and square.terms == {(2,): 1}
+    assert (square + x).numerators() == ({(2,): 9, (1,): 9}, 9)
+    assert x.substitute([x]).numerators() == ({(1,): 9}, 9)
