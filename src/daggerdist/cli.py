@@ -130,21 +130,20 @@ def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List
     def witness(t, **points):  # the coordinates as Fractions, which the report writes as "n/1"
         return {"trial": t, **{k: list(map(Fraction, v)) for k, v in points.items()}}
 
-    bad = []
-    for t in range(trials):
-        x, y = rand_point(), rand_point()
-        conv = convolve(G, Distribution.dirac(G, x, cap), Distribution.dirac(G, y, cap), cap_out=cap)
-        expect = Distribution.dirac(G, G.multiply(x, y), cap)
-        if conv.moments != expect.moments:
-            bad.append(witness(t, x=x, y=y))
-    records.append(
-        record(
-            "convolution/dirac-homomorphism",
-            "the convolution of point masses is the point mass of the product",
-            {"group": G.name, "trials": trials, "seed": seed, "cap": cap},
-            bad,
-        )
-    )
+    def dirac_products(check_id, anchor, count, opposite):
+        """delta_x * delta_y against the Dirac at xy, or at yx for the opposite product."""
+        bad = []
+        for t in range(count):
+            x, y = rand_point(), rand_point()
+            dx, dy = Distribution.dirac(G, x, cap), Distribution.dirac(G, y, cap)
+            conv = convolve(G, dx, dy, cap_out=cap, opposite=opposite)
+            expect = Distribution.dirac(G, G.multiply(y, x) if opposite else G.multiply(x, y), cap)
+            if conv.moment_table != expect.moment_table:
+                bad.append(witness(t, x=x, y=y))
+        records.append(record(check_id, anchor, {"group": G.name, "trials": count, "seed": seed, "cap": cap}, bad))
+
+    anchor = "the convolution of point masses is the point mass of the product"
+    dirac_products("convolution/dirac-homomorphism", anchor, trials, opposite=False)
 
     bad = []
     for t in range(max(trials // 2, 1)):
@@ -152,7 +151,7 @@ def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List
         dx, dy, dz = (Distribution.dirac(G, v, cap) for v in (x, y, z))
         left = convolve(G, convolve(G, dx, dy, cap_out=cap), dz, cap_out=cap)
         right = convolve(G, dx, convolve(G, dy, dz, cap_out=cap), cap_out=cap)
-        if left.moments != right.moments:
+        if left.moment_table != right.moment_table:
             bad.append(witness(t, x=x, y=y, z=z))
     records.append(
         record(
@@ -166,9 +165,9 @@ def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List
     unit = Distribution.dirac(G, G.identity, cap)
     lam = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
     # the moments of lam up to degree cap, without deriving its whole table
-    expect = Distribution.from_dcoeffs(G, lam.dcoeffs, cap).moments
-    left_ok = convolve(G, unit, lam, cap_out=cap).moments == expect
-    right_ok = convolve(G, lam, unit, cap_out=cap).moments == expect
+    expect = Distribution.from_dcoeffs(G, lam.basis_table, cap).moment_table
+    left_ok = convolve(G, unit, lam, cap_out=cap).moment_table == expect
+    right_ok = convolve(G, lam, unit, cap_out=cap).moment_table == expect
     records.append(
         CheckRecord(
             check_id="convolution/unit",
@@ -179,23 +178,8 @@ def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List
         )
     )
 
-    bad = []
-    for t in range(max(trials // 4, 1)):
-        x, y = rand_point(), rand_point()
-        conv = convolve(
-            G, Distribution.dirac(G, x, cap), Distribution.dirac(G, y, cap), cap_out=cap, opposite=True
-        )
-        expect = Distribution.dirac(G, G.multiply(y, x), cap)
-        if conv.moments != expect.moments:
-            bad.append(witness(t, x=x, y=y))
-    records.append(
-        record(
-            "convolution/opposite",
-            "the order-flagged product reverses the factors on point masses",
-            {"group": G.name, "trials": max(trials // 4, 1), "seed": seed, "cap": cap},
-            bad,
-        )
-    )
+    anchor = "the order-flagged product reverses the factors on point masses"
+    dirac_products("convolution/opposite", anchor, max(trials // 4, 1), opposite=True)
     return records
 
 

@@ -3,8 +3,10 @@ and the three norm families.
 
 A distribution carries truncated moment data mu_beta = lambda(Z^beta) as the
 primary representation; the coefficients d_alpha in the (g_i - 1)-monomial
-basis are derived exactly as d_alpha = lambda(binom(Z, alpha)).  A Dirac
-builds both tables as tensor products of per-coordinate tables of x_i^k and
+basis are derived exactly as d_alpha = lambda(binom(Z, alpha)).  Both tables
+are :class:`~daggerdist.series.Coefficients`, int numerators over one
+denominator, with read-only Fraction views ``moments`` and ``dcoeffs``.  A
+Dirac builds both as tensor products of per-coordinate tables of x_i^k and
 binom(x_i, k), through one compiled :func:`~daggerdist.padic.tensor_kernel`
 per (d, cap).  A finite basis combination derives its moments only when they
 are read.  Convolution consumes the moment side through the expanded
@@ -12,8 +14,8 @@ group-law monomials F^gamma, compiled once per group and output cap into a
 plan that names the moments it reads.
 
 The basis side feeds every norm through one cached valuation table per
-distribution, alpha -> v_p(d_alpha) (:meth:`Distribution.valuations`); a
-Dirac sums it from per-coordinate valuations with the same kernel.  The norm
+distribution, alpha -> v_p(n_alpha) - v_p(den) over the basis numerators
+(:meth:`Distribution.valuations`).  The norm
 weights are tabled per index, one :func:`~daggerdist.padic.weight_table` per
 distinct weight vector, which each (norm, radius) or (norm, N) finds through
 its own key in the group's plans; the comparison maps keep their regime data
@@ -28,11 +30,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groups import PValuedGroup, Point
 from .padic import (
-    INFINITY,
     LogMag,
     MultiIndex,
     WeightTable,
@@ -40,28 +41,22 @@ from .padic import (
     format_fraction,
     gather,
     indices_up_to,
+    int_valuation,
     mahler_row,
     multi_factorial,
-    numerators,
     p_power_at_most,
     taylor_row,
     tensor_kernel,
-    valuation,
+    valuation_pairs,
     weight_table,
     weighted_sup,
 )
 from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, record
-from .series import NormValue
+from .series import Coefficients, NormValue
 
 
 class InsufficientCap(ValueError):
     pass
-
-
-def _ratio(num: int, den: int):
-    """num / den exactly: an int when den divides num, else a Fraction."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
 
 
 def _nonzero(indices, values) -> dict:
@@ -83,44 +78,54 @@ def _binomials(x, cap: int) -> list:
     return [(-1) ** k * math.comb(k - x - 1, k) for k in range(cap + 1)]
 
 
-def _exact(v):
-    """Ints are kept as they are (exact, and equal to the same Fraction); the rest become Fractions."""
-    return v if type(v) is int else Fraction(v)
+def _as_table(d: int, values) -> Coefficients:
+    """A table as it is, or rationals as a checked table whose cap is its own largest degree."""
+    if isinstance(values, Coefficients):
+        return values
+    return Coefficients(d, max([0, *map(sum, values)]), values)
+
+
+def _tensor_table(d: int, cap: int, values: Sequence, integral: bool) -> Coefficients:
+    """The values, in indices_up_to(d, cap) order, as a table; ``integral`` ones are ints, kept as numerators over 1."""
+    if integral:
+        return Coefficients.from_numerators(d, cap, _nonzero(indices_up_to(d, cap), values), 1)
+    return Coefficients(d, cap, dict(zip(indices_up_to(d, cap), values)))
 
 
 class Distribution:
     """Truncated moment family with optional basis coefficients.
 
     ``exact`` means the stored data determines the whole distribution: either
-    ``point`` is set (a Dirac, moments are monomial evaluations) or ``dcoeffs``
-    is the complete finite basis expansion.  Exact distributions can produce
-    moments of any degree on demand.  Moments, coefficients and the point's
+    ``point`` is set (a Dirac, moments are monomial evaluations) or
+    ``basis_table`` is the complete finite basis expansion.  Exact
+    distributions can produce moments of any degree on demand.  The point's
     coordinates are exact rationals, kept as ``int`` where they are integers
-    (the point as :meth:`PValuedGroup.check_point` or ``multiply`` gives it).
+    (as :meth:`PValuedGroup.check_point` or ``multiply`` gives it).
 
-    ``moments`` may be None for an exact basis expansion without a point: the
-    moments up to cap are then derived from ``dcoeffs`` on first read, once.
+    Either table is given as rationals or as a table, kept as it is.  The
+    moment table may be None for an exact basis expansion without a point:
+    the moments up to cap are then derived on first read, once.
     """
 
     def __init__(
         self,
         group: PValuedGroup,
         cap: int,
-        moments: Optional[Dict[MultiIndex, Fraction]],
-        dcoeffs: Optional[Dict[MultiIndex, Fraction]] = None,
+        moments: Optional[Mapping[MultiIndex, Fraction] | Coefficients],
+        dcoeffs: Optional[Mapping[MultiIndex, Fraction] | Coefficients] = None,
         exact: bool = False,
         point: Optional[Point] = None,
     ):
         self.group = group
         self.cap = cap
-        self._moments = None if moments is None else {tuple(k): _exact(v) for k, v in moments.items()}
-        self.dcoeffs = None if dcoeffs is None else {tuple(k): _exact(v) for k, v in dcoeffs.items()}
+        self._moments = None if moments is None else _as_table(group.d, moments)
+        self.basis_table = None if dcoeffs is None else _as_table(group.d, dcoeffs)
         self.exact = bool(exact)
         self.point = None if point is None else group.check_point(point)
-        self._valuations = self._coordinate_binomials = None
-        if self.exact and self.point is None and self.dcoeffs is None:
+        self._valuations = None
+        if self.exact and self.point is None and self.basis_table is None:
             raise ValueError("an exact distribution needs a point or a full basis expansion")
-        if moments is None and not (self.exact and self.point is None and self.dcoeffs is not None):
+        if moments is None and not (self.exact and self.point is None and self.basis_table is not None):
             raise ValueError("only an exact basis expansion without a point can derive its moments")
 
     # -- construction ------------------------------------------------------
@@ -135,84 +140,80 @@ class Distribution:
         """
         x = G.check_point(x)
         # per-coordinate tables of x_i^k and binom(x_i, k), in int arithmetic at integer coordinates,
-        # multiplied out by the tensor kernel; the instance is filled here, not by __init__'s copies
-        binoms = [_binomials(c, cap) for c in x]
-        tensor = tensor_kernel(G.d, cap, "*")
-        indices = indices_up_to(G.d, cap)
-        moments = _nonzero(indices, tensor(*[_powers(c, cap) for c in x]))
-        return cls._filled(G, cap, True, x, moments, _nonzero(indices, tensor(*binoms)), binoms)
+        # multiplied out by the tensor kernel
+        tensor, integral = tensor_kernel(G.d, cap), all(type(c) is int for c in x)
+        moments = _tensor_table(G.d, cap, tensor(*[_powers(c, cap) for c in x]), integral)
+        basis = _tensor_table(G.d, cap, tensor(*[_binomials(c, cap) for c in x]), integral)
+        return cls(G, cap, moments, basis, exact=True, point=x)
 
     @classmethod
-    def from_dcoeffs(cls, G: PValuedGroup, dcoeffs: Dict[MultiIndex, Fraction], cap: int) -> "Distribution":
-        """A finite basis combination; exact by construction, its moments derived when read."""
-        dcoeffs = {tuple(k): _exact(v) for k, v in dcoeffs.items() if v != 0}
-        return cls._filled(G, cap, True, point=None, moments=None, dcoeffs=dcoeffs)
-
-    @classmethod
-    def _filled(cls, G, cap, exact, point, moments, dcoeffs=None, binoms=None) -> "Distribution":
-        """The instance as given, without __init__'s copies and checks: int or Fraction values, a checked point."""
-        lam = cls.__new__(cls)
-        lam.group, lam.cap, lam.exact, lam.point = G, cap, exact, point
-        lam._moments, lam.dcoeffs = moments, dcoeffs
-        lam._valuations, lam._coordinate_binomials = None, binoms
-        return lam
+    def from_dcoeffs(
+        cls, G: PValuedGroup, dcoeffs: Mapping[MultiIndex, Fraction] | Coefficients, cap: int
+    ) -> "Distribution":
+        """A finite basis combination, as rationals or as a table; exact, its moments derived when read."""
+        return cls(G, cap, None, dcoeffs, exact=True)
 
     # -- moments and basis coefficients ------------------------------------
 
     @property
-    def moments(self) -> Dict[MultiIndex, Fraction]:
+    def moment_table(self) -> Coefficients:
         """The nonzero moments of degree <= cap; a basis combination derives them on first read."""
         if self._moments is None:
             indices = indices_up_to(self.group.d, self.cap)
             nums, den = self._moment_numerators(indices)
-            self._moments = {beta: _ratio(num, den) for beta, num in zip(indices, nums) if num}
+            self._moments = Coefficients.from_numerators(self.group.d, self.cap, _nonzero(indices, nums), den)
         return self._moments
+
+    @property
+    def moments(self) -> Mapping[MultiIndex, Fraction]:
+        """The moment table as read-only Fractions."""
+        return self.moment_table.terms
+
+    @property
+    def dcoeffs(self) -> Optional[Mapping[MultiIndex, Fraction]]:
+        """The basis table as read-only Fractions; None until it is given or derived."""
+        return None if self.basis_table is None else self.basis_table.terms
 
     def moment(self, beta: MultiIndex) -> Fraction:
         beta = tuple(beta)
-        if sum(beta) <= self.cap:
-            return self.moments.get(beta, 0)
+        if sum(beta) <= self.cap:  # one entry of the table, without building its view
+            table = self.moment_table
+            return Fraction(table.nums.get(beta, 0), table.den)
         if self.point is not None:
             return math.prod(c**b for c, b in zip(self.point, beta))
-        if self.exact and self.dcoeffs is not None:
-            nums, den = numerators(self.dcoeffs)
-            return _ratio(gather(mahler_row, nums, [beta])[0], den)
+        if self.exact and self.basis_table is not None:
+            return Fraction(gather(mahler_row, self.basis_table.nums, [beta])[0], self.basis_table.den)
         raise InsufficientCap(f"moment {beta} beyond cap {self.cap} of a truncated distribution")
 
     def _moment_numerators(self, indices: Sequence[MultiIndex]) -> Tuple[List[int], int]:
         """The moments at indices, of any degree, as int numerators over one common denominator."""
         if self._moments is None:
-            nums, den = numerators(self.dcoeffs)
-            return gather(mahler_row, nums, indices), den
+            return gather(mahler_row, self.basis_table.nums, indices), self.basis_table.den
         table, cap = self._moments, self.cap
-        values = [table.get(beta, 0) if sum(beta) <= cap else self.moment(beta) for beta in indices]
-        den = math.lcm(*(v.denominator for v in values))
-        return [v.numerator * (den // v.denominator) for v in values], den
+        # the moments beyond cap come from the point or the basis table, and are scaled over den too
+        values = [table.nums.get(b, 0) if sum(b) <= cap else self.moment(b) * table.den for b in indices]
+        scale = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (scale // v.denominator) for v in values], table.den * scale
 
-    def ensure_dcoeffs(self) -> Dict[MultiIndex, Fraction]:
-        """Derive d_alpha = lambda(binom(Z, alpha)) from the moments, for |alpha| <= cap."""
-        if self.dcoeffs is None:
-            indices = indices_up_to(self.group.d, self.cap)
-            moments, den = numerators(self.moments)
-            nums = zip(indices, gather(taylor_row, moments, indices))
-            self.dcoeffs = {alpha: _ratio(num, den * multi_factorial(alpha)) for alpha, num in nums if num}
-        return self.dcoeffs
+    def ensure_dcoeffs(self) -> Coefficients:
+        """The basis table, derived without one as d_alpha = lambda(binom(Z, alpha)) for |alpha| <= cap.
+
+        alpha! d_alpha gathers the Taylor rows, so the table is over den * lcm(alpha!) = den * cap!.
+        """
+        if self.basis_table is None:
+            indices, table = indices_up_to(self.group.d, self.cap), self.moment_table
+            lcm = math.factorial(self.cap)
+            nums = zip(indices, gather(taylor_row, table.nums, indices))
+            nums = {alpha: n * (lcm // multi_factorial(alpha)) for alpha, n in nums if n}
+            self.basis_table = Coefficients.from_numerators(self.group.d, self.cap, nums, table.den * lcm)
+        return self.basis_table
 
     def valuations(self) -> Dict[MultiIndex, int]:
-        """alpha -> v_p(d_alpha) over the nonzero basis coefficients, in their order; computed once.
-
-        A Dirac sums v_p(binom(x, beta)) = sum_i v_p(binom(x_i, beta_i)) from
-        its d * (cap + 1) coordinate valuations; a zero factor gives +inf.
-        """
+        """alpha -> v_p(d_alpha) = v_p(n_alpha) - v_p(den) over the basis table, in its order; computed once."""
         if self._valuations is None:
-            p = self.group.p
-            if self._coordinate_binomials is None:
-                self._valuations = {a: valuation(c, p) for a, c in self.ensure_dcoeffs().items()}
-            else:
-                tables = [[valuation(b, p) for b in row] for row in self._coordinate_binomials]
-                sums = tensor_kernel(self.group.d, self.cap, "+")(*tables)
-                indices = indices_up_to(self.group.d, self.cap)
-                self._valuations = {b: v for b, v in zip(indices, sums) if v != INFINITY}
+            p, table = self.group.p, self.ensure_dcoeffs()
+            v_den = int_valuation(table.den, p)
+            self._valuations = {a: v - v_den for a, v in valuation_pairs(table.nums, p)}
         return self._valuations
 
     def total_mass(self) -> Fraction:
@@ -294,8 +295,7 @@ def convolve(
     plan, left, right, law_den = G.plan(("convolution", cap_out), lambda G: _compile_plan(G, cap_out))
     m1, den1 = lam._moment_numerators(left)
     m2, den2 = mu._moment_numerators(right)
-    den = den1 * den2 * law_den
-    moments: Dict[MultiIndex, Fraction] = {}
+    nums: Dict[MultiIndex, int] = {}
     for gamma, rows in plan:
         acc = 0
         for i, pairs in rows:
@@ -306,12 +306,13 @@ def convolve(
                     inner += c * m2[j]
                 acc += a * inner
         if acc:
-            moments[gamma] = _ratio(acc, den)
+            nums[gamma] = acc
+    moments = Coefficients.from_numerators(G.d, cap_out, nums, den1 * den2 * law_den)
     # a product of Diracs is the Dirac at the product of the points
     point = None
     if lam.point is not None and mu.point is not None:
         point = G.multiply(lam.point, mu.point)
-    return Distribution._filled(G, cap_out, point is not None, point, moments)
+    return Distribution(G, cap_out, moments, exact=point is not None, point=point)
 
 
 # -- norm families ---------------------------------------------------------
@@ -366,17 +367,15 @@ def random_dcoeff_distribution(
     """Seeded finitely-supported basis combination with p-power-scaled coefficients."""
     indices = [a for a in indices_up_to(G.d, support_degree) if sum(a) > 0]
     p = G.p
-    dcoeffs: Dict[MultiIndex, Fraction] = {}
+    nums: Dict[MultiIndex, int] = {}
     for _ in range(nterms):
         alpha = indices[rng.randrange(len(indices))]
         num = rng.randrange(-(p**3), p**3) or 1
         shift = rng.randrange(-1, 2)
-        # num * p^shift for shift in {1, 0, -1}
-        dcoeffs[alpha] = dcoeffs.get(alpha, 0) + (num * p if shift > 0 else num if shift == 0 else Fraction(num, p))
-    dcoeffs = {a: v for a, v in dcoeffs.items() if v != 0}
-    if not dcoeffs:
-        dcoeffs = {(0,) * G.d: 1}
-    return Distribution.from_dcoeffs(G, dcoeffs, cap)
+        # num * p^shift for shift in {1, 0, -1}, as a numerator over p
+        nums[alpha] = nums.get(alpha, 0) + num * p ** (shift + 1)
+    nums = {a: n for a, n in nums.items() if n} or {(0,) * G.d: p}
+    return Distribution.from_dcoeffs(G, Coefficients.from_numerators(G.d, support_degree, nums, p), cap)
 
 
 # -- inequality checkers ---------------------------------------------------

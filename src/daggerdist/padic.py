@@ -12,13 +12,13 @@ row table; distributions, their duals under <lam, f> = sum_alpha m_alpha(f)
 d_alpha(lam), :func:`gather` through the same table.
 
 Hot paths keep rationals as int numerators over one common denominator
-(:func:`numerators`); a series or a Mahler family stores only that form, and
-:func:`same_ratios` compares two of them without reducing either.  A product
-over coordinates, such as a Dirac's x^beta and binom(x, beta) or the
-valuation v_p(binom(x, beta)) as a sum, is one compiled :func:`tensor_kernel`
-per (d, cap).  Every weighted norm is one
-:func:`weighted_sup_num` over a :class:`WeightTable`, in ints over the table's
-denominator; it reads valuations, and given numerators over ``den`` takes v_p(den) once.
+(:func:`numerators`); a series, a Mahler family or a distribution's table
+stores only that form, and :func:`same_ratios` compares two of them without
+reducing either.  A product over coordinates, such as a Dirac's x^beta and
+binom(x, beta), is one compiled :func:`tensor_kernel` per (d, cap).  Every
+weighted norm is one :func:`weighted_sup_num` over a :class:`WeightTable`, in
+ints over the table's denominator; it reads valuations, and given numerators
+over ``den`` takes v_p(den) once.
 """
 from __future__ import annotations
 
@@ -146,16 +146,15 @@ def indices_up_to(d: int, cap: int) -> Tuple[MultiIndex, ...]:
 
 
 @lru_cache(maxsize=None)
-def tensor_kernel(d: int, cap: int, op: str) -> Callable[..., tuple]:
+def tensor_kernel(d: int, cap: int) -> Callable[..., tuple]:
     """One straight-line function of d tables t_0, ..., t_{d-1} of length cap + 1 each.
 
-    It returns t_0[beta_0] op ... op t_{d-1}[beta_{d-1}] for every beta in
-    :func:`indices_up_to` order, ``op`` being "*" or "+".  Entry 0 of every
-    table must be the unit of ``op`` (1, or 0), so those factors are left out.
+    It returns t_0[beta_0] * ... * t_{d-1}[beta_{d-1}] for every beta in
+    :func:`indices_up_to` order.  Entry 0 of every table must be 1, so those
+    factors are left out.
     """
-    unit = {"*": "1", "+": "0"}[op]
     names = [[f"t{i}_{k}" for k in range(cap + 1)] for i in range(d)]
-    exprs = [op.join(names[i][b] for i, b in enumerate(beta) if b) or unit for beta in indices_up_to(d, cap)]
+    exprs = ["*".join(names[i][b] for i, b in enumerate(beta) if b) or "1" for beta in indices_up_to(d, cap)]
     args = ", ".join(f"t{i}" for i in range(d))
     lines = [f"def kernel({args}):"]
     lines += [f"    {', '.join(row)}, = t{i}" for i, row in enumerate(names)]

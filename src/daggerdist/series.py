@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -216,7 +217,7 @@ class TruncatedSeries(Coefficients):
             for i2, n2 in other.nums.items():
                 if d1 + sum(i2) > cap:
                     continue
-                idx = tuple(a + b for a, b in zip(i1, i2))
+                idx = tuple(map(add, i1, i2))
                 nums[idx] = nums.get(idx, 0) + n1 * n2
         exact = (
             self.exact
@@ -251,8 +252,8 @@ class TruncatedSeries(Coefficients):
         if cap is None:
             cap = min([self.cap] + [g.cap for g in gs])
         gs = [g.with_cap(cap) for g in gs]
-        out = TruncatedSeries.zero(edim, cap)
-        powers = [{0: TruncatedSeries.constant(1, edim, cap)} for _ in gs]
+        one = TruncatedSeries.constant(1, edim, cap)
+        powers = [{0: one} for _ in gs]
 
         def g_power(i: int, k: int) -> TruncatedSeries:
             memo = powers[i]
@@ -260,14 +261,18 @@ class TruncatedSeries(Coefficients):
                 memo[k] = g_power(i, k - 1) * gs[i]
             return memo[k]
 
-        # sum_idx nums[idx] g^idx, divided by den at the end
-        for idx, n in self.nums.items():
-            part = TruncatedSeries.from_numerators(edim, cap, {origin: n}, 1)
-            for i, k in enumerate(idx):
-                if k:
-                    part = part * g_power(i, k)
-            out = out + part
-        return TruncatedSeries.from_numerators(edim, cap, out.nums, out.den * self.den, out.exact and self.exact)
+        # sum_idx nums[idx] g^idx in one int dict over the parts' common denominator, divided by den at the end
+        parts = [
+            (n, math.prod((g_power(i, k) for i, k in enumerate(idx) if k), start=one)) for idx, n in self.nums.items()
+        ]
+        den = math.lcm(*(part.den for _, part in parts))
+        nums: Dict[MultiIndex, int] = {}
+        for n, part in parts:
+            scale = n * (den // part.den)
+            for j, m in part.nums.items():
+                nums[j] = nums.get(j, 0) + m * scale
+        exact = self.exact and all(part.exact for _, part in parts)
+        return TruncatedSeries.from_numerators(edim, cap, _nonzero(nums), den * self.den, exact)
 
     def evaluate(self, xs: Sequence[Rational]) -> Rational:
         """Exact sum over the stored terms at the point ``xs``.

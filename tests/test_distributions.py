@@ -38,6 +38,7 @@ from daggerdist.groups import (
 from daggerdist.mahler import taylor_to_mahler
 from daggerdist.padic import (
     LogMag,
+    binom_value,
     gather,
     indices_up_to,
     mahler_row,
@@ -49,7 +50,7 @@ from daggerdist.padic import (
     weighted_sup,
 )
 from daggerdist.report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, Report, emit_json, record
-from daggerdist.series import TruncatedSeries
+from daggerdist.series import Coefficients, TruncatedSeries
 
 H3 = builtin_heisenberg(3)
 A32 = builtin_abelian(3, 2)
@@ -83,7 +84,7 @@ def test_dirac_moments_and_dcoeffs():
 def test_triangular_solve_recovers_dirac_dcoeffs():
     lam = Distribution.dirac(H3, [2, 5, 7], 4)
     from_moments = Distribution(H3, 4, lam.moments)
-    assert from_moments.ensure_dcoeffs() == {
+    assert from_moments.ensure_dcoeffs().terms == {
         a: v for a, v in lam.dcoeffs.items() if sum(a) <= 4
     }
 
@@ -264,7 +265,7 @@ def test_from_dcoeffs_matches_basis_moment_sum(dcoeffs, cap):
     assert lam.moments == expect
     assert basis_moment((3, 1, 2), (2, 1, 0)) == _basis_moment_reference((3, 1, 2), (2, 1, 0))
     # the moments determine the coefficients of degree <= cap
-    solved = Distribution(H3, cap, lam.moments).ensure_dcoeffs()
+    solved = Distribution(H3, cap, lam.moments).ensure_dcoeffs().terms
     assert solved == {a: d for a, d in dcoeffs.items() if d != 0 and sum(a) <= cap}
 
 
@@ -572,7 +573,7 @@ def _pairing_cases(draw):
 def test_pairing_is_the_mahler_coefficients_against_the_basis_coefficients(case):
     # <lam, f> = sum_alpha m_alpha(f) d_alpha(lam): the two basis changes are transposes
     lam, f = case
-    dcoeffs = lam.ensure_dcoeffs()
+    dcoeffs = lam.ensure_dcoeffs().terms
     m = taylor_to_mahler(f).coeffs
     assert _pair(lam, f) == sum((c * dcoeffs.get(alpha, 0) for alpha, c in m.items()), Fraction(0))
 
@@ -608,7 +609,7 @@ def test_lazy_moments_match_eager_formula(dcoeffs, cap):
         assert make() == Distribution(H3, cap, inside)
         assert Distribution(H3, cap, inside) == make()
         assert make().total_mass() == expect[(0, 0, 0)]
-        solved = Distribution(H3, cap, make().moments).ensure_dcoeffs()
+        solved = Distribution(H3, cap, make().moments).ensure_dcoeffs().terms
         assert solved == {a: d for a, d in dcoeffs.items() if d != 0 and sum(a) <= cap}
         assert _pair(make(), f) == sum(c * expect[b] for b, c in f.terms.items())
 
@@ -694,18 +695,64 @@ def test_tensor_dirac_matches_the_per_index_loop(data):
     assert [type(c) for c in got.point] == [int if Fraction(c).denominator == 1 else Fraction for c in x]
     assert (got.group, got.cap, got.exact) == (want.group, want.cap, want.exact)
     assert [got.moment(b) for b in indices_up_to(G.d, cap + 2)] == [want.moment(b) for b in indices_up_to(G.d, cap + 2)]
-    # the separable valuation table against one valuation per coefficient
+    # the valuation table against one valuation per coefficient
     expect = [(a, valuation(c, G.p)) for a, c in want.dcoeffs.items()]
     assert list(got.valuations().items()) == expect
     assert list(want.valuations().items()) == expect
     assert got.valuations() is got.valuations()
 
 
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda G: G.name)
+def test_dirac_valuations_are_the_per_coordinate_sums(G):
+    # v_p(binom(x, beta)) = sum_i v_p(binom(x_i, beta_i)), a zero factor dropping beta: the identity the
+    # per-coordinate valuation path computed, read here from the one path over the basis numerators
+    rng = random.Random(f"valuation-sums:{G.name}")
+    p = G.p
+    den = next(q for q in (2, 3, 5) if q % p)
+    for t in range(12):
+        x = [rng.randrange(-(p**6), p**6) for _ in range(G.d)]
+        x[0] = -rng.randrange(1, p**6)  # a negative coordinate
+        x[-1] = Fraction(rng.randrange(-(p**4), p**4), den)  # and a non-integral one
+        cap = rng.randrange(0, 7)
+        coordinate = [[valuation(binom_value(c, k), p) for k in range(cap + 1)] for c in x]
+        expect = {}
+        for beta in indices_up_to(G.d, cap):
+            vs = [row[b] for row, b in zip(coordinate, beta)]
+            if math.inf not in vs:
+                expect[beta] = sum(vs)
+        got = Distribution.dirac(G, x, cap).valuations()
+        assert list(got.items()) == list(expect.items())
+
+
+def test_moments_and_dcoeffs_are_read_only_views_of_the_old_values():
+    x, cap = [3, -6, Fraction(9, 2)], 4
+    lam = Distribution.dirac(H3, x, cap)
+    old_moments = {b: math.prod(Fraction(c) ** k for c, k in zip(x, b)) for b in indices_up_to(3, cap)}
+    old_dcoeffs = {b: multi_binom_value(tuple(x), b) for b in indices_up_to(3, cap)}
+    assert dict(lam.moments) == {b: v for b, v in old_moments.items() if v}
+    assert dict(lam.dcoeffs) == {b: v for b, v in old_dcoeffs.items() if v}
+    assert all(type(v) is Fraction for v in [*lam.moments.values(), *lam.dcoeffs.values()])
+    basis = Distribution.from_dcoeffs(H3, {(1, 0, 0): Fraction(1, 3), (0, 2, 1): 9}, cap)
+    truncated = Distribution(H3, cap, lam.moments)
+    assert truncated.dcoeffs is None  # not derived until it is asked for
+    assert truncated.ensure_dcoeffs() is truncated.basis_table and truncated.dcoeffs == lam.dcoeffs
+    for view in (lam.moments, lam.dcoeffs, basis.moments, basis.dcoeffs, truncated.dcoeffs):
+        with pytest.raises(TypeError):
+            view[(0, 0, 0)] = 5
+    with pytest.raises(AttributeError):
+        lam.moments = {}
+    with pytest.raises(AttributeError):
+        lam.dcoeffs = {}
+    # the tables behind the views: int numerators over one positive denominator
+    assert lam.moment_table == truncated.moment_table and lam.basis_table == truncated.basis_table
+    assert basis.basis_table.den == 3 and basis.basis_table.nums == {(1, 0, 0): 1, (0, 2, 1): 27}
+
+
 def _fraction_norm(lam, weights, factorial):
     """sup of -v(d_alpha) - [v(alpha!)] - sum_i w_i alpha_i over ensure_dcoeffs(), all in Fractions."""
     p = lam.group.p
     best = None
-    for alpha, c in lam.ensure_dcoeffs().items():
+    for alpha, c in lam.ensure_dcoeffs().terms.items():
         e = -valuation(c, p) - sum(Fraction(w) * a for w, a in zip(weights, alpha))
         if factorial:
             e -= multi_factorial_valuation(alpha, p)
@@ -739,7 +786,7 @@ def test_norms_read_the_valuation_table_as_the_coefficients_would(data):
     lam = data.draw(oracle_distributions(G))
     sigma = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(3, 2)]))
     N = data.draw(st.integers(1, 8))
-    pairs = [(a, valuation(c, G.p)) for a, c in lam.ensure_dcoeffs().items()]
+    pairs = [(a, valuation(c, G.p)) for a, c in lam.ensure_dcoeffs().terms.items()]
     assert list(lam.valuations().items()) == pairs
     tau = G.neighborhood_params(N).tau
     cases = [
@@ -761,7 +808,7 @@ def _fraction_check_comparison_maps(G, N, sigma, lam):
     sigma = Fraction(sigma)
     eps = Fraction(1, G.p - 1)
     tau = G.neighborhood_params(N).tau
-    dcoeffs = lam.ensure_dcoeffs()
+    dcoeffs = lam.ensure_dcoeffs().terms
     completion = weight_table(tuple(sigma * w for w in G.omega), None)
     level = weight_table(tuple(tau), G.p)
     records = []
@@ -1024,12 +1071,13 @@ def test_banach_check_with_diracs_at_cap_gives_the_records_at_degmax_cap(G, N, c
 
 @pytest.mark.parametrize("G", [H3, A32, H_HALF], ids=lambda G: G.name)
 def test_convolve_and_from_dcoeffs_fill_what_init_fills(G):
-    # the outputs are filled directly; __init__ on the same data must give the same attributes and value types
+    # the outputs hold tables as they were built; __init__ on rationals must give the same attributes and table form
     def same(lam, ref):
         assert vars(lam) == vars(ref)
-        for name in ("_moments", "dcoeffs"):
-            table = getattr(lam, name)
-            assert table is None or [type(v) for v in table.values()] == [type(v) for v in getattr(ref, name).values()]
+        for name in ("_moments", "basis_table"):
+            for table in (getattr(lam, name), getattr(ref, name)):
+                assert table is None or type(table) is Coefficients
+                assert table is None or (table.den > 0 and all(type(n) is int and n for n in table.nums.values()))
 
     rng = random.Random(5)
     x, y = ([rng.randrange(G.p**4) for _ in range(G.d)] for _ in range(2))
