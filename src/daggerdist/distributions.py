@@ -44,6 +44,7 @@ from .padic import (
     int_valuation,
     mahler_row,
     multi_factorial,
+    numerators,
     p_power_at_most,
     taylor_row,
     tensor_kernel,
@@ -64,18 +65,20 @@ def _nonzero(indices, values) -> dict:
     return {i: v for i, v in zip(indices, values) if v}
 
 
-def _powers(x, cap: int) -> list:
-    """x^k for k = 0..cap."""
-    return [x**k for k in range(cap + 1)]
+def _powers(x, cap: int) -> Tuple[List[int], int]:
+    """x^k for k = 0..cap, as int numerators over den(x)^cap."""
+    a, b = x.numerator, x.denominator
+    return [a**k * b ** (cap - k) for k in range(cap + 1)], b**cap
 
 
-def _binomials(x, cap: int) -> list:
-    """binom(x, k) for k = 0..cap; at an int x by math.comb, using (-1)^k C(k - x - 1, k) for x < 0."""
+def _binomials(x, cap: int) -> Tuple[List[int], int]:
+    """binom(x, k) for k = 0..cap as int numerators over one den, 1 at an int x: math.comb, or (-1)^k C(k-x-1, k)."""
     if type(x) is not int:
-        return [binom_value(x, k) for k in range(cap + 1)]
+        nums, den = numerators({k: binom_value(x, k) for k in range(cap + 1)})
+        return list(nums.values()), den
     if x >= 0:
-        return [math.comb(x, k) for k in range(cap + 1)]
-    return [(-1) ** k * math.comb(k - x - 1, k) for k in range(cap + 1)]
+        return [math.comb(x, k) for k in range(cap + 1)], 1
+    return [(-1) ** k * math.comb(k - x - 1, k) for k in range(cap + 1)], 1
 
 
 def _as_table(d: int, values) -> Coefficients:
@@ -85,11 +88,11 @@ def _as_table(d: int, values) -> Coefficients:
     return Coefficients(d, max([0, *map(sum, values)]), values)
 
 
-def _tensor_table(d: int, cap: int, values: Sequence, integral: bool) -> Coefficients:
-    """The values, in indices_up_to(d, cap) order, as a table; ``integral`` ones are ints, kept as numerators over 1."""
-    if integral:
-        return Coefficients.from_numerators(d, cap, _nonzero(indices_up_to(d, cap), values), 1)
-    return Coefficients(d, cap, dict(zip(indices_up_to(d, cap), values)))
+def _tensor_table(d: int, cap: int, tables: Sequence[Tuple[List[int], int]]) -> Coefficients:
+    """The tensor product of d per-coordinate (numerators, den) tables, over the product of their dens."""
+    nums, dens = zip(*tables)
+    values = tensor_kernel(d, cap)(*nums)
+    return Coefficients.from_numerators(d, cap, _nonzero(indices_up_to(d, cap), values), math.prod(dens))
 
 
 class Distribution:
@@ -139,11 +142,10 @@ class Distribution:
         norm with positive weights is p^0, attained at alpha = 0.
         """
         x = G.check_point(x)
-        # per-coordinate tables of x_i^k and binom(x_i, k), in int arithmetic at integer coordinates,
-        # multiplied out by the tensor kernel
-        tensor, integral = tensor_kernel(G.d, cap), all(type(c) is int for c in x)
-        moments = _tensor_table(G.d, cap, tensor(*[_powers(c, cap) for c in x]), integral)
-        basis = _tensor_table(G.d, cap, tensor(*[_binomials(c, cap) for c in x]), integral)
+        # per-coordinate tables of x_i^k and binom(x_i, k) as int numerators (over 1 at integer
+        # coordinates), multiplied out by the tensor kernel
+        moments = _tensor_table(G.d, cap, [_powers(c, cap) for c in x])
+        basis = _tensor_table(G.d, cap, [_binomials(c, cap) for c in x])
         return cls(G, cap, moments, basis, exact=True, point=x)
 
     @classmethod
@@ -176,9 +178,8 @@ class Distribution:
 
     def moment(self, beta: MultiIndex) -> Fraction:
         beta = tuple(beta)
-        if sum(beta) <= self.cap:  # one entry of the table, without building its view
-            table = self.moment_table
-            return Fraction(table.nums.get(beta, 0), table.den)
+        if sum(beta) <= self.cap:
+            return self.moments.get(beta, 0)
         if self.point is not None:
             return math.prod(c**b for c, b in zip(self.point, beta))
         if self.exact and self.basis_table is not None:

@@ -150,11 +150,10 @@ def tensor_kernel(d: int, cap: int) -> Callable[..., tuple]:
     """One straight-line function of d tables t_0, ..., t_{d-1} of length cap + 1 each.
 
     It returns t_0[beta_0] * ... * t_{d-1}[beta_{d-1}] for every beta in
-    :func:`indices_up_to` order.  Entry 0 of every table must be 1, so those
-    factors are left out.
+    :func:`indices_up_to` order.
     """
     names = [[f"t{i}_{k}" for k in range(cap + 1)] for i in range(d)]
-    exprs = ["*".join(names[i][b] for i, b in enumerate(beta) if b) or "1" for beta in indices_up_to(d, cap)]
+    exprs = ["*".join(names[i][b] for i, b in enumerate(beta)) for beta in indices_up_to(d, cap)]
     args = ", ".join(f"t{i}" for i in range(d))
     lines = [f"def kernel({args}):"]
     lines += [f"    {', '.join(row)}, = t{i}" for i, row in enumerate(names)]

@@ -666,7 +666,7 @@ def _dirac_per_index(G, x, cap):
     x = G.check_point(x)
     coords = [c.numerator if c.denominator == 1 else c for c in x]
     powers = [[c**k for k in range(cap + 1)] for c in coords]
-    binoms = [dist_module._binomials(c, cap) for c in coords]
+    binoms = [[binom_value(c, k) for k in range(cap + 1)] for c in coords]
     moments, dcoeffs = {}, {}
     for beta in indices_up_to(G.d, cap):
         mu = dv = 1
@@ -975,12 +975,12 @@ def test_convolution_suite_fails_on_a_corrupted_dirac_power_table(monkeypatch):
     powers, calls = dist_module._powers, []
 
     def corrupted(x, cap):
-        # x_1^2 off by one in the first coordinate's table of every Dirac
-        table = powers(x, cap)
+        # x_1^2 off by one in the first coordinate's table of every Dirac (the points are ints: den 1)
+        nums, den = powers(x, cap)
         calls.append(x)
         if len(calls) % H3.d == 1 and cap >= 2:
-            table[2] += 1
-        return table
+            nums[2] += 1
+        return nums, den
 
     monkeypatch.setattr(dist_module, "_powers", corrupted)
     rec = homomorphism()

@@ -244,7 +244,7 @@ def test_weight_table_rejects_a_non_integral_factorial_valuation(monkeypatch):
 
 @pytest.mark.parametrize("d,cap", [(1, 0), (1, 5), (2, 3), (3, 0), (3, 8), (4, 2)])
 def test_tensor_kernel_multiplies_the_tables(d, cap):
-    tables = [[1] + [7 * i + k + 2 for k in range(cap)] for i in range(d)]
+    tables = [[7 * i + k + 2 for k in range(cap + 1)] for i in range(d)]
     indices = indices_up_to(d, cap)
     products = tuple(math.prod(t[b] for t, b in zip(tables, beta)) for beta in indices)
     assert tensor_kernel(d, cap)(*tables) == products
