@@ -36,6 +36,7 @@ from .groups import (
     check_saturation,
     group_to_config,
     load_group,
+    randbelow,
 )
 from .mahler import MahlerFamily, NormIdentity, mahler_to_taylor, taylor_to_mahler, verify_norm_identity
 from .padic import format_fraction, parse_fraction, parse_int
@@ -74,12 +75,13 @@ def resolve_group(tag: str) -> PValuedGroup:
 def _random_poly(rng: random.Random, dim: int, deg: int, p: int, cap: int) -> TruncatedSeries:
     """Up to five terms num / p^k (|num| <= p^3, k < 3), summed as ints over p^2; 1 if they cancel."""
     nums = {}
-    for _ in range(rng.randrange(1, 6)):
-        idx = tuple(rng.randrange(deg + 1) for _ in range(dim))
+    p3 = p**3
+    for _ in range(1 + randbelow(rng, 5)):  # each draw as rng.randrange drew it
+        idx = tuple(randbelow(rng, deg + 1) for _ in range(dim))
         while sum(idx) > deg:
-            idx = tuple(rng.randrange(deg + 1) for _ in range(dim))
-        num = rng.randrange(-(p**3), p**3 + 1) or 1
-        nums[idx] = nums.get(idx, 0) + num * p ** (2 - rng.randrange(3))
+            idx = tuple(randbelow(rng, deg + 1) for _ in range(dim))
+        num = randbelow(rng, 2 * p3 + 1) - p3 or 1
+        nums[idx] = nums.get(idx, 0) + num * p ** (2 - randbelow(rng, 3))
     nums = {i: n for i, n in nums.items() if n} or {(0,) * dim: p * p}
     return TruncatedSeries.from_numerators(dim, cap, nums, p * p)
 

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import random
+import struct
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -475,10 +476,40 @@ def check_formal_group_axioms(G: PValuedGroup, cap: Optional[int] = None) -> Lis
     return records
 
 
+def randbelow(rng: random.Random, bound: int) -> int:
+    """rng.randrange(bound) for an int bound > 0, by its rule and without its argument handling.
+
+    Draw the k = bound.bit_length() bits of getrandbits(k) and draw again while
+    they are >= bound: the same value and the same generator state afterwards.
+    """
+    k = bound.bit_length()
+    r = rng.getrandbits(k)
+    while r >= bound:
+        r = rng.getrandbits(k)
+    return r
+
+
 def sample_points(G: PValuedGroup, rng: random.Random, count: int, precision: int) -> List[Point]:
-    """Seeded pseudorandom points with integer coordinates mod p^precision."""
-    bound = G.p**precision
-    return [tuple(rng.randrange(bound) for _ in range(G.d)) for _ in range(count)]
+    """Seeded pseudorandom points with integer coordinates mod p^precision.
+
+    The coordinates are what count * d calls of rng.randrange(p^precision)
+    return, and the generator ends in the same state.  Below 2^32, each such
+    call keeps the top k = bound.bit_length() bits of one 32-bit output of the
+    generator and rejects a value >= bound; getrandbits(32 m) is m such outputs,
+    least significant first, so each round draws the shortfall in one call.
+    """
+    bound, d = G.p**precision, G.d
+    k = bound.bit_length()
+    if k > 32:
+        coords = [randbelow(rng, bound) for _ in range(count * d)]
+    else:
+        coords, shift = [], 32 - k
+        limit = bound << shift  # w >> shift < bound iff w < limit
+        while len(coords) < count * d:
+            m = count * d - len(coords)
+            words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+            coords += [w >> shift for w in words if w < limit]
+    return [tuple(coords[i : i + d]) for i in range(0, count * d, d)]
 
 
 def check_model_consistency(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .padic import (
@@ -49,20 +50,30 @@ def taylor_to_mahler(f: TruncatedSeries) -> MahlerFamily:
     if not f.exact:
         raise ValueError("only exact polynomials admit Mahler conversion")
     nums, den = f.numerators()
-    return MahlerFamily.from_numerators(f.dim, f.cap, scatter(mahler_row, nums), den)
+    return MahlerFamily.from_numerators(f.dim, f.cap, scatter(mahler_row, nums, f.dim, f.cap), den)
+
+
+@lru_cache(maxsize=64)
+def _taylor_row_over(row, cap: int):
+    """alpha -> row(alpha) with each weight times cap!/alpha!, an int since alpha! divides |alpha|! and so cap!."""
+    fact = math.factorial(cap)
+
+    def scaled(alpha):
+        scale = fact // multi_factorial(alpha)
+        return tuple((beta, w * scale) for beta, w in row(alpha))
+
+    return scaled
 
 
 def mahler_to_taylor(m: MahlerFamily) -> TruncatedSeries:
     """c_beta = sum_{alpha >= beta} m_alpha / alpha! * prod_i a(alpha_i, beta_i)
 
-    Scattered through the Taylor rows as ints over den * lcm(alpha!) for alpha in the support.
+    Scattered through the Taylor rows scaled by cap!/alpha!, as ints over den * cap!.
     """
     if not m.exact:
         raise ValueError("only exact Mahler families admit conversion")
-    facts = {alpha: multi_factorial(alpha) for alpha in m.nums}
-    lcm = math.lcm(*facts.values())
-    nums = {alpha: n * (lcm // facts[alpha]) for alpha, n in m.nums.items()}
-    return TruncatedSeries.from_numerators(m.dim, m.cap, scatter(taylor_row, nums), m.den * lcm)
+    nums = scatter(_taylor_row_over(taylor_row, m.cap), m.nums, m.dim, m.cap)
+    return TruncatedSeries.from_numerators(m.dim, m.cap, nums, m.den * math.factorial(m.cap))
 
 
 def mahler_norm(m: MahlerFamily, rho: Sequence[Rational], p: int) -> NormValue:

@@ -41,8 +41,10 @@ def int_valuation(n: int, p: int) -> int:
     """v_p of a nonzero int, without :func:`valuation`'s type dispatch."""
     if n == 0:
         raise ValueError("zero has no finite valuation")
-    n = abs(n)
-    v = 0
+    if n % p:
+        return 0
+    n //= p  # exact, so a negative n needs no abs
+    v = 1
     while n % p == 0:
         n //= p
         v += 1
@@ -205,13 +207,42 @@ def gather(row, nums: Mapping[MultiIndex, int], indices: Sequence[MultiIndex]) -
     return out
 
 
-def scatter(row, nums: Mapping[MultiIndex, int]) -> Dict[MultiIndex, int]:
-    """The transpose of :func:`gather`: out_i = sum of w * nums[k] over (i, w) in row(k); zeros dropped."""
-    out: Dict[MultiIndex, int] = {}
-    for k, n in nums.items():
-        for i, w in row(k):
-            out[i] = out.get(i, 0) + w * n
-    return {i: t for i, t in out.items() if t}
+class ScatterTable(dict):
+    """k -> ((position of i, w) for (i, w) in row(k)): a row table over dense output positions.
+
+    A position is handed to each output index when a row first reaches it, and
+    a row is filled on first use, so a table costs only what its scatters touch.
+    """
+
+    def __init__(self, row):
+        super().__init__()
+        self.row = row
+        self.position: Dict[MultiIndex, int] = {}
+
+    def __missing__(self, k: MultiIndex) -> Tuple[Tuple[int, int], ...]:
+        position = self.position
+        self[k] = entries = tuple((position.setdefault(i, len(position)), w) for i, w in self.row(k))
+        return entries
+
+
+@lru_cache(maxsize=64)
+def scatter_table(row, dim: int, cap: int) -> ScatterTable:
+    """The one table of ``row`` for families of dimension ``dim`` and cap ``cap``, which keeps its output list short."""
+    return ScatterTable(row)
+
+
+def scatter(row, nums: Mapping[MultiIndex, int], dim: int, cap: int) -> Dict[MultiIndex, int]:
+    """The transpose of :func:`gather`: out_i = sum of w * nums[k] over (i, w) in row(k); zeros dropped.
+
+    The sums run over a list indexed by the positions of :func:`scatter_table`.
+    """
+    table = scatter_table(row, dim, cap)
+    rows = [(table[k], n) for k, n in nums.items()]  # first, as a new row may add output positions
+    out = [0] * len(table.position)
+    for entries, n in rows:
+        for i, w in entries:
+            out[i] += w * n
+    return {i: t for i, t in zip(table.position, out) if t}
 
 
 def numerators(values: Mapping[MultiIndex, Rational]) -> Tuple[Dict[MultiIndex, int], int]:

@@ -23,7 +23,7 @@ from daggerdist.groups import (
     load_group,
     pth_root_mod,
 )
-from daggerdist.padic import INFINITY, format_fraction, valuation
+from daggerdist.padic import INFINITY, LogMag, format_fraction, valuation
 from daggerdist.report import record
 from test_distributions import H_HALF
 
@@ -513,6 +513,58 @@ def test_coefficient_bound_catches_unit_coefficient():
     recs = check_coefficient_bound(G)
     assert recs[0].verdict == "fail"
     assert recs[0].witness["violations"]
+
+
+def test_polydisc_bound_catches_a_unit_quadratic_term_in_the_inverse():
+    # -p Z1 Z2 in I3 replaced by -Z1 Z2: its Gauss norm at tau = 1/4 is p^(1/2) > p^(1/4)
+    cfg = group_to_config(builtin_heisenberg(3))
+    for rec in cfg["I"][2]:
+        if sum(rec["index"]) == 2:
+            rec["coeff"] = "-1/1"
+    cfg["model"] = None
+    G = load_group(cfg)
+    recs = check_polydisc_bound(G, 1)
+    assert recs[0].check_id == "polydisc/gauss-bound" and recs[0].verdict == "fail"
+    (violation,) = recs[0].witness["violations"]
+    assert violation["poly"] == "I3"
+    assert (violation["norm"], violation["bound"]) == (LogMag(Fraction(1, 2)), LogMag(Fraction(1, 4)))
+    assert all(r.verdict == "pass" for r in check_polydisc_bound(H3, 1))
+
+
+def _randrange_points(G, rng, count, precision):
+    """sample_points as first written: one rng.randrange call per coordinate."""
+    bound = G.p**precision
+    return [tuple(rng.randrange(bound) for _ in range(G.d)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "G, precision",
+    [
+        (H3, 12),
+        (builtin_heisenberg(5), 12),
+        (builtin_heisenberg(7), 12),  # 7^12 > 2^32: one draw at a time
+        (H3, 2),  # 9 = 2^3 + 1: nearly half the words rejected
+        (builtin_abelian(2, 2), 5),  # 2^5 has 6 bits: half the words rejected
+        (builtin_abelian(2, 2), 31),  # 2^31 has 32 bits: a whole word per draw
+        (builtin_abelian(2, 3), 32),  # 2^32 has 33 bits: one draw at a time
+        (builtin_abelian(3, 1), 0),  # the bound 1
+    ],
+    ids=lambda v: getattr(v, "name", v),
+)
+@pytest.mark.parametrize("seed", [0, 7, "11:pval:heisenberg(5)"])
+def test_sample_points_draws_what_randrange_drew(G, precision, seed):
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for count in (0, 1, 200):
+        points = groups_module.sample_points(G, rng, count, precision)
+        assert points == _randrange_points(G, oracle_rng, count, precision)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+@given(seed=st.integers(0, 2**32), bound=st.one_of(st.integers(1, 2**40), st.sampled_from([1, 2, 2**32, 2**32 + 1])))
+def test_randbelow_draws_what_randrange_drew(seed, bound):
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    assert [groups_module.randbelow(rng, bound) for _ in range(20)] == [oracle_rng.randrange(bound) for _ in range(20)]
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_polydisc_bound_levels():

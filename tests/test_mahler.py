@@ -22,7 +22,10 @@ from daggerdist.padic import (
     digit_sum,
     falling_coeff,
     grlex_key,
+    mahler_row,
     multi_binom_value,
+    multi_factorial,
+    scatter,
     stirling_second,
     taylor_row,
     valuation,
@@ -171,6 +174,51 @@ def test_conversions_match_fraction_formulas(f):
     # a family whose denominators are not all absorbed by alpha!
     divided = MahlerFamily(f.dim, f.cap, {a: c / 7 for a, c in m.coeffs.items()})
     assert mahler_to_taylor(divided).terms == _fraction_mahler_to_taylor(divided.coeffs)
+
+
+def _dict_scatter(row, nums):
+    """padic.scatter as first written, summing into a dict keyed by output index."""
+    out = {}
+    for k, n in nums.items():
+        for i, w in row(k):
+            out[i] = out.get(i, 0) + w * n
+    return {i: t for i, t in out.items() if t}
+
+
+def _lcm_mahler_to_taylor(m):
+    """mahler_to_taylor as first written: the numerators rescaled over den * lcm(alpha!) of the support on each call."""
+    facts = {alpha: multi_factorial(alpha) for alpha in m.nums}
+    lcm = math.lcm(*facts.values())
+    nums = {alpha: n * (lcm // facts[alpha]) for alpha, n in m.nums.items()}
+    return TruncatedSeries.from_numerators(m.dim, m.cap, _dict_scatter(taylor_row, nums), m.den * lcm)
+
+
+@st.composite
+def _capped_families(draw):
+    """(dim, cap, nums, den): up to six nonzero numerators at indices of total degree <= cap."""
+    dim, cap = draw(st.integers(1, 3)), draw(st.integers(0, 12))
+    nums = {}
+    for _ in range(draw(st.integers(0, 6))):
+        index, budget = [], cap
+        for _ in range(dim):
+            index.append(draw(st.integers(0, budget)))
+            budget -= index[-1]
+        nums[tuple(draw(st.permutations(index)))] = draw(st.integers(-(10**6), 10**6).filter(bool))
+    return dim, cap, nums, draw(st.sampled_from([1, 2, 3, 12, 125]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=_capped_families())
+def test_dense_conversions_match_the_dict_scatter(family):
+    dim, cap, nums, den = family
+    for row in (mahler_row, taylor_row):
+        assert scatter(row, nums, dim, cap) == _dict_scatter(row, nums)
+    f = TruncatedSeries.from_numerators(dim, cap, nums, den)
+    assert taylor_to_mahler(f).numerators() == (_dict_scatter(mahler_row, nums), den)
+    m = MahlerFamily.from_numerators(dim, cap, nums, den)
+    back, expect = mahler_to_taylor(m), _lcm_mahler_to_taylor(m)
+    assert back == expect and back.terms == expect.terms
+    assert back.den == den * math.factorial(cap)
 
 
 def _fraction_mahler_norm(m, rho, p):

@@ -15,6 +15,7 @@ from daggerdist.padic import (
     falling_coeff,
     format_fraction,
     indices_up_to,
+    int_valuation,
     multi_binom_value,
     multi_factorial,
     multi_factorial_valuation,
@@ -44,6 +45,17 @@ def test_valuation_basics():
     assert valuation(-12, 2) == 2
     # a valuation is an integer, for int and Fraction input alike
     assert type(valuation(-12, 2)) is int and type(valuation(Fraction(1, 9), 3)) is int
+
+
+@given(st.integers(-(10**30), 10**30).filter(bool), st.integers(0, 40), st.sampled_from([2, 3, 5, 7]))
+def test_int_valuation_reads_the_power_of_p(n, k, p):
+    # n * p^k has valuation k more than n, whether n is prime to p (the early return) or not, and of either sign
+    v = 0
+    while n % p ** (v + 1) == 0:
+        v += 1
+    assert int_valuation(n * p**k, p) == int_valuation(-n * p**k, p) == v + k
+    with pytest.raises(ValueError):
+        int_valuation(0, p)
 
 
 @given(nonzero_rationals, nonzero_rationals, st.sampled_from([2, 3, 5, 7]))
