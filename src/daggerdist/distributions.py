@@ -11,25 +11,33 @@ binom(x_i, k), through one compiled :func:`~daggerdist.padic.tensor_kernel`
 per (d, cap).  A finite basis combination derives its moments only when they
 are read.  Convolution consumes the moment side through the expanded
 group-law monomials F^gamma, compiled once per group and output cap into a
-plan that names the moments it reads.
+plan: the straight-line bilinear form sum_i m1_i sum_j c_ij m2_j over the
+moments of the degrees it names, which a covering table gives by position.
+Both basis changes are straight-line kernels per (d, cap) over the basis rows
+of :mod:`daggerdist.padic`, the transpose of the Mahler conversions: the
+Mahler rows derive a basis combination's moments, the Taylor rows (cap!/alpha!
+folded into their weights) a moment table's basis coefficients.
 
 The basis side feeds every norm through one cached valuation table per
 distribution, alpha -> v_p(n_alpha) - v_p(den) over the basis numerators
 (:meth:`Distribution.valuations`).  The norm
 weights are tabled per index, one :func:`~daggerdist.padic.weight_table` per
 distinct weight vector, which each (norm, radius) or (norm, N) finds through
-its own key in the group's plans; the comparison maps keep their regime data
-per (N, sigma) there too.
+its own key in the group's plans.  The contact check and the comparison maps
+decide each alpha from the weights alone, so each keeps an alpha -> verdict
+table there per sigma or (N, sigma), filled on first use; a sample's
+valuations are read only for the witnesses.
 Norms computed from truncated data are certified lower bounds and are only
-ever placed on the small side of asserted inequalities.  Both basis
-changes gather int numerators over a common denominator through the basis
-rows of :mod:`daggerdist.padic`, the transpose of the Mahler conversions.
+ever placed on the small side of asserted inequalities.
 """
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import mul, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groups import PValuedGroup, Point
@@ -38,6 +46,7 @@ from .padic import (
     MultiIndex,
     WeightTable,
     binom_value,
+    bilinear_kernel,
     format_fraction,
     gather,
     indices_up_to,
@@ -46,9 +55,9 @@ from .padic import (
     multi_factorial,
     numerators,
     p_power_at_most,
+    row_kernel,
     taylor_row,
     tensor_kernel,
-    valuation_pairs,
     weight_table,
     weighted_sup,
 )
@@ -62,7 +71,7 @@ class InsufficientCap(ValueError):
 
 def _nonzero(indices, values) -> dict:
     """{index: value} over the nonzero values, in index order."""
-    return {i: v for i, v in zip(indices, values) if v}
+    return dict(compress(zip(indices, values), values))
 
 
 def _powers(x, cap: int) -> Tuple[List[int], int]:
@@ -93,6 +102,24 @@ def _tensor_table(d: int, cap: int, tables: Sequence[Tuple[List[int], int]]) -> 
     nums, dens = zip(*tables)
     values = tensor_kernel(d, cap)(*nums)
     return Coefficients.from_numerators(d, cap, _nonzero(indices_up_to(d, cap), values), math.prod(dens))
+
+
+@lru_cache(maxsize=None)
+def _moment_kernel(d: int, cap: int):
+    """The moments of degree <= cap of a basis expansion: the Mahler-row gather over indices_up_to(d, cap)."""
+    return row_kernel(mahler_row, d, cap)
+
+
+@lru_cache(maxsize=None)
+def _basis_kernel(d: int, cap: int):
+    """cap! d_alpha for |alpha| <= cap from the moments: the Taylor rows of alpha! d_alpha, each times cap!/alpha!."""
+    fact = math.factorial(cap)
+
+    def scaled(alpha):
+        scale = fact // multi_factorial(alpha)
+        return [(beta, w * scale) for beta, w in taylor_row(alpha)]
+
+    return row_kernel(scaled, d, cap)
 
 
 class Distribution:
@@ -161,9 +188,9 @@ class Distribution:
     def moment_table(self) -> Coefficients:
         """The nonzero moments of degree <= cap; a basis combination derives them on first read."""
         if self._moments is None:
-            indices = indices_up_to(self.group.d, self.cap)
-            nums, den = self._moment_numerators(indices)
-            self._moments = Coefficients.from_numerators(self.group.d, self.cap, _nonzero(indices, nums), den)
+            d, cap = self.group.d, self.cap
+            nums, den = self._moment_numerators(cap)
+            self._moments = Coefficients.from_numerators(d, cap, _nonzero(indices_up_to(d, cap), nums), den)
         return self._moments
 
     @property
@@ -186,35 +213,44 @@ class Distribution:
             return Fraction(gather(mahler_row, self.basis_table.nums, [beta])[0], self.basis_table.den)
         raise InsufficientCap(f"moment {beta} beyond cap {self.cap} of a truncated distribution")
 
-    def _moment_numerators(self, indices: Sequence[MultiIndex]) -> Tuple[List[int], int]:
-        """The moments at indices, of any degree, as int numerators over one common denominator."""
-        if self._moments is None:
-            return gather(mahler_row, self.basis_table.nums, indices), self.basis_table.den
-        table, cap = self._moments, self.cap
-        # the moments beyond cap come from the point or the basis table, and are scaled over den too
-        values = [table.nums.get(b, 0) if sum(b) <= cap else self.moment(b) * table.den for b in indices]
-        scale = math.lcm(*(v.denominator for v in values))
-        return [v.numerator * (scale // v.denominator) for v in values], table.den * scale
+    def _moment_numerators(self, degree: int) -> Tuple[Sequence[int], int]:
+        """The moments of degree <= ``degree``, in indices_up_to order, as int numerators over one denominator.
+
+        A moment table that covers ``degree`` is read by position.  Beyond it,
+        a basis expansion runs the compiled Mahler-row gather over its
+        numerators, and a Dirac tables the powers of its point.
+        """
+        d, table = self.group.d, self._moments
+        if table is None or degree > self.cap:
+            if self.point is not None:
+                table = _tensor_table(d, degree, [_powers(c, degree) for c in self.point])
+            elif self.exact:
+                basis = self.basis_table
+                dense = list(map(basis.nums.get, indices_up_to(d, degree), repeat(0)))
+                return _moment_kernel(d, degree)(dense), basis.den
+            else:
+                raise InsufficientCap(f"moments of degree {degree} beyond cap {self.cap} of a truncated distribution")
+        return list(map(table.nums.get, indices_up_to(d, degree), repeat(0))), table.den
 
     def ensure_dcoeffs(self) -> Coefficients:
         """The basis table, derived without one as d_alpha = lambda(binom(Z, alpha)) for |alpha| <= cap.
 
-        alpha! d_alpha gathers the Taylor rows, so the table is over den * lcm(alpha!) = den * cap!.
+        alpha! d_alpha gathers the Taylor rows, so the table is over den * lcm(alpha!) = den * cap!;
+        one compiled kernel per (d, cap) folds cap!/alpha! into the rows.
         """
         if self.basis_table is None:
-            indices, table = indices_up_to(self.group.d, self.cap), self.moment_table
-            lcm = math.factorial(self.cap)
-            nums = zip(indices, gather(taylor_row, table.nums, indices))
-            nums = {alpha: n * (lcm // multi_factorial(alpha)) for alpha, n in nums if n}
-            self.basis_table = Coefficients.from_numerators(self.group.d, self.cap, nums, table.den * lcm)
+            d, cap = self.group.d, self.cap
+            moments, den = self._moment_numerators(cap)
+            nums = _nonzero(indices_up_to(d, cap), _basis_kernel(d, cap)(moments))
+            self.basis_table = Coefficients.from_numerators(d, cap, nums, den * math.factorial(cap))
         return self.basis_table
 
     def valuations(self) -> Dict[MultiIndex, int]:
         """alpha -> v_p(d_alpha) = v_p(n_alpha) - v_p(den) over the basis table, in its order; computed once."""
         if self._valuations is None:
             p, table = self.group.p, self.ensure_dcoeffs()
-            v_den = int_valuation(table.den, p)
-            self._valuations = {a: v - v_den for a, v in valuation_pairs(table.nums, p)}
+            v_den, values = int_valuation(table.den, p), map(int_valuation, table.nums.values(), repeat(p))
+            self._valuations = dict(zip(table.nums, map(sub, values, repeat(v_den)) if v_den else values))
         return self._valuations
 
     def total_mass(self) -> Fraction:
@@ -235,30 +271,29 @@ class Distribution:
 
 
 def _compile_plan(G: PValuedGroup, cap_out: int) -> tuple:
-    """The law monomials F^gamma, |gamma| <= cap_out, as sums over the moments they pair.
+    """The law monomials F^gamma, |gamma| <= cap_out, compiled into the convolution's bilinear form.
 
     F^gamma = sum_{i, j} c_ij X^i Y^j / den, so (lam x mu)(F^gamma) =
-    sum_i lam(Z^i) sum_j c_ij mu(Z^j) / den.  Returns (rows, left, right,
-    den): ``rows`` holds, per gamma in grlex order, the pairs (position of i
-    in ``left``, ((position of j in ``right``, c_ij), ...)); the c_ij are int
-    numerators over ``den``, the lcm of the stored denominators of the F^gamma
-    (1 for integral laws).
+    sum_i lam(Z^i) sum_j c_ij mu(Z^j) / den.  Returns (form, left, right,
+    den): ``form`` is the :func:`~daggerdist.padic.bilinear_kernel` of that
+    sum, one output per gamma in grlex order, of the moments of degree <=
+    ``left`` and <= ``right`` in :func:`~daggerdist.padic.indices_up_to`
+    order, the index sets the plan reads; the c_ij are int numerators over
+    ``den``, the lcm of the stored denominators of the F^gamma (1 for
+    integral laws).
     """
     d, degmax = G.d, G.degmax()
-    monomials = [(gamma, G.f_monomial(gamma, max(degmax * sum(gamma), 1))) for gamma in indices_up_to(d, cap_out)]
-    den = math.lcm(*(f.den for _, f in monomials))
-    left: Dict[MultiIndex, int] = {}
-    right: Dict[MultiIndex, int] = {}
+    monomials = [G.f_monomial(gamma, max(degmax * sum(gamma), 1)) for gamma in indices_up_to(d, cap_out)]
+    den = math.lcm(*(f.den for f in monomials))
+    left, right = (max(sum(idx[part]) for f in monomials for idx in f.nums) for part in (slice(d), slice(d, None)))
+    lpos, rpos = ({k: n for n, k in enumerate(indices_up_to(d, top))} for top in (left, right))
     rows = []
-    for gamma, f in monomials:
-        scale = den // f.den
-        by_left: Dict[int, list] = {}
+    for f in monomials:
+        scale, by_left = den // f.den, {}
         for idx, n in f.nums.items():
-            i = left.setdefault(idx[:d], len(left))
-            j = right.setdefault(idx[d:], len(right))
-            by_left.setdefault(i, []).append((j, n * scale))
-        rows.append((gamma, tuple((i, tuple(pairs)) for i, pairs in by_left.items())))
-    return tuple(rows), tuple(left), tuple(right), den
+            by_left.setdefault(lpos[idx[:d]], []).append((rpos[idx[d:]], n * scale))
+        rows.append(by_left.items())
+    return bilinear_kernel(rows, (len(lpos), len(rpos))), left, right, den
 
 
 def convolve(
@@ -272,9 +307,9 @@ def convolve(
 
     The primary convention pairs Diracs as delta_x * delta_y = delta_{xy};
     ``opposite=True`` selects the reversed convention delta_x * delta_y =
-    delta_{yx} by swapping the factors.  The sum runs from the group's cached
-    plan for cap_out, in ints over one common denominator, and reads each
-    input's moments once, at the indices the plan names.
+    delta_{yx} by swapping the factors.  The sum is the compiled form of the
+    group's cached plan for cap_out, in ints over one common denominator, and
+    reads each input's moments once, at the indices the plan names.
     """
     if opposite:
         return convolve(G, mu, lam, cap_out=cap_out, opposite=False)
@@ -293,21 +328,10 @@ def convolve(
                 f"truncated input of cap {side.cap} cannot support output cap {cap_out} "
                 f"(needs moments up to degree {needed})"
             )
-    plan, left, right, law_den = G.plan(("convolution", cap_out), lambda G: _compile_plan(G, cap_out))
+    form, left, right, law_den = G.plan(("convolution", cap_out), lambda G: _compile_plan(G, cap_out))
     m1, den1 = lam._moment_numerators(left)
     m2, den2 = mu._moment_numerators(right)
-    nums: Dict[MultiIndex, int] = {}
-    for gamma, rows in plan:
-        acc = 0
-        for i, pairs in rows:
-            a = m1[i]
-            if a:
-                inner = 0
-                for j, c in pairs:
-                    inner += c * m2[j]
-                acc += a * inner
-        if acc:
-            nums[gamma] = acc
+    nums = _nonzero(indices_up_to(G.d, cap_out), form(m1, m2))
     moments = Coefficients.from_numerators(G.d, cap_out, nums, den1 * den2 * law_den)
     # a product of Diracs is the Dirac at the product of the points
     point = None
@@ -336,7 +360,7 @@ def _dagger_table(G: PValuedGroup, N: int) -> WeightTable:
 
 def _weighted_sup(lam: Distribution, table: WeightTable) -> NormValue:
     """sup over the basis coefficients of -v(d_alpha) - table.weight(alpha)."""
-    return NormValue(weighted_sup(lam.valuations().items(), lam.group.p, table, sign=-1), lam.exact)
+    return NormValue(weighted_sup(lam.valuations(), lam.group.p, table, sign=-1), lam.exact)
 
 
 def st_norm(lam: Distribution, sigma: Fraction) -> NormValue:
@@ -512,18 +536,50 @@ def _regime_unmet(check_id: str, anchor: str, params: dict, **details) -> CheckR
     return CheckRecord(check_id=check_id, anchor=anchor, verdict=REGIME_UNMET, params=params, details=details)
 
 
-def _weight_violations(valuations: Dict[MultiIndex, int], small: WeightTable, large: WeightTable) -> List[dict]:
-    """The alpha at which |d_alpha| p^(-small(alpha)) <= |d_alpha| p^(-large(alpha)) fails.
+class _CoefficientCheck(dict):
+    """alpha -> whether |d_alpha| p^(-small(alpha)) <= |d_alpha| p^(-large(alpha)) fails, decided on first use.
 
-    -v(d_alpha) is on both sides, so the weights decide; the valuations are
-    read only for the witnesses.
+    With ``p`` given the right side carries the factor (p alpha_1) ... (p
+    alpha_d) over its nonzero alpha_i.  -v(d_alpha) is on both sides, so the
+    weights alone decide: the table is built once per plan, and a sample's
+    valuations are read only for the witnesses.
     """
-    bad = []
-    for alpha, v in valuations.items():
-        if large.exceeds(small, alpha):
-            lhs, rhs = -v - small.weight(alpha), -v - large.weight(alpha)
-            bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
-    return bad
+
+    def __init__(self, small: WeightTable, large: WeightTable, p: Optional[int] = None):
+        super().__init__()
+        self.small, self.large, self.p = small, large, p
+
+    def __missing__(self, alpha: MultiIndex) -> bool:
+        small, large, p = self.small, self.large, self.p
+        gap = large[alpha] * small.den - small[alpha] * large.den  # (lhs - rhs) * small.den * large.den
+        fails = gap > 0 if p is None else not p_power_at_most(gap, small.den * large.den, _factor(alpha, p), p)
+        self[alpha] = fails
+        return fails
+
+    def violations(self, valuations: Dict[MultiIndex, int]) -> List[dict]:
+        """The witnesses of the failing alpha, in the order of ``valuations``."""
+        bad = []
+        for alpha in compress(valuations, map(self.__getitem__, valuations)):
+            v = valuations[alpha]
+            lhs, rhs = LogMag(-v - self.small.weight(alpha)), LogMag(-v - self.large.weight(alpha))
+            witness = {"alpha": list(alpha), "lhs": lhs, "rhs": rhs}
+            if self.p is not None:
+                witness["factor"] = _factor(alpha, self.p)
+            bad.append(witness)
+        return bad
+
+
+def _factor(alpha: MultiIndex, p: int) -> int:
+    """(p alpha_1) ... (p alpha_d) over the nonzero alpha_i."""
+    return math.prod(map(mul, filter(None, alpha), repeat(p)))
+
+
+def _contact_plan(G: PValuedGroup, sigma: Fraction) -> tuple:
+    """(damping, check) for check_contact_embedding at sigma; ``check`` is None outside the inclusion regime."""
+    damping = -sigma * min(G.omega) + Fraction(1, G.p - 1)  # exponent of s^{min omega} theta^-1
+    if not damping < 0:
+        return damping, None
+    return damping, _CoefficientCheck(_st_table(G, sigma), weight_table((-damping,) * G.d, G.p))
 
 
 def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRecord]:
@@ -534,40 +590,34 @@ def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRec
     """
     sigma = Fraction(sigma)
     G = lam.group
-    eps = Fraction(1, G.p - 1)
-    min_omega = min(G.omega)
-    damping = -sigma * min_omega + eps  # exponent of s^{min omega} theta^-1
+    damping, check = G.plan(("contact", sigma), lambda G: _contact_plan(G, sigma))
     params = {"group": G.name, "sigma": sigma, "damping_exponent": damping}
-    if not damping < 0:
+    if check is None:
         return [_regime_unmet("embeddings/contact", "inclusion regime sigma * min(omega) > 1/(p-1)", params)]
-    small = _st_table(G, sigma)
-    large = _table(G, ("contact", sigma), lambda G: (-damping,) * G.d, True)
-    return [
-        record(
-            "embeddings/contact",
-            "per-coefficient damping bound for the inclusion into the completion",
-            params,
-            _weight_violations(lam.valuations(), small, large),
-        )
-    ]
+    anchor = "per-coefficient damping bound for the inclusion into the completion"
+    return [record("embeddings/contact", anchor, params, check.violations(lam.valuations()))]
 
 
 def _comparison_plan(G: PValuedGroup, N: int, sigma: Fraction) -> tuple:
-    """(regime1, contraction, regime2, completion, level, damped) for check_comparison_maps at (N, sigma).
+    """(regime1, contraction, regime2, continuity) for check_comparison_maps at (N, sigma).
 
-    The regime exponents of both directions, whether the first regime holds,
-    and the weight tables of the three norms compared (``damped`` is None
-    outside the continuity regime).
+    The regime exponents of both directions, and the check of each
+    direction, None outside its regime: the contraction compares the
+    completion with the level-N dual, the continuity the level-N dual with
+    the damped completion, up to the polynomial factor.
     """
     eps = Fraction(1, G.p - 1)
     tau = G.neighborhood_params(N).tau
     regime1 = tuple(t - sigma * min(G.omega) + eps for t in tau)
     regime2 = tuple(sigma * max(G.omega) - t - eps for t in tau)
-    completion = _st_table(G, sigma)
-    damped = None
+    completion, level = _st_table(G, sigma), _dagger_table(G, N)
+    contraction = continuity = None
+    if all(r < 0 for r in regime1):
+        contraction = _CoefficientCheck(completion, level)
     if all(r < 0 for r in regime2):
         damped = weight_table(tuple(c - r for c, r in zip(completion.weights, regime2)), None)
-    return regime1, all(r < 0 for r in regime1), regime2, completion, _dagger_table(G, N), damped
+        continuity = _CoefficientCheck(level, damped, G.p)
+    return regime1, contraction, regime2, continuity
 
 
 def check_comparison_maps(
@@ -584,13 +634,12 @@ def check_comparison_maps(
     is recorded in the report.
     """
     sigma = Fraction(sigma)
-    p = G.p
-    regime1, contraction, regime2, completion, level, damped = G.plan(
+    regime1, contraction, regime2, continuity = G.plan(
         ("comparison", N, sigma), lambda G: _comparison_plan(G, N, sigma)
     )
 
     params = {"group": G.name, "N": N, "sigma": sigma, "regime_exponents": list(regime1)}
-    if not contraction:
+    if contraction is None:
         anchor = "contraction regime: each polydisc radius beats the damping"
         first = _regime_unmet("embeddings/comparison-contraction", anchor, params)
     else:
@@ -598,21 +647,12 @@ def check_comparison_maps(
             "embeddings/comparison-contraction",
             "per-coefficient contraction from the level-N dual into the completion",
             params,
-            _weight_violations(lam.valuations(), completion, level),
+            contraction.violations(lam.valuations()),
         )
 
     params = {"group": G.name, "N": N, "sigma": sigma, "regime_exponents": list(regime2), "poly_factor_exponent": 1}
-    if damped is None:
+    if continuity is None:
         anchor = "continuity regime: the completion radius beats each polydisc radius"
         return [first, _regime_unmet("embeddings/comparison-continuity", anchor, params)]
-    level_den, damped_den = level.den, damped.den
-    bad = []
-    for alpha, v in lam.valuations().items():
-        # lhs - rhs = damped.weight(alpha) - level.weight(alpha): -v(d_alpha) is on both sides
-        gap = damped[alpha] * level_den - level[alpha] * damped_den
-        factor = math.prod(p * a for a in alpha if a)
-        if not p_power_at_most(gap, damped_den * level_den, factor, p):
-            lhs, rhs = LogMag(-v - level.weight(alpha)), LogMag(-v - damped.weight(alpha))
-            bad.append({"alpha": list(alpha), "lhs": lhs, "rhs": rhs, "factor": factor})
     anchor = "per-coefficient continuity with the explicit polynomial factor"
-    return [first, record("embeddings/comparison-continuity", anchor, params, bad)]
+    return [first, record("embeddings/comparison-continuity", anchor, params, continuity.violations(lam.valuations()))]

@@ -9,16 +9,23 @@ The change between the monomial and binomial bases lives here once: two
 cached tables of integer basis rows (:func:`mahler_row`, :func:`taylor_row`)
 and one kernel pair over int numerators.  Functions :func:`scatter` through a
 row table; distributions, their duals under <lam, f> = sum_alpha m_alpha(f)
-d_alpha(lam), :func:`gather` through the same table.
+d_alpha(lam), gather through the same table, compiled by :func:`row_kernel`
+(:func:`gather` is the loop form, for a single read).
 
 Hot paths keep rationals as int numerators over one common denominator
 (:func:`numerators`); a series, a Mahler family or a distribution's table
 stores only that form, and :func:`same_ratios` compares two of them without
-reducing either.  A product over coordinates, such as a Dirac's x^beta and
-binom(x, beta), is one compiled :func:`tensor_kernel` per (d, cap).  Every
-weighted norm is one :func:`weighted_sup_num` over a :class:`WeightTable`, in
-ints over the table's denominator; it reads valuations, and given numerators
-over ``den`` takes v_p(den) once.
+reducing either.  Every compiled kernel of the package is written by
+:func:`write_kernel`: straight-line source holding only int literals of at
+most 64 bits and generated names, kept as ``kernel.source``.  Here are the
+product over coordinates (:func:`tensor_kernel`, a Dirac's x^beta and
+binom(x, beta)), and the linear and bilinear int forms
+(:func:`linear_kernel`, :func:`bilinear_kernel`) behind the basis changes and
+the convolution of distributions.  Every weighted norm is one
+:func:`weighted_sup_num` over a :class:`WeightTable`, in ints over the
+table's denominator; it reads valuations, and given numerators over ``den``
+takes v_p(den) once.  A table entry is a sum of per-coordinate terms, as
+v_p(alpha!) is the sum of the v_p(alpha_i!).
 """
 from __future__ import annotations
 
@@ -26,6 +33,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import product, repeat
+from operator import add, mul, sub
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -147,6 +155,44 @@ def indices_up_to(d: int, cap: int) -> Tuple[MultiIndex, ...]:
     return tuple(sorted(gen(d, cap), key=grlex_key))
 
 
+#: Terms per parenthesized group in a kernel's sums: one flat chain of a few
+#: thousand additions exceeds the compiler's recursion limit.
+_SUM_CHUNK = 256
+
+
+def _sum_text(terms: Sequence[str]) -> str:
+    while len(terms) > _SUM_CHUNK:
+        terms = [f"({' + '.join(terms[i : i + _SUM_CHUNK])})" for i in range(0, len(terms), _SUM_CHUNK)]
+    return " + ".join(terms) or "0"
+
+
+def _tuple_text(items: Sequence[str]) -> str:
+    return f"({', '.join(items)}{',' if items else ''})"
+
+
+def _unpack_text(name: str, size: int) -> List[str]:
+    """The line that unpacks the sequence ``name`` into name0, name1, ...; none if it is empty."""
+    return [f"{', '.join(f'{name}{k}' for k in range(size))}, = {name}"] if size else []
+
+
+def _scaled_text(c: int, factor: str, consts: Dict[str, object]) -> str:
+    """c * factor as source, c a literal of at most 64 bits or else bound in ``consts`` as k0, k1, ..."""
+    if c.bit_length() > 64:
+        name = f"k{len(consts)}"
+        consts[name], c = c, name
+    return factor if c == 1 else f"-{factor}" if c == -1 else f"{c}*{factor}"
+
+
+def write_kernel(args: str, body: Sequence[str], namespace: Dict[str, object], label: str) -> Callable[..., tuple]:
+    """``def kernel(args)`` over the body lines, compiled in ``namespace`` (which binds every name the body
+    reads that is not generated) and kept as ``kernel.source``: the one writer of the package's kernels."""
+    source = "\n".join([f"def kernel({args}):", *(f"    {line}" for line in body)]) + "\n"
+    exec(compile(source, f"<compiled {label}>", "exec"), namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel
+
+
 @lru_cache(maxsize=None)
 def tensor_kernel(d: int, cap: int) -> Callable[..., tuple]:
     """One straight-line function of d tables t_0, ..., t_{d-1} of length cap + 1 each.
@@ -156,16 +202,30 @@ def tensor_kernel(d: int, cap: int) -> Callable[..., tuple]:
     """
     names = [[f"t{i}_{k}" for k in range(cap + 1)] for i in range(d)]
     exprs = ["*".join(names[i][b] for i, b in enumerate(beta)) for beta in indices_up_to(d, cap)]
-    args = ", ".join(f"t{i}" for i in range(d))
-    lines = [f"def kernel({args}):"]
-    lines += [f"    {', '.join(row)}, = t{i}" for i, row in enumerate(names)]
-    lines.append(f"    return ({', '.join(exprs)},)")
-    source = "\n".join(lines) + "\n"
-    namespace: Dict[str, object] = {}
-    exec(compile(source, "<compiled tensor>", "exec"), namespace)
-    kernel = namespace["kernel"]
-    kernel.source = source
-    return kernel
+    body = [f"{', '.join(row)}, = t{i}" for i, row in enumerate(names)] + [f"return {_tuple_text(exprs)}"]
+    return write_kernel(", ".join(f"t{i}" for i in range(d)), body, {}, "tensor")
+
+
+def linear_kernel(rows: Sequence[Sequence[Tuple[int, int]]], size: int) -> Callable[[Sequence[int]], tuple]:
+    """One straight-line function of a sequence x of ``size`` ints: out_r = sum of w * x[k] over (k, w) in rows[r]."""
+    consts: Dict[str, object] = {}
+    exprs = [_sum_text([_scaled_text(w, f"x{k}", consts) for k, w in row]) for row in rows]
+    return write_kernel("x", [*_unpack_text("x", size), f"return {_tuple_text(exprs)}"], consts, "linear form")
+
+
+def bilinear_kernel(rows: Sequence[Iterable[Tuple[int, Sequence[Tuple[int, int]]]]], sizes: Tuple[int, int]):
+    """One straight-line function of sequences x and y of ``sizes`` ints:
+    out_r = sum over (i, pairs) in rows[r] of x[i] * (sum of c * y[j] over (j, c) in pairs)."""
+    consts: Dict[str, object] = {}
+    exprs = []
+    for row in rows:
+        terms = []
+        for i, pairs in row:
+            inner = [_scaled_text(c, f"y{j}", consts) for j, c in pairs]
+            terms.append(f"x{i}*{inner[0]}" if len(inner) == 1 else f"x{i}*({_sum_text(inner)})")
+        exprs.append(_sum_text(terms))
+    body = [*_unpack_text("x", sizes[0]), *_unpack_text("y", sizes[1]), f"return {_tuple_text(exprs)}"]
+    return write_kernel("x, y", body, consts, "bilinear form")
 
 
 def _product(factors) -> Row:
@@ -195,7 +255,10 @@ def taylor_row(alpha: MultiIndex) -> Row:
 
 
 def gather(row, nums: Mapping[MultiIndex, int], indices: Sequence[MultiIndex]) -> List[int]:
-    """out_i = sum over (k, w) in row(i) of w * nums[k], for each i in indices; absent k read as 0."""
+    """out_i = sum over (k, w) in row(i) of w * nums[k], for each i in indices; absent k read as 0.
+
+    The loop form, for a read at a few indices; a table is read through :func:`row_kernel`.
+    """
     out = []
     for i in indices:
         acc = 0
@@ -205,6 +268,17 @@ def gather(row, nums: Mapping[MultiIndex, int], indices: Sequence[MultiIndex]) -
                 acc += w * n
         out.append(acc)
     return out
+
+
+def row_kernel(row, d: int, cap: int) -> Callable[[Sequence[int]], tuple]:
+    """:func:`gather` through ``row`` at every index of :func:`indices_up_to` (d, cap), as one :func:`linear_kernel`.
+
+    The kernel reads the numerators at those indices by position; a basis
+    row of an index lies among them.
+    """
+    indices = indices_up_to(d, cap)
+    position = {k: n for n, k in enumerate(indices)}
+    return linear_kernel([[(position[k], w) for k, w in row(i)] for i in indices], len(indices))
 
 
 class ScatterTable(dict):
@@ -342,11 +416,24 @@ def p_power_at_most(g: int, D: int, factor: int, p: int) -> bool:
     return p ** (g // k) <= factor ** (D // k)
 
 
+class _FactorialColumn(dict):
+    """k -> den * v_p(k!) as an int, filled on first use; a non-integral v_p(k!) raises."""
+
+    def __init__(self, den: int, p: int):
+        self.den, self.p = den, p
+
+    def __missing__(self, k: int) -> int:
+        self[k] = value = self.den * parse_int(multi_factorial_valuation((k,), self.p))
+        return value
+
+
 class WeightTable(dict):
     """alpha -> den * ([v_p(alpha!)] + sum_i w_i alpha_i) as an int, filled on first use.
 
     ``den`` is the common denominator of the weights w; the factorial term
-    v_p(alpha!) is added only when ``p`` is given, and is read as an int (a
+    v_p(alpha!) is added only when ``p`` is given.  It is the sum of the
+    v_p(alpha_i!), so an entry is a sum of per-coordinate terms read from
+    one column k -> den * v_p(k!), each v_p(k!) read once as an int (a
     non-integral value raises, so every entry stays an int).
     """
 
@@ -356,11 +443,12 @@ class WeightTable(dict):
         self.p = p
         self.den = den = math.lcm(*(w.denominator for w in self.weights))
         self.nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
+        self.factorials = None if p is None else _FactorialColumn(den, p)
 
     def __missing__(self, alpha: MultiIndex) -> int:
-        value = sum(w * a for w, a in zip(self.nums, alpha))
-        if self.p is not None:
-            value += self.den * parse_int(multi_factorial_valuation(alpha, self.p))
+        value = sum(map(mul, self.nums, alpha))
+        if self.factorials is not None:
+            value += sum(map(self.factorials.__getitem__, alpha))
         self[alpha] = value
         return value
 
@@ -389,17 +477,27 @@ def valuation_pairs(nums: Mapping[MultiIndex, int], p: int) -> Iterable[Tuple[Mu
     return zip(nums, map(int_valuation, nums.values(), repeat(p)))
 
 
-def weighted_sup_num(
-    valuations: Iterable[Tuple[MultiIndex, int]], p: int, table: WeightTable, sign: int = 1, den: int = 1
-) -> Optional[int]:
+def weighted_sup_num(valuations, p: int, table: WeightTable, sign: int = 1, den: int = 1) -> Optional[int]:
     """table.den * sup over the (alpha, v_p(c_alpha)) pairs of -v_p(c_alpha / den) + sign * table.weight(alpha).
 
-    The c_alpha may be int numerators over the positive common denominator
-    ``den``, whose valuation is taken once; None (bottom) when there are no pairs.
+    ``sign`` is 1 or -1.  The c_alpha may be int numerators over the positive
+    common denominator ``den``, whose valuation is taken once; None (bottom)
+    when there are no pairs.  A dict alpha -> v_p(c_alpha), such as a
+    distribution's valuation table, is read in one pass of C-level maps;
+    other pairs, such as :func:`valuation_pairs` gives, are read as they
+    come, which costs less than building the dict would save.
     """
     scale = table.den
-    best = max((sign * table[a] - v * scale for a, v in valuations), default=None)
-    return None if best is None else best + int_valuation(den, p) * scale
+    if type(valuations) is dict:
+        if not valuations:
+            return None
+        weights, scaled = map(table.__getitem__, valuations), map(mul, valuations.values(), repeat(scale))
+        best = max(map(sub, weights, scaled)) if sign > 0 else -min(map(add, weights, scaled))
+    else:
+        best = max((sign * table[a] - v * scale for a, v in valuations), default=None)
+        if best is None:
+            return None
+    return best + int_valuation(den, p) * scale
 
 
 def weighted_sup(valuations, p: int, table: WeightTable, sign: int = 1, den: int = 1) -> LogMag:

@@ -27,6 +27,8 @@ from .padic import (
     LogMag,
     MultiIndex,
     Rational,
+    _sum_text,
+    _tuple_text,
     format_fraction,
     grlex_key,
     numerators,
@@ -36,6 +38,7 @@ from .padic import (
     valuation_pairs,
     weight_table,
     weighted_sup,
+    write_kernel,
 )
 
 
@@ -313,21 +316,6 @@ class TruncatedSeries(Coefficients):
         return NormValue(weighted_sup(valuation_pairs(self.nums, p), p, table, den=self.den), self.exact)
 
 
-#: Terms per parenthesized group in a kernel's sums: one flat chain of a few
-#: thousand additions exceeds the compiler's recursion limit.
-_SUM_CHUNK = 256
-
-
-def _sum_text(terms: Sequence[str]) -> str:
-    while len(terms) > _SUM_CHUNK:
-        terms = [f"({' + '.join(terms[i : i + _SUM_CHUNK])})" for i in range(0, len(terms), _SUM_CHUNK)]
-    return " + ".join(terms) or "0"
-
-
-def _tuple_text(items: Sequence[str]) -> str:
-    return f"({', '.join(items)}{',' if items else ''})"
-
-
 def compile_polys(polys: Sequence[TruncatedSeries], nvars: int) -> Callable[..., tuple]:
     """One straight-line function of ``nvars`` coordinates that returns every ``f(x)`` as a tuple.
 
@@ -362,20 +350,12 @@ def compile_polys(polys: Sequence[TruncatedSeries], nvars: int) -> Callable[...,
         # a term in a variable makes the sum a Fraction; a constant needs converting
         fraction_exprs.append(expr if f.degree() > 0 else f"F({expr})")
     args = ", ".join(names)
-    lines = [f"def kernel({args}):"]
+    body = []
     if all(c.denominator == 1 for f in polys for c in f.terms.values()):
         check = " is ".join(f"type({n})" for n in names)
-        lines += [f"    if {check} is int:", f"        return {_tuple_text(exprs)}"]
-    lines += [
-        f"    {args}, = {', '.join(f'F({n})' for n in names)},",
-        f"    return {_tuple_text(fraction_exprs)}",
-    ]
-    source = "\n".join(lines) + "\n"
-    namespace = {"F": Fraction, **consts}
-    exec(compile(source, "<compiled polynomials>", "exec"), namespace)
-    kernel = namespace["kernel"]
-    kernel.source = source
-    return kernel
+        body += [f"if {check} is int:", f"    return {_tuple_text(exprs)}"]
+    body += [f"{args}, = {', '.join(f'F({n})' for n in names)},", f"return {_tuple_text(fraction_exprs)}"]
+    return write_kernel(args, body, {"F": Fraction, **consts}, "polynomials")
 
 
 def series_to_records(f: Coefficients) -> list:

@@ -1,7 +1,10 @@
 import hashlib
+import io
 import json
 import math
 import random
+import re
+import tokenize
 from fractions import Fraction
 from itertools import product
 
@@ -43,8 +46,10 @@ from daggerdist.padic import (
     indices_up_to,
     mahler_row,
     multi_binom_value,
+    multi_factorial,
     multi_factorial_valuation,
     stirling_second,
+    taylor_row,
     valuation,
     weight_table,
     weighted_sup,
@@ -618,14 +623,20 @@ def test_lazy_moment_table_is_built_at_most_once(monkeypatch):
     cap = 5
     full = set(_all_indices(3, cap))
     builds = []
-    gather = dist_module.gather
+    moment_kernel = dist_module._moment_kernel
 
-    def counting(row, nums, indices):
-        if row is dist_module.mahler_row and set(indices) == full:
-            builds.append(len(indices))
-        return gather(row, nums, indices)
+    def counting(d, top):
+        # the compiled Mahler-row gather over indices_up_to(d, top), which builds the table
+        kernel = moment_kernel(d, top)
 
-    monkeypatch.setattr(dist_module, "gather", counting)
+        def counted(nums):
+            if set(indices_up_to(d, top)) == full:
+                builds.append(len(indices_up_to(d, top)))
+            return kernel(nums)
+
+        return counted
+
+    monkeypatch.setattr(dist_module, "_moment_kernel", counting)
     lam = Distribution.from_dcoeffs(H3, {(1, 0, 0): Fraction(1, 3), (0, 2, 1): 9}, cap)
     dirac = Distribution.dirac(H3, [3, 6, 9], cap)
     # neither construction, a read beyond the cap nor the convolution plan fills the table
@@ -1090,3 +1101,264 @@ def test_convolve_and_from_dcoeffs_fill_what_init_fills(G):
     dcoeffs = {(0,) * G.d: 3, (1,) + (0,) * (G.d - 1): Fraction(1, 2), (0, 1) + (0,) * (G.d - 2): 0}
     nonzero = {k: v for k, v in dcoeffs.items() if v}
     same(Distribution.from_dcoeffs(G, dcoeffs, 4), Distribution(G, 4, None, nonzero, exact=True))
+
+
+# -- compiled kernels and per-plan verdict tables against the loops they replace ----
+
+
+def _heisenberg_big():
+    # the Heisenberg law with quadratic coefficient -(3 * 2^70 + 3), beyond 64 bits, from a JSON config:
+    # the kernels bind such a coefficient, and the products of it the plans hold, as names
+    cfg = group_to_config(builtin_heisenberg(3))
+    for rec in cfg["F"][2] + cfg["I"][2]:
+        if Fraction(rec["coeff"]) == -3:
+            rec["coeff"] = str(-3 * 2**70 - 3)
+    cfg.pop("model")
+    cfg["name"] = "heisenberg-big"
+    return load_group(json.dumps(cfg))
+
+
+H_BIG = _heisenberg_big()
+KERNEL_GROUPS = ORACLE_GROUPS + [H_BIG]
+
+
+def test_the_big_coefficient_law_is_a_formal_group_law():
+    assert max(abs(c) for f in H_BIG.F for c in f.terms.values()) > 2**64
+    assert {r.verdict for r in check_formal_group_axioms(H_BIG)} == {PASS}
+
+
+def _loop_plan(G, cap_out):
+    """The convolution plan as it was: per gamma, (position of i, ((position of j, c_ij), ...)) in first-seen order."""
+    d, degmax = G.d, G.degmax()
+    monomials = [(gamma, G.f_monomial(gamma, max(degmax * sum(gamma), 1))) for gamma in indices_up_to(d, cap_out)]
+    den = math.lcm(*(f.den for _, f in monomials))
+    left, right, rows = {}, {}, []
+    for gamma, f in monomials:
+        by_left = {}
+        for idx, n in f.nums.items():
+            i = left.setdefault(idx[:d], len(left))
+            j = right.setdefault(idx[d:], len(right))
+            by_left.setdefault(i, []).append((j, n * (den // f.den)))
+        rows.append((gamma, tuple((i, tuple(pairs)) for i, pairs in by_left.items())))
+    return tuple(rows), tuple(left), tuple(right), den
+
+
+def _gather_moment_numerators(lam, indices):
+    """Distribution._moment_numerators as it was: the gather loop, or the table and each moment beyond cap alone."""
+    if lam._moments is None:
+        return gather(mahler_row, lam.basis_table.nums, indices), lam.basis_table.den
+    table, cap = lam._moments, lam.cap
+    values = [table.nums.get(b, 0) if sum(b) <= cap else lam.moment(b) * table.den for b in indices]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], table.den * scale
+
+
+def _convolve_nested_loop(G, lam, mu, cap_out):
+    """convolve's nested plan loop as it was: the moments of lam * mu as (nums, den)."""
+    plan, left, right, law_den = _loop_plan(G, cap_out)
+    m1, den1 = _gather_moment_numerators(lam, left)
+    m2, den2 = _gather_moment_numerators(mu, right)
+    nums = {}
+    for gamma, rows in plan:
+        acc = 0
+        for i, pairs in rows:
+            a = m1[i]
+            if a:
+                inner = 0
+                for j, c in pairs:
+                    inner += c * m2[j]
+                acc += a * inner
+        if acc:
+            nums[gamma] = acc
+    return nums, den1 * den2 * law_den
+
+
+def _gather_ensure_dcoeffs(lam):
+    """ensure_dcoeffs as it was: the Taylor-row gather loop, each alpha! d_alpha scaled by cap!/alpha! after it."""
+    indices, table = indices_up_to(lam.group.d, lam.cap), lam.moment_table
+    lcm = math.factorial(lam.cap)
+    nums = zip(indices, gather(taylor_row, table.nums, indices))
+    return {a: n * (lcm // multi_factorial(a)) for a, n in nums if n}, table.den * lcm
+
+
+@st.composite
+def kernel_inputs(draw, G, needed=0):
+    """A Dirac at a Z_p point or a basis combination at a cap of 0-8, read beyond it when the plan needs more, or a
+    truncated copy of either at a cap of at least ``needed``; a basis combination may have derived its moments."""
+    kind = draw(st.sampled_from(["dirac", "dcoeffs", "truncated-dirac", "truncated-dcoeffs"]))
+    cap = draw(st.integers(needed, max(needed, 8)) if kind.startswith("truncated") else st.integers(0, 8))
+    if kind.endswith("dirac"):
+        lam = Distribution.dirac(G, draw(zp_points(G)), cap)
+    else:
+        index = st.tuples(*[st.integers(0, 4)] * G.d)
+        coeff = st.builds(Fraction, st.integers(-(G.p**3), G.p**3), st.sampled_from([1, 2, G.p, G.p**2]))
+        lam = Distribution.from_dcoeffs(G, draw(st.dictionaries(index, coeff, max_size=5)), cap)
+        if draw(st.booleans()):
+            lam.moments
+    return Distribution(G, cap, lam.moments) if kind.startswith("truncated") else lam
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_compiled_convolution_matches_the_nested_loop(data):
+    G = data.draw(st.sampled_from(KERNEL_GROUPS))
+    cap_out = data.draw(st.integers(0, 8))
+    lam, mu = (data.draw(kernel_inputs(G, G.degmax() * cap_out)) for _ in range(2))
+    got = convolve(G, lam, mu, cap_out=cap_out)
+    nums, den = _convolve_nested_loop(G, lam, mu, cap_out)
+    assert list(got.moments.items()) == [(gamma, Fraction(n, den)) for gamma, n in nums.items()]
+    both = lam.point is not None and mu.point is not None
+    assert got.point == (G.multiply(lam.point, mu.point) if both else None)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_compiled_basis_changes_match_the_gather_loops(data):
+    G = data.draw(st.sampled_from(KERNEL_GROUPS))
+    lam = data.draw(kernel_inputs(G))
+    d, cap = G.d, lam.cap
+    if lam.point is None and lam.exact:  # a basis combination: its moments up to cap, derived through the kernel
+        fresh = Distribution.from_dcoeffs(G, lam.basis_table, cap)
+        nums, den = _gather_moment_numerators(fresh, indices_up_to(d, cap))
+        table = fresh.moment_table
+        assert (list(table.nums.items()), table.den) == (_nonzero_items(indices_up_to(d, cap), nums), den)
+    # the basis table of the moments alone, through the Taylor kernel
+    truncated = Distribution(G, cap, lam.moments)
+    nums, den = _gather_ensure_dcoeffs(truncated)
+    basis = truncated.ensure_dcoeffs()
+    assert (list(basis.nums.items()), basis.den) == (list(nums.items()), den)
+    # every read of a plan's index set: by position, through the gather, or from the point's powers beyond cap
+    degree = data.draw(st.integers(0, cap + 2))
+    if lam.exact or degree <= cap:
+        got, got_den = lam._moment_numerators(degree)
+        want, want_den = _gather_moment_numerators(lam, indices_up_to(d, degree))
+        assert [Fraction(n, got_den) for n in got] == [Fraction(n, want_den) for n in want]
+
+
+def _nonzero_items(indices, values):
+    return [(i, v) for i, v in zip(indices, values) if v]
+
+
+def _weight_violations(valuations, small, large):
+    """The per-call loop as it was: the alpha where |d_alpha| p^(-small(alpha)) <= |d_alpha| p^(-large(alpha)) fails."""
+    bad = []
+    for alpha, v in valuations.items():
+        if large.exceeds(small, alpha):
+            lhs, rhs = -v - small.weight(alpha), -v - large.weight(alpha)
+            bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
+    return bad
+
+
+def _continuity_loop(valuations, level, damped, p):
+    """The inline continuity loop as it was: one gap and one factor per alpha of the sample, on every call."""
+    bad = []
+    for alpha, v in valuations.items():
+        gap = damped[alpha] * level.den - level[alpha] * damped.den
+        factor = math.prod(p * a for a in alpha if a)
+        if not padic_module.p_power_at_most(gap, damped.den * level.den, factor, p):
+            lhs, rhs = LogMag(-v - level.weight(alpha)), LogMag(-v - damped.weight(alpha))
+            bad.append({"alpha": list(alpha), "lhs": lhs, "rhs": rhs, "factor": factor})
+    return bad
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_verdict_tables_give_the_witnesses_of_the_per_call_loops(data):
+    # a fresh copy of the group, so its plans are built here; v(alpha!) may be broken by +-100 |alpha|, as in
+    # test_embedding_checks_fail_with_witnesses_on_a_broken_factorial, so that witnesses appear
+    base = data.draw(st.sampled_from(KERNEL_GROUPS))
+    G = load_group(json.dumps(group_to_config(base)))
+    shift = data.draw(st.sampled_from([0, 100, -100]))
+    lams = [data.draw(kernel_inputs(G)) for _ in range(data.draw(st.integers(1, 3)))]
+    sigma = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1), 2]))
+    N = data.draw(st.integers(1, 12))
+    p, eps, tau = G.p, Fraction(1, G.p - 1), G.neighborhood_params(N).tau
+    damping = -sigma * min(G.omega) + eps
+    regime2 = [sigma * max(G.omega) - t - eps for t in tau]
+    with pytest.MonkeyPatch.context() as mp:
+        if shift:
+            mp.setattr(padic_module, "multi_factorial_valuation", lambda alpha, p: shift * sum(alpha))
+            mp.setattr(dist_module, "weight_table", padic_module.WeightTable)
+        # the tables as the loops built them, uncached, under the same v(alpha!)
+        completion = padic_module.WeightTable(tuple(sigma * w for w in G.omega), None)
+        level = padic_module.WeightTable(tau, p)
+        # the tables of a plan serve every sample after the first, each in its own order
+        for lam in lams:
+            valuations = lam.valuations()
+            contact = check_contact_embedding(lam, sigma)[0]
+            if damping < 0:
+                large = padic_module.WeightTable((-damping,) * G.d, p)
+                _assert_witnesses(contact, _weight_violations(valuations, completion, large))
+            contraction, continuity = check_comparison_maps(G, N, sigma, lam)
+            if contraction.verdict != REGIME_UNMET:
+                _assert_witnesses(contraction, _weight_violations(valuations, completion, level))
+            if continuity.verdict != REGIME_UNMET:
+                damped = padic_module.WeightTable(tuple(c - r for c, r in zip(completion.weights, regime2)), None)
+                _assert_witnesses(continuity, _continuity_loop(valuations, level, damped, p))
+
+
+def _assert_witnesses(rec, violations):
+    """rec is the record of these violations, in their order: verdict, witness and all."""
+    assert rec.to_dict() == record(rec.check_id, rec.anchor, rec.params, violations).to_dict()
+
+
+def _per_alpha_weight(weights, p, alpha):
+    """A WeightTable entry as it was filled: den * ([v_p(alpha!)] + sum_i w_i alpha_i) from one alpha at a time."""
+    weights = [Fraction(w) for w in weights]
+    den = math.lcm(*(w.denominator for w in weights))
+    value = sum(w.numerator * (den // w.denominator) * a for w, a in zip(weights, alpha))
+    return value + (0 if p is None else den * multi_factorial_valuation(alpha, p))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), d=st.integers(1, 4), p=st.sampled_from([2, 3, 5, 7]))
+def test_weight_table_columns_match_the_per_alpha_fill(data, d, p):
+    weights = tuple(data.draw(st.lists(st.fractions(-3, 3, max_denominator=12), min_size=d, max_size=d)))
+    factorial = data.draw(st.sampled_from([None, p]))
+    table = padic_module.WeightTable(weights, factorial)  # uncached: every entry is filled here
+    alphas = data.draw(st.lists(st.tuples(*[st.integers(0, 40)] * d), min_size=1, max_size=12))
+    assert [table[a] for a in alphas] == [_per_alpha_weight(weights, factorial, a) for a in alphas]
+    assert all(type(v) is int for v in table.values())
+
+
+def _assert_generated_source(kernel, names=r"[xyk]\d+|t\d+_\d+|t\d+"):
+    """The kernel source holds only int literals and generated names; every name bound beside it is generated."""
+    for tok in tokenize.generate_tokens(io.StringIO(kernel.source).readline):
+        if tok.type == tokenize.NAME:
+            assert tok.string in {"def", "kernel", "return", "x", "y"} or re.fullmatch(names, tok.string)
+        elif tok.type == tokenize.NUMBER:
+            assert re.fullmatch(r"\d+", tok.string) and int(tok.string).bit_length() <= 64
+        elif tok.type == tokenize.OP:
+            assert tok.string in {"(", ")", ",", ":", "=", "+", "-", "*"}
+    assert all(re.fullmatch(r"k\d+", k) for k in kernel.__globals__ if k != "__builtins__" and k != "kernel")
+
+
+@pytest.mark.parametrize("G", KERNEL_GROUPS, ids=lambda G: G.name)
+def test_plan_kernels_hold_only_int_literals_and_generated_names(G):
+    for cap in (0, 1, 4):
+        form, left, right, den = dist_module._compile_plan(G, cap)
+        moment_kernels = [dist_module._moment_kernel(G.d, top) for top in (left, right, cap)]
+        for kernel in [form, *moment_kernels, dist_module._basis_kernel(G.d, cap)]:
+            _assert_generated_source(kernel)
+    # a law coefficient beyond 64 bits is bound as a name, never formatted
+    form = dist_module._compile_plan(G, 4)[0]
+    big = [c for c in form.__globals__.values() if type(c) is int]
+    assert (G is H_BIG) == bool(big) and all(c.bit_length() > 64 for c in big)
+
+
+def test_a_form_with_an_output_of_more_than_256_terms():
+    # no builtin plan reaches this (the largest output sums 135 terms at cap 8): one flat sum of these
+    # terms would exceed the compiler's recursion limit, so the kernel writer nests them in groups
+    rng = random.Random(11)
+    x, y = [rng.randrange(-99, 99) for _ in range(400)], [rng.randrange(-99, 99) for _ in range(300)]
+    wide = [(i, [(j, rng.randrange(-5, 6) or 1) for j in range(i % 3 + 1)]) for i in range(400)]
+    deep = [(7, [(j, 2**70 + j) for j in range(300)])]
+    rows = [wide, deep, []]
+    form = padic_module.bilinear_kernel(rows, (400, 300))
+    assert form(x, y) == tuple(sum(x[i] * sum(c * y[j] for j, c in pairs) for i, pairs in row) for row in rows)
+    linear_rows = [[(k, k - 300) for k in range(600)], [(3, 1)]]
+    linear = padic_module.linear_kernel(linear_rows, 600)
+    z = [rng.randrange(-99, 99) for _ in range(600)]
+    assert linear(z) == tuple(sum(w * z[k] for k, w in row) for row in linear_rows)
+    for kernel in (form, linear):
+        _assert_generated_source(kernel)

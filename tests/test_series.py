@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daggerdist.padic import LogMag, valuation
+from daggerdist.padic import LogMag, bilinear_kernel, linear_kernel, tensor_kernel, valuation
 from daggerdist.series import (
     DimensionMismatch,
     TruncatedSeries,
@@ -16,7 +16,7 @@ from daggerdist.series import (
     series_to_records,
     terms_from_records,
 )
-from test_distributions import H_HALF
+from test_distributions import H_HALF, _assert_generated_source
 
 
 def poly(dim, cap, terms):
@@ -139,6 +139,20 @@ def test_kernel_source_holds_only_int_literals_and_generated_names(data, dim):
     # all ints exactly when the point and every coefficient are integers, else all Fractions
     integral = all(type(x) is int for x in point) and all(c.denominator == 1 for f in polys for c in f.terms.values())
     assert {type(v) for v in values} == {int if integral else Fraction}
+    # the int forms of the distribution layer come from the same writer: a weight beyond 64 bits is bound as k0, k1, ...
+    size = dim + 2
+    weights = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80))
+    terms = st.lists(st.tuples(st.integers(0, size - 1), weights), min_size=1, max_size=4)
+    rows = data.draw(st.lists(terms, max_size=3))
+    pairs = data.draw(st.lists(st.lists(st.tuples(st.integers(0, size - 1), terms), max_size=3), max_size=3))
+    x, y = (data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=size, max_size=size)) for _ in range(2))
+    linear, bilinear = linear_kernel(rows, size), bilinear_kernel(pairs, (size, size))
+    assert linear(x) == tuple(sum(w * x[k] for k, w in row) for row in rows)
+    assert bilinear(x, y) == tuple(sum(x[i] * sum(c * y[j] for j, c in inner) for i, inner in row) for row in pairs)
+    for kernel in (linear, bilinear, tensor_kernel(dim, 3)):
+        _assert_generated_source(kernel)
+    bound = {v for kernel in (linear, bilinear) for k, v in kernel.__globals__.items() if re.fullmatch(r"k\d+", k)}
+    assert bound == {w for row in rows + [t for row in pairs for _, t in row] for _, w in row if w.bit_length() > 64}
 
 
 def test_evaluate_a_polynomial_with_thousands_of_terms():
