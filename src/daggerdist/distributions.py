@@ -6,13 +6,14 @@ primary representation; the coefficients d_alpha in the (g_i - 1)-monomial
 basis are derived exactly as d_alpha = lambda(binom(Z, alpha)).  Both tables
 are :class:`~daggerdist.series.Coefficients`, int numerators over one
 denominator, with read-only Fraction views ``moments`` and ``dcoeffs``.  A
-Dirac builds both as tensor products of per-coordinate tables of x_i^k and
-binom(x_i, k), through one compiled :func:`~daggerdist.padic.tensor_kernel`
-per (d, cap).  A finite basis combination derives its moments only when they
-are read.  Convolution consumes the moment side through the expanded
-group-law monomials F^gamma, compiled once per group and output cap into a
-plan: the straight-line bilinear form sum_i m1_i sum_j c_ij m2_j over the
-moments of the degrees it names, which a covering table gives by position.
+Dirac builds each on first read, as the tensor product of per-coordinate
+tables of x_i^k or binom(x_i, k), through one compiled
+:func:`~daggerdist.padic.tensor_kernel` per (d, cap).  A finite basis
+combination derives its moments only when they are read.  Convolution
+consumes the moment side through the expanded group-law monomials F^gamma,
+compiled once per group and output cap into a plan: the straight-line
+bilinear form sum_i m1_i sum_j c_ij m2_j over the moments of the degrees it
+names, which a covering table gives by position.
 Both basis changes are straight-line kernels per (d, cap) over the basis rows
 of :mod:`daggerdist.padic`, the transpose of the Mahler conversions: the
 Mahler rows derive a basis combination's moments, the Taylor rows (cap!/alpha!
@@ -23,10 +24,11 @@ distribution, alpha -> v_p(n_alpha) - v_p(den) over the basis numerators
 (:meth:`Distribution.valuations`).  The norm
 weights are tabled per index, one :func:`~daggerdist.padic.weight_table` per
 distinct weight vector, which each (norm, radius) or (norm, N) finds through
-its own key in the group's plans.  The contact check and the comparison maps
-decide each alpha from the weights alone, so each keeps an alpha -> verdict
-table there per sigma or (N, sigma), filled on first use; a sample's
-valuations are read only for the witnesses.
+its own key in the group's plans.  The contact check, the comparison maps,
+the norm tower and the sandwich compare two weights per alpha, and each
+weight is a sum over the coordinates, so a plan certified on the axes k e_i
+up to a sample's support cap passes every alpha of it; a sample's valuations
+are read only when that certificate fails.
 Norms computed from truncated data are certified lower bounds and are only
 ever placed on the small side of asserted inequalities.
 """
@@ -97,9 +99,10 @@ def _as_table(d: int, values) -> Coefficients:
     return Coefficients(d, max([0, *map(sum, values)]), values)
 
 
-def _tensor_table(d: int, cap: int, tables: Sequence[Tuple[List[int], int]]) -> Coefficients:
-    """The tensor product of d per-coordinate (numerators, den) tables, over the product of their dens."""
-    nums, dens = zip(*tables)
+def _tensor_table(point: Point, column, cap: int) -> Coefficients:
+    """The tensor product of the per-coordinate (numerators, den) tables column(x_i, cap), over the dens' product."""
+    d = len(point)
+    nums, dens = zip(*(column(c, cap) for c in point))
     values = tensor_kernel(d, cap)(*nums)
     return Coefficients.from_numerators(d, cap, _nonzero(indices_up_to(d, cap), values), math.prod(dens))
 
@@ -133,8 +136,8 @@ class Distribution:
     (as :meth:`PValuedGroup.check_point` or ``multiply`` gives it).
 
     Either table is given as rationals or as a table, kept as it is.  The
-    moment table may be None for an exact basis expansion without a point:
-    the moments up to cap are then derived on first read, once.
+    moment table may be None for an exact distribution, built on first read,
+    once: a Dirac (a point without moments) tables both sides from its point.
     """
 
     def __init__(
@@ -149,14 +152,15 @@ class Distribution:
         self.group = group
         self.cap = cap
         self._moments = None if moments is None else _as_table(group.d, moments)
-        self.basis_table = None if dcoeffs is None else _as_table(group.d, dcoeffs)
+        self._basis = None if dcoeffs is None else _as_table(group.d, dcoeffs)
         self.exact = bool(exact)
         self.point = None if point is None else group.check_point(point)
+        self._dirac = moments is None and self.point is not None
         self._valuations = None
-        if self.exact and self.point is None and self.basis_table is None:
+        if self.exact and self.point is None and self._basis is None:
             raise ValueError("an exact distribution needs a point or a full basis expansion")
-        if moments is None and not (self.exact and self.point is None and self.basis_table is not None):
-            raise ValueError("only an exact basis expansion without a point can derive its moments")
+        if moments is None and not self.exact:
+            raise ValueError("only an exact distribution can derive its moments")
 
     # -- construction ------------------------------------------------------
 
@@ -164,16 +168,12 @@ class Distribution:
     def dirac(cls, G: PValuedGroup, x: Sequence, cap: int) -> "Distribution":
         """The point mass at x: mu_beta = x^beta and d_beta = binom(x, beta) for |beta| <= cap.
 
-        It is exact, and so are its norms although ``dcoeffs`` stop at cap:
-        |binom(x, alpha)|_p <= 1 on Z_p with equality at alpha = 0, so every
-        norm with positive weights is p^0, attained at alpha = 0.
+        Each table is built on first read, the tensor product of per-coordinate
+        tables of x_i^k or binom(x_i, k).  It is exact, and so are its norms
+        although ``dcoeffs`` stop at cap: |binom(x, alpha)|_p <= 1 on Z_p with
+        equality at alpha = 0, so every norm with positive weights is p^0.
         """
-        x = G.check_point(x)
-        # per-coordinate tables of x_i^k and binom(x_i, k) as int numerators (over 1 at integer
-        # coordinates), multiplied out by the tensor kernel
-        moments = _tensor_table(G.d, cap, [_powers(c, cap) for c in x])
-        basis = _tensor_table(G.d, cap, [_binomials(c, cap) for c in x])
-        return cls(G, cap, moments, basis, exact=True, point=x)
+        return cls(G, cap, None, exact=True, point=x)
 
     @classmethod
     def from_dcoeffs(
@@ -186,12 +186,22 @@ class Distribution:
 
     @property
     def moment_table(self) -> Coefficients:
-        """The nonzero moments of degree <= cap; a basis combination derives them on first read."""
+        """The nonzero moments of degree <= cap; a Dirac or a basis combination builds them on first read."""
         if self._moments is None:
-            d, cap = self.group.d, self.cap
-            nums, den = self._moment_numerators(cap)
-            self._moments = Coefficients.from_numerators(d, cap, _nonzero(indices_up_to(d, cap), nums), den)
+            if self.point is not None:
+                self._moments = _tensor_table(self.point, _powers, self.cap)
+            else:
+                d, cap = self.group.d, self.cap
+                nums, den = self._moment_numerators(cap)
+                self._moments = Coefficients.from_numerators(d, cap, _nonzero(indices_up_to(d, cap), nums), den)
         return self._moments
+
+    @property
+    def basis_table(self) -> Optional[Coefficients]:
+        """The basis table; a Dirac builds it on first read, any other distribution has it once given or derived."""
+        if self._basis is None and self._dirac:
+            self._basis = _tensor_table(self.point, _binomials, self.cap)
+        return self._basis
 
     @property
     def moments(self) -> Mapping[MultiIndex, Fraction]:
@@ -221,9 +231,11 @@ class Distribution:
         numerators, and a Dirac tables the powers of its point.
         """
         d, table = self.group.d, self._moments
+        if self.point is not None and degree <= self.cap:
+            table = self.moment_table
         if table is None or degree > self.cap:
             if self.point is not None:
-                table = _tensor_table(d, degree, [_powers(c, degree) for c in self.point])
+                table = _tensor_table(self.point, _powers, degree)
             elif self.exact:
                 basis = self.basis_table
                 dense = list(map(basis.nums.get, indices_up_to(d, degree), repeat(0)))
@@ -242,8 +254,8 @@ class Distribution:
             d, cap = self.group.d, self.cap
             moments, den = self._moment_numerators(cap)
             nums = _nonzero(indices_up_to(d, cap), _basis_kernel(d, cap)(moments))
-            self.basis_table = Coefficients.from_numerators(d, cap, nums, den * math.factorial(cap))
-        return self.basis_table
+            self._basis = Coefficients.from_numerators(d, cap, nums, den * math.factorial(cap))
+        return self._basis
 
     def valuations(self) -> Dict[MultiIndex, int]:
         """alpha -> v_p(d_alpha) = v_p(n_alpha) - v_p(den) over the basis table, in its order; computed once."""
@@ -252,6 +264,10 @@ class Distribution:
             v_den, values = int_valuation(table.den, p), map(int_valuation, table.nums.values(), repeat(p))
             self._valuations = dict(zip(table.nums, map(sub, values, repeat(v_den)) if v_den else values))
         return self._valuations
+
+    def support_cap(self) -> int:
+        """The largest degree the basis support can reach: cap, or a given basis table's own cap if larger."""
+        return self.cap if self._basis is None else max(self.cap, self._basis.cap)
 
     def total_mass(self) -> Fraction:
         return self.moment((0,) * self.group.d)
@@ -493,11 +509,14 @@ def check_banach_submult_N(
 
 
 def check_norm_tower(lams: Sequence[Distribution], max_N: int = 8) -> List[CheckRecord]:
-    """||lam||_N <= ||lam||_{N+1} for every stored distribution."""
+    """||lam||_N <= ||lam||_{N+1} for every stored distribution; the norms only where the axes do not certify it."""
     bad = []
     group_name = lams[0].group.name if lams else "-"
     for k, lam in enumerate(lams):
         for N in range(1, max_N + 1):
+            tables = _dagger_table(lam.group, N), _dagger_table(lam.group, N + 1)
+            if lam.group.plan(("tower", N), lambda G: _CoefficientCheck(*tables)).certifies(lam.support_cap()):
+                continue
             lo = dagger_norm(lam, N).mag
             hi = dagger_norm(lam, N + 1).mag
             if not lo <= hi:
@@ -513,13 +532,17 @@ def check_norm_tower(lams: Sequence[Distribution], max_N: int = 8) -> List[Check
 
 
 def check_sandwich(lam: Distribution, sigma: Fraction) -> List[CheckRecord]:
-    """||.||'_{s^min omega} <= ||.||_s <= ||.||'_{s^max omega}."""
+    """||.||'_{s^max omega} <= ||.||_s <= ||.||'_{s^min omega} term by term for s = p^-sigma < 1, the ends swapped
+    for s > 1; the norms are computed only where the axes do not certify it."""
     sigma = Fraction(sigma)
     G = lam.group
-    lo = st_norm_prime(lam, sigma * min(G.omega))
-    mid = st_norm(lam, sigma)
-    hi = st_norm_prime(lam, sigma * max(G.omega))
-    ok = lo.mag <= mid.mag <= hi.mag
+    lower, upper = sorted((sigma * min(G.omega), sigma * max(G.omega)), reverse=True)
+    tables = weight_table((lower,) * G.d, None), _st_table(G, sigma), weight_table((upper,) * G.d, None)
+    checks = G.plan(("sandwich", sigma), lambda G: tuple(map(_CoefficientCheck, tables, tables[1:])))
+    ok = all(check.certifies(lam.support_cap()) for check in checks)
+    if not ok:
+        lo, mid, hi = st_norm_prime(lam, lower), st_norm(lam, sigma), st_norm_prime(lam, upper)
+        ok = lo.mag <= mid.mag <= hi.mag
     return [
         CheckRecord(
             check_id="norms/sandwich",
@@ -536,30 +559,40 @@ def _regime_unmet(check_id: str, anchor: str, params: dict, **details) -> CheckR
     return CheckRecord(check_id=check_id, anchor=anchor, verdict=REGIME_UNMET, params=params, details=details)
 
 
-class _CoefficientCheck(dict):
-    """alpha -> whether |d_alpha| p^(-small(alpha)) <= |d_alpha| p^(-large(alpha)) fails, decided on first use.
+class _CoefficientCheck:
+    """Whether |d_alpha| p^(-small(alpha)) <= |d_alpha| p^(-large(alpha)) holds, per alpha or for a box of them.
 
     With ``p`` given the right side carries the factor (p alpha_1) ... (p
     alpha_d) over its nonzero alpha_i.  -v(d_alpha) is on both sides, so the
-    weights alone decide: the table is built once per plan, and a sample's
-    valuations are read only for the witnesses.
+    weights alone decide; a table entry is a sum of per-coordinate terms, so
+    the gap large - small adds over the coordinates and the factor multiplies
+    over them, and the axes decide a whole box (:meth:`certifies`).
     """
 
     def __init__(self, small: WeightTable, large: WeightTable, p: Optional[int] = None):
-        super().__init__()
         self.small, self.large, self.p = small, large, p
+        self.certified: Dict[int, bool] = {}
 
-    def __missing__(self, alpha: MultiIndex) -> bool:
+    def fails(self, alpha: MultiIndex) -> bool:
         small, large, p = self.small, self.large, self.p
         gap = large[alpha] * small.den - small[alpha] * large.den  # (lhs - rhs) * small.den * large.den
-        fails = gap > 0 if p is None else not p_power_at_most(gap, small.den * large.den, _factor(alpha, p), p)
-        self[alpha] = fails
-        return fails
+        return gap > 0 if p is None else not p_power_at_most(gap, small.den * large.den, _factor(alpha, p), p)
 
-    def violations(self, valuations: Dict[MultiIndex, int]) -> List[dict]:
-        """The witnesses of the failing alpha, in the order of ``valuations``."""
-        bad = []
-        for alpha in compress(valuations, map(self.__getitem__, valuations)):
+    def certifies(self, cap: int) -> bool:
+        """Whether no alpha with every alpha_i <= cap fails: no axis entry k e_i, 1 <= k <= cap, does; once per cap."""
+        ok = self.certified.get(cap)
+        if ok is None:
+            d = len(self.small.weights)
+            axes = ((0,) * i + (k,) + (0,) * (d - i - 1) for i in range(d) for k in range(1, cap + 1))
+            self.certified[cap] = ok = not any(map(self.fails, axes))
+        return ok
+
+    def violations(self, lam: Distribution) -> List[dict]:
+        """The witnesses of the failing alpha on lam's support, in its valuations' order; read only if uncertified."""
+        if self.certifies(lam.support_cap()):
+            return []
+        valuations, bad = lam.valuations(), []
+        for alpha in filter(self.fails, valuations):
             v = valuations[alpha]
             lhs, rhs = LogMag(-v - self.small.weight(alpha)), LogMag(-v - self.large.weight(alpha))
             witness = {"alpha": list(alpha), "lhs": lhs, "rhs": rhs}
@@ -595,7 +628,7 @@ def check_contact_embedding(lam: Distribution, sigma: Fraction) -> List[CheckRec
     if check is None:
         return [_regime_unmet("embeddings/contact", "inclusion regime sigma * min(omega) > 1/(p-1)", params)]
     anchor = "per-coefficient damping bound for the inclusion into the completion"
-    return [record("embeddings/contact", anchor, params, check.violations(lam.valuations()))]
+    return [record("embeddings/contact", anchor, params, check.violations(lam))]
 
 
 def _comparison_plan(G: PValuedGroup, N: int, sigma: Fraction) -> tuple:
@@ -647,7 +680,7 @@ def check_comparison_maps(
             "embeddings/comparison-contraction",
             "per-coefficient contraction from the level-N dual into the completion",
             params,
-            contraction.violations(lam.valuations()),
+            contraction.violations(lam),
         )
 
     params = {"group": G.name, "N": N, "sigma": sigma, "regime_exponents": list(regime2), "poly_factor_exponent": 1}
@@ -655,4 +688,4 @@ def check_comparison_maps(
         anchor = "continuity regime: the completion radius beats each polydisc radius"
         return [first, _regime_unmet("embeddings/comparison-continuity", anchor, params)]
     anchor = "per-coefficient continuity with the explicit polynomial factor"
-    return [first, record("embeddings/comparison-continuity", anchor, params, continuity.violations(lam.valuations()))]
+    return [first, record("embeddings/comparison-continuity", anchor, params, continuity.violations(lam))]

@@ -456,10 +456,6 @@ class WeightTable(dict):
         """The unscaled weight at alpha."""
         return Fraction(self[alpha], self.den)
 
-    def exceeds(self, other: "WeightTable", alpha: MultiIndex) -> bool:
-        """Whether this table's weight at alpha is larger than other's."""
-        return self[alpha] * other.den > other[alpha] * self.den
-
 
 @lru_cache(maxsize=1024)
 def weight_table(weights: Tuple[Rational, ...], p: Optional[int]) -> WeightTable:

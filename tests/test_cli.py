@@ -502,7 +502,9 @@ def test_convert_reads_a_float_coefficient_exactly(tmp_path):
 # "heisenberg(7) convolution" from the per-term convolution loop over eagerly built moments,
 # abelian(2,3) from the distribution-side Stirling and falling tables before they were merged
 # into the basis rows of padic, heisenberg-half (the -3/2 law of test_distributions.H_HALF, read
-# from a config file) from the law evaluated term by term before it was compiled to kernels.
+# from a config file) from the law evaluated term by term before it was compiled to kernels, and
+# the three "defaults" reports (every suite at the CLI defaults) from the verdict tables filled
+# per alpha, before the weight-only checks were decided on the axes.
 PINNED_REPORTS = {
     "heisenberg(3)": (
         ["--trials", "5"],
@@ -544,6 +546,9 @@ PINNED_REPORTS = {
         ["--suites", "group-axioms,pvaluation,saturation,mahler", "--trials", "200"],
         "458351615422f8576ce6c0b67b43065594701fa1ee285954f10e3d56c8d665ac",
     ),
+    "heisenberg(3) defaults": ([], "4d3284df53f105d4f22313867c15de27dc090aa919ace75b1e514d48d4bb2524"),
+    "abelian(3,2) defaults": ([], "dbe0c5bfceacbc2e6e3e31044c57a9397f7c389bd1cabbc791aa5e42465ba1b8"),
+    "heisenberg(5) defaults": ([], "160abbacb71716db3d6109f4f997b6629094afbadd80380eb91d317a9d3c57fc"),
 }
 # groups of PINNED_REPORTS that are not builtin tags, written to a config file for the run
 PINNED_CONFIGS = {"heisenberg-half": H_HALF}

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daggerdist import distributions as dist_module, padic as padic_module
+from daggerdist import cli as cli_module, distributions as dist_module, groups as groups_module, padic as padic_module
 from daggerdist.distributions import (
     Distribution,
     InsufficientCap,
@@ -814,6 +814,11 @@ def test_norms_read_the_valuation_table_as_the_coefficients_would(data):
         assert got.mag == weighted_sup(pairs, G.p, table, sign=-1)
 
 
+def _exceeds(table, other, alpha):
+    """Whether table's weight at alpha is larger than other's."""
+    return table[alpha] * other.den > other[alpha] * table.den
+
+
 def _fraction_check_comparison_maps(G, N, sigma, lam):
     """check_comparison_maps as it was: regimes rebuilt per call, one Fraction gap per coefficient."""
     sigma = Fraction(sigma)
@@ -837,7 +842,7 @@ def _fraction_check_comparison_maps(G, N, sigma, lam):
     else:
         bad = []
         for alpha, dv in dcoeffs.items():
-            if level.exceeds(completion, alpha):
+            if _exceeds(level, completion, alpha):
                 nv = -valuation(dv, G.p)
                 lhs, rhs = nv - completion.weight(alpha), nv - level.weight(alpha)
                 bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
@@ -1145,9 +1150,9 @@ def _loop_plan(G, cap_out):
 
 def _gather_moment_numerators(lam, indices):
     """Distribution._moment_numerators as it was: the gather loop, or the table and each moment beyond cap alone."""
-    if lam._moments is None:
+    if lam._moments is None and lam.point is None:
         return gather(mahler_row, lam.basis_table.nums, indices), lam.basis_table.den
-    table, cap = lam._moments, lam.cap
+    table, cap = lam.moment_table, lam.cap
     values = [table.nums.get(b, 0) if sum(b) <= cap else lam.moment(b) * table.den for b in indices]
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], table.den * scale
@@ -1243,7 +1248,7 @@ def _weight_violations(valuations, small, large):
     """The per-call loop as it was: the alpha where |d_alpha| p^(-small(alpha)) <= |d_alpha| p^(-large(alpha)) fails."""
     bad = []
     for alpha, v in valuations.items():
-        if large.exceeds(small, alpha):
+        if _exceeds(large, small, alpha):
             lhs, rhs = -v - small.weight(alpha), -v - large.weight(alpha)
             bad.append({"alpha": list(alpha), "lhs": LogMag(lhs), "rhs": LogMag(rhs)})
     return bad
@@ -1362,3 +1367,137 @@ def test_a_form_with_an_output_of_more_than_256_terms():
     assert linear(z) == tuple(sum(w * z[k] for k, w in row) for row in linear_rows)
     for kernel in (form, linear):
         _assert_generated_source(kernel)
+
+
+# -- axis certificates of the weight-only checks and lazy Dirac tables --------
+
+DEFAULT_SIGMAS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+
+
+def _fresh(G, **changes):
+    """A copy of G through its JSON config, so its plans are built here; ``changes`` replace config fields."""
+    return load_group(json.dumps({**group_to_config(G), **changes}))
+
+
+H_MIXED = _fresh(H3, name="heisenberg-mixed-omega", omega=["1", "1", "3/2"])
+
+
+def _default_grid_samples(G):
+    """The samples of the norms and embeddings suites as the CLI draws them at its defaults (seed 7, cap 4)."""
+    draw = cli_module._sample_distributions
+    return draw(G, random.Random(f"7:norms:{G.name}"), 10, 8) + draw(G, random.Random(f"7:embeddings:{G.name}"), 6, 8)
+
+
+def _weight_only_records(samples, max_N=8):
+    """The tower over the samples, and the sandwich, contact and comparison records of each on the default grid."""
+    G, records = samples[0].group, check_norm_tower(samples, max_N=max_N)
+    for lam, sigma in product(samples, DEFAULT_SIGMAS):
+        records += check_sandwich(lam, sigma) + check_contact_embedding(lam, sigma)
+        records += [r for N in range(1, max_N + 1) for r in check_comparison_maps(G, N, sigma, lam)]
+    return [r.to_dict() for r in records]
+
+
+def _counted_valuations(monkeypatch):
+    reads, valuations = [], Distribution.valuations
+    monkeypatch.setattr(Distribution, "valuations", lambda lam: reads.append(lam) or valuations(lam))
+    return reads
+
+
+@pytest.mark.parametrize("G", [H3, A32, H_MIXED], ids=lambda G: G.name)
+def test_certified_plans_read_no_valuations_and_give_the_per_alpha_records(G, monkeypatch):
+    samples = _default_grid_samples(_fresh(G))
+    reads = _counted_valuations(monkeypatch)
+    got = _weight_only_records(samples)
+    assert reads == [] and got
+    # the Diracs among the samples never built a table, so the tensor kernel at their cap was not needed
+    diracs = [lam for lam in samples if lam.point is not None]
+    assert diracs and all(lam._moments is None and lam._basis is None for lam in diracs)
+    # the per-alpha path, which reads every sample's valuations, gives the same records, empty violations and all
+    monkeypatch.setattr(dist_module._CoefficientCheck, "certifies", lambda check, cap: False)
+    assert _weight_only_records(samples) == got
+    assert {id(lam) for lam in reads} == {id(lam) for lam in samples}
+
+
+@pytest.mark.parametrize("shift", [100, -100])
+def test_a_factorial_broken_at_one_axis_entry_refuses_the_certificate(shift, monkeypatch):
+    # v_3(6!) is off by +-100 and every other v_3(k!) is right: only an alpha with some alpha_i = 6 can fail
+    G, p = _fresh(H3), H3.p
+
+    def broken(alpha, p):
+        return multi_factorial_valuation(alpha, p) + shift * (alpha == (6,))
+
+    monkeypatch.setattr(padic_module, "multi_factorial_valuation", broken)
+    monkeypatch.setattr(dist_module, "weight_table", padic_module.WeightTable)
+    reads = _counted_valuations(monkeypatch)
+    below = Distribution.dirac(G, [3, 9, 27], 5)
+    assert {r["verdict"] for r in _weight_only_records([below])} <= {PASS, REGIME_UNMET} and reads == []
+    # a Dirac whose cap reaches 6, and a basis combination whose own table does although its cap does not
+    lams = [Distribution.dirac(G, [3, 9, 27], 8), Distribution.from_dcoeffs(G, {(0, 6, 0): 1, (1, 0, 0): 3}, 2)]
+    verdicts = []
+    for lam, sigma, N in product(lams, DEFAULT_SIGMAS, range(1, 9)):
+        eps, tau = Fraction(1, p - 1), G.neighborhood_params(N).tau
+        valuations = lam.valuations()
+        completion = padic_module.WeightTable(tuple(sigma * w for w in G.omega), None)
+        level = padic_module.WeightTable(tau, p)
+        contact = check_contact_embedding(lam, sigma)[0]
+        if contact.verdict != REGIME_UNMET:
+            damping = -sigma * min(G.omega) + eps
+            large = padic_module.WeightTable((-damping,) * G.d, p)
+            _assert_witnesses(contact, _weight_violations(valuations, completion, large))
+        contraction, continuity = check_comparison_maps(G, N, sigma, lam)
+        if contraction.verdict != REGIME_UNMET:
+            _assert_witnesses(contraction, _weight_violations(valuations, completion, level))
+        if continuity.verdict != REGIME_UNMET:
+            regime2 = [sigma * max(G.omega) - t - eps for t in tau]
+            damped = padic_module.WeightTable(tuple(c - r for c, r in zip(completion.weights, regime2)), None)
+            _assert_witnesses(continuity, _continuity_loop(valuations, level, damped, p))
+        verdicts += [contact.verdict, contraction.verdict, continuity.verdict]
+    assert FAIL in verdicts
+
+
+def test_the_tower_falls_back_and_fails_when_tau_grows_with_N(monkeypatch):
+    G = _fresh(H3)
+
+    def growing(N):
+        tau = (Fraction(N, 4),) * G.d
+        return groups_module.NeighborhoodParams(N=N, tau=tau, rho=tau + tau)
+
+    monkeypatch.setattr(G, "neighborhood_params", growing)
+    samples = _default_grid_samples(G)
+    rec = check_norm_tower(samples, max_N=4)[0]
+    bad = []
+    for k, lam in enumerate(samples):
+        for N in range(1, 5):
+            lo, hi = dagger_norm(lam, N).mag, dagger_norm(lam, N + 1).mag
+            if not lo <= hi:
+                bad.append({"sample": k, "N": N, "lower": lo, "upper": hi})
+    assert rec.verdict == FAIL and bad
+    _assert_witnesses(rec, bad)
+
+
+def test_the_sandwich_holds_in_its_corrected_order_where_omega_is_mixed():
+    G, rng = H_MIXED, random.Random(21)
+    old_order_fails = 0
+    for _ in range(10):
+        lam = random_dcoeff_distribution(G, rng, cap=8)
+        for sigma in DEFAULT_SIGMAS:
+            assert check_sandwich(lam, sigma)[0].verdict == PASS
+            low, high = (st_norm_prime(lam, sigma * w) for w in (min(G.omega), max(G.omega)))
+            mid = st_norm(lam, sigma)
+            old_order_fails += not low.mag <= mid.mag <= high.mag
+            assert high.mag <= mid.mag <= low.mag
+        # for s = p^-sigma > 1 the two ends swap
+        assert check_sandwich(lam, Fraction(-1, 2))[0].verdict == PASS
+    assert old_order_fails == 10 * len(DEFAULT_SIGMAS)
+
+
+def test_dirac_tables_are_built_on_first_read_as_they_were_built_eagerly():
+    x, cap = [3, -6, Fraction(9, 2)], 4
+    lam = Distribution.dirac(H3, x, cap)
+    assert lam._moments is None and lam._basis is None
+    assert lam.basis_table is lam.ensure_dcoeffs() and lam._moments is None
+    eager = _dirac_per_index(H3, x, cap)
+    assert lam.basis_table == eager.basis_table and lam.moment_table == eager.moment_table
+    # a product of Diracs has its moments: its basis table is still derived from them, never from its point
+    nu = convolve(H3, Distribution.dirac(H3, [1, 2, 3], 2), Distribution.dirac(H3, [4, 5, 6], 2))
+    assert nu.point is not None and nu.dcoeffs is None
