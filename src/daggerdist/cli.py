@@ -37,6 +37,7 @@ from .groups import (
     group_to_config,
     load_group,
     randbelow,
+    sample_points,
 )
 from .mahler import MahlerFamily, NormIdentity, mahler_to_taylor, taylor_to_mahler, verify_norm_identity
 from .padic import format_fraction, parse_fraction, parse_int
@@ -96,7 +97,7 @@ def suite_mahler(G: PValuedGroup, trials: int, seed: int) -> List[CheckRecord]:
     for t in range(trials):
         dim, deg = (1, 12) if t % 2 == 0 else (2, 6)
         f = _random_poly(rng, dim, deg, G.p, cap=deg)
-        check = rng.choice(checks[dim])
+        check = checks[dim][randbelow(rng, len(checks[dim]))]  # as rng.choice drew it
         m = taylor_to_mahler(f)
         if not check.holds(f, m):  # the magnitudes only for a witness
             _, gmag, mmag = verify_norm_identity(f, check.rho, G.p, m)
@@ -123,11 +124,7 @@ def suite_mahler(G: PValuedGroup, trials: int, seed: int) -> List[CheckRecord]:
 def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List[CheckRecord]:
     """Dirac homomorphism, associativity, unit, and the opposite product."""
     rng = random.Random(f"{seed}:convolution:{G.name}")
-    bound = G.p**6
     records = []
-
-    def rand_point():
-        return [rng.randrange(bound) for _ in range(G.d)]
 
     def witness(t, **points):  # the coordinates as Fractions, which the report writes as "n/1"
         return {"trial": t, **{k: list(map(Fraction, v)) for k, v in points.items()}}
@@ -136,7 +133,7 @@ def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List
         """delta_x * delta_y against the Dirac at xy, or at yx for the opposite product."""
         bad = []
         for t in range(count):
-            x, y = rand_point(), rand_point()
+            x, y = sample_points(G, rng, 2, 6)
             dx, dy = Distribution.dirac(G, x, cap), Distribution.dirac(G, y, cap)
             conv = convolve(G, dx, dy, cap_out=cap, opposite=opposite)
             expect = Distribution.dirac(G, G.multiply(y, x) if opposite else G.multiply(x, y), cap)
@@ -149,7 +146,7 @@ def suite_convolution(G: PValuedGroup, trials: int, seed: int, cap: int) -> List
 
     bad = []
     for t in range(max(trials // 2, 1)):
-        x, y, z = rand_point(), rand_point(), rand_point()
+        x, y, z = sample_points(G, rng, 3, 6)
         dx, dy, dz = (Distribution.dirac(G, v, cap) for v in (x, y, z))
         left = convolve(G, convolve(G, dx, dy, cap_out=cap), dz, cap_out=cap)
         right = convolve(G, dx, convolve(G, dy, dz, cap_out=cap), cap_out=cap)
@@ -189,8 +186,7 @@ def _sample_distributions(G: PValuedGroup, rng: random.Random, count: int, cap: 
     out = []
     for k in range(count):
         if k % 3 == 0:
-            pt = [rng.randrange(G.p**6) for _ in range(G.d)]
-            out.append(Distribution.dirac(G, pt, cap))
+            out.append(Distribution.dirac(G, sample_points(G, rng, 1, 6)[0], cap))
         else:
             out.append(random_dcoeff_distribution(G, rng, cap=cap))
     return out

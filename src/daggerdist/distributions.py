@@ -42,7 +42,7 @@ from itertools import compress, repeat
 from operator import mul, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .groups import PValuedGroup, Point
+from .groups import PValuedGroup, Point, randbelow, sample_points
 from .padic import (
     LogMag,
     MultiIndex,
@@ -62,6 +62,7 @@ from .padic import (
     tensor_kernel,
     weight_table,
     weighted_sup,
+    weighted_sup_num,
 )
 from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, record
 from .series import Coefficients, NormValue
@@ -406,13 +407,13 @@ def random_dcoeff_distribution(
     G: PValuedGroup, rng: random.Random, cap: int, support_degree: int = 3, nterms: int = 4
 ) -> Distribution:
     """Seeded finitely-supported basis combination with p-power-scaled coefficients."""
-    indices = [a for a in indices_up_to(G.d, support_degree) if sum(a) > 0]
-    p = G.p
+    indices = indices_up_to(G.d, support_degree)[1:]  # every nonzero index, in grlex order
+    p, p3 = G.p, G.p**3
     nums: Dict[MultiIndex, int] = {}
-    for _ in range(nterms):
-        alpha = indices[rng.randrange(len(indices))]
-        num = rng.randrange(-(p**3), p**3) or 1
-        shift = rng.randrange(-1, 2)
+    for _ in range(nterms):  # each draw as rng.randrange drew it
+        alpha = indices[randbelow(rng, len(indices))]
+        num = randbelow(rng, 2 * p3) - p3 or 1
+        shift = randbelow(rng, 3) - 1
         # num * p^shift for shift in {1, 0, -1}, as a numerator over p
         nums[alpha] = nums.get(alpha, 0) + num * p ** (shift + 1)
     nums = {a: n for a, n in nums.items() if n} or {(0,) * G.d: p}
@@ -422,15 +423,20 @@ def random_dcoeff_distribution(
 # -- inequality checkers ---------------------------------------------------
 
 
-def _large_side(a: NormValue, b: NormValue) -> LogMag:
-    """The product ||a|| ||b|| on the large side of an inequality; both must be exact norms.
+def _product_violation(table: WeightTable, conv: Distribution, lam: Distribution, mu: Distribution) -> dict:
+    """{} if ||conv|| <= ||lam|| ||mu|| in table's norm, else the two sides as magnitudes.
 
-    A truncated norm is only a lower bound, and a lower bound on the large
-    side would make a pass unsound.
+    The three sups are ints over table.den, None being bottom, so a pass
+    builds no Fraction.  Both factors must be exact: a truncated norm is only
+    a lower bound, and a lower bound on the large side would make a pass unsound.
     """
-    if not (a.is_exact and b.is_exact):
+    if not (lam.exact and mu.exact):
         raise ValueError("a truncated norm (a lower bound) cannot sit on the large side of an inequality")
-    return a.mag * b.mag
+    p, den = lam.group.p, table.den
+    lhs, a, b = (weighted_sup_num(nu.valuations(), p, table, sign=-1) for nu in (conv, lam, mu))
+    if lhs is None or (a is not None and b is not None and lhs <= a + b):
+        return {}
+    return {"lhs": LogMag(Fraction(lhs, den)), "rhs": LogMag(None if a is None or b is None else Fraction(a + b, den))}
 
 
 def check_submultiplicative(
@@ -451,22 +457,14 @@ def check_submultiplicative(
         params = {"group": G.name, "sigma": sigma}
         return [_regime_unmet("norms/st-submultiplicative", anchor, params, reason="sigma outside (0, 1]")]
     rng = random.Random(f"{seed}:submult:{G.name}:{sigma}")
-    bad = []
+    bad, table = [], _st_table(G, sigma)
     for _ in range(trials):
         lam = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
         mu = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
-        conv = convolve(G, lam, mu, cap_out=cap)
-        lhs = st_norm(conv, sigma)
-        rhs = _large_side(st_norm(lam, sigma), st_norm(mu, sigma))
-        if not lhs.mag <= rhs:
-            bad.append(
-                {
-                    "lam": {str(a): format_fraction(v) for a, v in lam.dcoeffs.items()},
-                    "mu": {str(a): format_fraction(v) for a, v in mu.dcoeffs.items()},
-                    "lhs": lhs.mag,
-                    "rhs": rhs,
-                }
-            )
+        violation = _product_violation(table, convolve(G, lam, mu, cap_out=cap), lam, mu)
+        if violation:
+            lam_d, mu_d = ({str(a): format_fraction(v) for a, v in nu.dcoeffs.items()} for nu in (lam, mu))
+            bad.append({"lam": lam_d, "mu": mu_d, **violation})
     return [
         record(
             "norms/st-submultiplicative",
@@ -483,20 +481,16 @@ def check_banach_submult_N(
 ) -> List[CheckRecord]:
     """Truncated ||lam * mu||_N <= ||lam||_N ||mu||_N on random exact pairs."""
     rng = random.Random(f"{seed}:banach:{G.name}:{N}")
-    bad = []
-    bound = G.p**6
+    bad, table = [], _dagger_table(G, N)
     for t in range(trials):
         if t % 2 == 0:  # Diracs at cap: exact, read beyond it from the point, of norm p^0 at every cap
-            lam = Distribution.dirac(G, [rng.randrange(bound) for _ in range(G.d)], cap)
-            mu = Distribution.dirac(G, [rng.randrange(bound) for _ in range(G.d)], cap)
+            lam, mu = (Distribution.dirac(G, x, cap) for x in sample_points(G, rng, 2, 6))
         else:
             lam = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
             mu = random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
-        conv = convolve(G, lam, mu, cap_out=cap)
-        lhs = dagger_norm(conv, N)
-        rhs = _large_side(dagger_norm(lam, N), dagger_norm(mu, N))
-        if not lhs.mag <= rhs:
-            bad.append({"trial": t, "lhs": lhs.mag, "rhs": rhs})
+        violation = _product_violation(table, convolve(G, lam, mu, cap_out=cap), lam, mu)
+        if violation:
+            bad.append({"trial": t, **violation})
     return [
         record(
             "norms/banach-submultiplicative",

@@ -482,6 +482,8 @@ def randbelow(rng: random.Random, bound: int) -> int:
     Draw the k = bound.bit_length() bits of getrandbits(k) and draw again while
     they are >= bound: the same value and the same generator state afterwards.
     """
+    if bound <= 0:
+        raise ValueError("empty range for randbelow")
     k = bound.bit_length()
     r = rng.getrandbits(k)
     while r >= bound:
@@ -675,7 +677,7 @@ def check_saturation(
     search spent its budget makes it ``inconclusive``, never ``fail``.
     """
     rng = random.Random(f"{seed}:sat:{G.name}")
-    threshold = Fraction(G.p, G.p - 1)
+    threshold, bound = Fraction(G.p, G.p - 1), G.p ** (precision - 1)
     stalls, spent = [], []
     found = 0
     skipped = 0
@@ -683,7 +685,7 @@ def check_saturation(
     while found + len(stalls) + len(spent) < samples and attempts < 20 * samples:
         attempts += 1
         # bias sampling into the deep filtration so the hypothesis holds
-        x = tuple(G.p * rng.randrange(G.p ** (precision - 1)) for _ in range(G.d))
+        x = tuple(G.p * randbelow(rng, bound) for _ in range(G.d))
         if not G.omega_of(x) > threshold:
             skipped += 1
             continue

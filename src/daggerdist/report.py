@@ -15,14 +15,19 @@ A report is a flat list of check records.  Verdicts are:
 The process exit status is 1 for ``fail`` only.  ``counts`` lists
 ``inconclusive`` only when some record has that verdict.
 
-Emission is byte-deterministic: records are sorted, fields have a fixed
-order, and all rationals are rendered as "num/den" strings.
+Emission is byte-deterministic: records are sorted stably by check id, then
+by the compact sorted-key JSON of their rendered params
+(``json.dumps(render(params), sort_keys=True)``); fields have a fixed order,
+and all rationals are rendered as "num/den" strings.  :func:`emit_json`
+writes the bytes of ``json.dumps(report.to_dict(), indent=2)``, but writes
+each record, and its sort key, in one walk of its raw values.
 """
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional
 
 from .padic import INFINITY, LogMag, format_fraction
@@ -126,29 +131,81 @@ class Report(_Fields):
     def failed(self) -> List[CheckRecord]:
         return [r for r in self.records if r.verdict == FAIL]
 
-    def to_dict(self) -> Dict[str, Any]:
-        # each record rendered once, then sorted stably by check and rendered params
-        checks = sorted(
-            (r.to_dict() for r in self.records),
-            key=lambda rec: (rec["check"], json.dumps(rec["params"], sort_keys=True)),
-        )
+    def counts(self) -> Dict[str, int]:
+        """Records per verdict, in a fixed order; ``inconclusive`` only when some record has it."""
         counts = {
             verdict: sum(r.verdict == verdict for r in self.records)
             for verdict in (PASS, LOWER_BOUND_PASS, REGIME_UNMET, INCONCLUSIVE, FAIL)
         }
         if not counts[INCONCLUSIVE]:
             del counts[INCONCLUSIVE]
+        return counts
+
+    def to_dict(self) -> Dict[str, Any]:
+        # each record rendered once, then sorted stably by check and rendered params
+        checks = sorted(
+            (r.to_dict() for r in self.records),
+            key=lambda rec: (rec["check"], json.dumps(rec["params"], sort_keys=True)),
+        )
         return {
             "schema": SCHEMA_VERSION,
             "group": self.group,
             "seed": self.seed,
-            "counts": counts,
+            "counts": self.counts(),
             "checks": checks,
         }
 
 
+_quote = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
+_LAYOUT = re.compile(r"\n *")  # a newline and its indent: strings escape theirs, so each one is layout
+
+
+def _object(fields, pad: str) -> str:
+    """A JSON object, in the given order, of (key, text) fields whose texts were written at pad + 2 spaces."""
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join([f"{_quote(k)}: {text}" for k, text in fields]) + pad + "}"
+
+
+def _json(value, pad: str) -> str:
+    """json.dumps(render(value), indent=2) for a value whose first line is opened by pad (a newline and an indent)."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is Fraction:
+        return f'"{value.numerator}/{value.denominator}"'
+    if kind is LogMag:
+        return '"0"' if value.exponent is None else f'"p^{value.exponent.numerator}/{value.exponent.denominator}"'
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]" if value else "[]"
+    if isinstance(value, dict):  # as render orders it: by str(key), a later key of the same string taking its place
+        value = {str(k): v for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+        return _object([(k, _json(v, inner)) for k, v in value.items()], pad) if value else "{}"
+    return json.dumps(render(value))
+
+
+def _record_json(r: CheckRecord) -> tuple:
+    """(check id, compact sorted-key JSON of the rendered params, indent=2 text of to_dict()) in one walk."""
+    fields = [("check", r.check_id), ("anchor", r.anchor), ("params", r.params), ("verdict", r.verdict)]
+    if r.witness is not None:
+        fields.append(("witness", r.witness))
+    if r.details:
+        fields.append(("details", r.details))
+    fields = [(k, _json(v, "\n      ")) for k, v in fields]  # a record is an item of the report's checks list
+    params = fields[2][1]
+    # render sorted the params' keys, so dropping the layout, with ", " between items, gives json.dumps(sort_keys=True)
+    return r.check_id, _LAYOUT.sub("", params.replace(",\n", ", \n")), _object(fields, "\n    ")
+
+
 def emit_json(report: Report) -> bytes:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=False).encode() + b"\n"
+    """json.dumps(report.to_dict(), indent=2) and a newline, each record written in one walk of its raw values."""
+    records = sorted(map(_record_json, report.records), key=itemgetter(0, 1))
+    checks = "[\n    " + ",\n    ".join([text for _, _, text in records]) + "\n  ]" if records else "[]"
+    counts = _object([(verdict, str(n)) for verdict, n in report.counts().items()], "\n  ")
+    head = [("schema", str(SCHEMA_VERSION)), ("group", _json(report.group, "\n  ")), ("seed", _json(report.seed, "\n  "))]
+    return (_object([*head, ("counts", counts), ("checks", checks)], "\n") + "\n").encode()
 
 
 def emit_text(report: Report) -> bytes:

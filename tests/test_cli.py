@@ -1,20 +1,29 @@
+import collections
 import functools
 import hashlib
 import importlib.util
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from daggerdist import cli
+from daggerdist import cli, distributions as dist_module, groups as groups_module, report as report_module
 from daggerdist.cli import SUITES, main, resolve_group, run_suites, suite_convolution, suite_mahler
-from daggerdist.distributions import check_banach_submult_N, check_norm_tower, check_submultiplicative
+from daggerdist.distributions import (
+    Distribution,
+    check_banach_submult_N,
+    check_norm_tower,
+    check_submultiplicative,
+    random_dcoeff_distribution,
+)
 from daggerdist.groups import (
     builtin_abelian,
     builtin_heisenberg,
@@ -22,8 +31,11 @@ from daggerdist.groups import (
     check_pvaluation,
     check_saturation,
     group_to_config,
+    load_group,
+    sample_points,
 )
-from daggerdist.padic import INFINITY, LogMag
+from daggerdist.mahler import NormIdentity
+from daggerdist.padic import INFINITY, LogMag, indices_up_to
 from daggerdist.report import (
     FAIL,
     INCONCLUSIVE,
@@ -36,6 +48,7 @@ from daggerdist.report import (
     emit_text,
     render,
 )
+from daggerdist.series import Coefficients
 from test_distributions import H_HALF
 
 
@@ -87,29 +100,43 @@ def _double_render_to_dict(report):
     return {"schema": 1, "group": report.group, "seed": report.seed, "counts": counts, "checks": checks}
 
 
+# strings json.dumps escapes: a quote, a backslash, a newline, non-ASCII
+_escaped = st.sampled_from(['a "quoted" word', "back\\slash", "two\nlines", "na\u00efve \u221e", ""]) | st.text(max_size=4)
 _exact_leaves = st.one_of(
     st.integers(-9, 9),
+    st.integers(2**64, 2**70) | st.integers(-(2**70), -(2**64)),
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
     st.builds(LogMag, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))),
     st.just(LogMag.bottom()),
     st.just(INFINITY),
     st.booleans(),
-    st.sampled_from(["a", "b", "1/2"]),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["a", "b", "1/2"]) | _escaped,
 )
+# int and tuple keys, and pairs of keys that render to the same string
+_keys = st.sampled_from(["x", "alpha", 1, "1", (1, 0), "(1, 0)", -2, 'a "key"', "\u00e9"])
 _report_values = st.recursive(
     _exact_leaves,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["x", "alpha"]), inner, max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_keys, inner, max_size=3),
     max_leaves=6,
 )
 _records = st.builds(
     CheckRecord,
     check_id=st.sampled_from(["norms/a", "norms/b", "embeddings/c"]),
-    anchor=st.just("a statement"),
+    anchor=st.just("a statement") | _escaped,
     verdict=st.sampled_from([PASS, LOWER_BOUND_PASS, REGIME_UNMET, INCONCLUSIVE, FAIL]),
-    params=st.dictionaries(st.sampled_from(["N", "sigma", "group"]), _report_values, max_size=3),
+    params=st.dictionaries(st.sampled_from(["N", "sigma", "group"]) | _keys, _report_values, max_size=3),
     witness=st.none() | st.fixed_dictionaries({"violations": st.lists(_report_values, max_size=3)}),
     details=st.dictionaries(st.sampled_from(["tail", "M"]), _report_values, max_size=2),
 )
+
+
+def _json_dumps_writer(report):
+    """emit_json as it was: the rendered report through json.dumps(indent=2)."""
+    return json.dumps(report.to_dict(), indent=2).encode() + b"\n"
 
 
 _NESTED = {"violations": [{"alpha": [1, 0], "lhs": LogMag(Fraction(-1, 2)), "rhs": LogMag.bottom()}, INFINITY]}
@@ -130,6 +157,20 @@ def test_report_renders_each_record_once_in_the_order_of_the_double_render(recor
     report = Report(group="g", seed=3, records=records)
     assert report.to_dict() == _double_render_to_dict(report)
     assert emit_json(report) == json.dumps(_double_render_to_dict(report), indent=2).encode() + b"\n"
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_records, max_size=8), st.just("g") | _escaped, st.none() | st.integers(0, 2**70))
+@example([CheckRecord("norms/a", 'a "b"\n', PASS, {1: "one", "1": "uno", (1, 0): [], "e": {}}, {}, {"t": (None, 0.5)})], "g", 0)
+@example([], "\u00e9", None)
+# the compact key puts [1, 2] before [1], the indented text [1] before [1, 2]
+@example([CheckRecord("norms/a", "s", PASS, {"N": [1]}), CheckRecord("norms/a", "s", PASS, {"N": [1, 2]})], "g", 1)
+def test_emit_json_writes_the_bytes_json_dumps_wrote(records, group, seed):
+    report = Report(group=group, seed=seed, records=records)
+    assert emit_json(report) == _json_dumps_writer(report)
+    # each record's sort key is the compact sorted-key JSON of its rendered params
+    for r in records:
+        assert report_module._record_json(r)[:2] == (r.check_id, json.dumps(render(r.params), sort_keys=True))
 
 
 def test_empty_suites_empty_report_exit_zero(tmp_path, capsys):
@@ -549,9 +590,26 @@ PINNED_REPORTS = {
     "heisenberg(3) defaults": ([], "4d3284df53f105d4f22313867c15de27dc090aa919ace75b1e514d48d4bb2524"),
     "abelian(3,2) defaults": ([], "dbe0c5bfceacbc2e6e3e31044c57a9397f7c389bd1cabbc791aa5e42465ba1b8"),
     "heisenberg(5) defaults": ([], "160abbacb71716db3d6109f4f997b6629094afbadd80380eb91d317a9d3c57fc"),
+    "broken-heisenberg(3)": (
+        ["--trials", "20", "--seed", "3"],
+        "ac09e63eb2850456b9282a31d03fa8cf6adb303bd70950282585c229e2704129",
+    ),
 }
+
+
+def _broken_heisenberg():
+    """heisenberg(3) with F3's coefficient at (0,1,0,1,0,0) and I3's at (1,1,0) set from -3 to -1: not a group law."""
+    config = group_to_config(builtin_heisenberg(3))
+    config["name"] = "broken-heisenberg(3)"
+    for key, index in (("F", [0, 1, 0, 1, 0, 0]), ("I", [1, 1, 0])):
+        (term,) = [t for t in config[key][2] if t["index"] == index]
+        assert term["coeff"] == "-3/1"
+        term["coeff"] = "-1/1"
+    return load_group(json.dumps(config))
+
+
 # groups of PINNED_REPORTS that are not builtin tags, written to a config file for the run
-PINNED_CONFIGS = {"heisenberg-half": H_HALF}
+PINNED_CONFIGS = {"heisenberg-half": H_HALF, "broken-heisenberg(3)": _broken_heisenberg()}
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_REPORTS))
@@ -563,8 +621,29 @@ def test_report_bytes_pinned(key, tmp_path):
         config = tmp_path / "group.json"
         config.write_text(json.dumps(group_to_config(PINNED_CONFIGS[group])))
         group = str(config)
-    assert main(["verify", "--group", group, *options, "--format", "json", "--out", str(out)]) == 0
+    status = main(["verify", "--group", group, *options, "--format", "json", "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert status == (1 if json.loads(out.read_bytes())["counts"]["fail"] else 0)
+
+
+def test_the_broken_law_fails_every_check_it_breaks_with_a_witness(tmp_path):
+    """The failing pin: every fail record carries a witness, and the submultiplicativity checks fail at every sigma and N."""
+    config = tmp_path / "group.json"
+    config.write_text(json.dumps(group_to_config(_broken_heisenberg())))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--group", str(config), "--trials", "20", "--seed", "3", "--out", str(out)]) == 1
+    failed = [rec for rec in json.loads(out.read_bytes())["checks"] if rec["verdict"] == FAIL]
+    assert all(rec["witness"] for rec in failed)
+    assert sorted(collections.Counter(rec["check"] for rec in failed).items()) == [
+        ("coeff-bound/valuation", 1),
+        ("model/consistency", 1),
+        ("norms/banach-submultiplicative", 4),
+        ("norms/st-submultiplicative", 4),
+        ("polydisc/gauss-bound", 8),
+        ("pvaluation/commutator", 1),
+    ]
+    violations = [v for rec in failed if rec["check"].endswith("submultiplicative") for v in rec["witness"]["violations"]]
+    assert violations and all(LogMag(Fraction(v["lhs"][2:])) > LogMag(Fraction(v["rhs"][2:])) for v in violations)
 
 
 @pytest.mark.parametrize("workload", ["allsuites-h3", "lawcheck-h5"])
@@ -580,6 +659,130 @@ def test_benchmark_workloads_reproduce_their_reference_reports(workload, tmp_pat
     out = tmp_path / "report.json"
     assert main(["verify", *run.WORKLOADS[workload], "--seed", str(run.REFERENCE_SEED), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == reference["workloads"][workload]["sha256"]
+
+
+# -- the samplers as they drew with rng.randrange and rng.choice ------------
+
+
+def _randrange_dcoeff_distribution(G, rng, cap, support_degree=3, nterms=4):
+    """random_dcoeff_distribution as it was: a filtered index list and three rng.randrange calls per term."""
+    indices = [a for a in indices_up_to(G.d, support_degree) if sum(a) > 0]
+    nums = {}
+    for _ in range(nterms):
+        alpha = indices[rng.randrange(len(indices))]
+        num = rng.randrange(-(G.p**3), G.p**3) or 1
+        shift = rng.randrange(-1, 2)
+        nums[alpha] = nums.get(alpha, 0) + num * G.p ** (shift + 1)
+    nums = {a: n for a, n in nums.items() if n} or {(0,) * G.d: G.p}
+    return Distribution.from_dcoeffs(G, Coefficients.from_numerators(G.d, support_degree, nums, G.p), cap)
+
+
+def _randrange_point(G, rng, precision=6):
+    return tuple(rng.randrange(G.p**precision) for _ in range(G.d))
+
+
+def _randrange_draws(G, site, rng, trials, cap):
+    """What a sampling site drew with rng.randrange and rng.choice, in order: points, basis coefficients, radii."""
+    big, drawn = G.degmax() * cap, []
+
+    def dcoeffs(cap):
+        drawn.append(dict(_randrange_dcoeff_distribution(G, rng, cap).dcoeffs))
+
+    if site == "banach":
+        for t in range(trials):
+            for _ in range(2):
+                if t % 2:
+                    dcoeffs(big)
+                else:
+                    drawn.append(_randrange_point(G, rng))
+    elif site == "convolution":
+        drawn.extend(_randrange_point(G, rng) for _ in range(2 * trials + 3 * max(trials // 2, 1)))
+        dcoeffs(big)
+        drawn.extend(_randrange_point(G, rng) for _ in range(2 * max(trials // 4, 1)))
+    elif site == "samples":
+        for k in range(trials):
+            if k % 3 == 0:
+                drawn.append(_randrange_point(G, rng))
+            else:
+                dcoeffs(cap)
+    elif site == "saturation":  # every sample over the threshold settles, as found, stalled or spent
+        threshold, attempts = Fraction(G.p, G.p - 1), 0
+        while len(drawn) < trials and attempts < 20 * trials:
+            attempts += 1
+            x = tuple(G.p * rng.randrange(G.p**11) for _ in range(G.d))
+            if G.omega_of(x) > threshold:
+                drawn.append(x)
+    elif site == "mahler":
+        for t in range(trials):
+            dim, deg = (1, 12) if t % 2 == 0 else (2, 6)
+            cli._random_poly(rng, dim, deg, G.p, cap=deg)
+            drawn.append(rng.choice([(Fraction(r),) * dim for r in ("1/4", "1/2", "1")]))
+    return drawn
+
+
+def _run_site(G, site, trials, cap, monkeypatch):
+    """What the site draws now, logged where it is drawn, and the state of the site's generator afterwards."""
+    drawn, made = [], []
+
+    def points(G, rng, count, precision):
+        pts = sample_points(G, rng, count, precision)
+        drawn.extend(pts)
+        return pts
+
+    def dcoeffs(G, rng, cap):
+        lam = random_dcoeff_distribution(G, rng, cap)
+        drawn.append(dict(lam.dcoeffs))
+        return lam
+
+    def generator(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    for module in (cli, dist_module, groups_module):
+        monkeypatch.setattr(module, "random", SimpleNamespace(Random=generator))
+    for module in (cli, dist_module):
+        monkeypatch.setattr(module, "sample_points", points)
+        monkeypatch.setattr(module, "random_dcoeff_distribution", dcoeffs)
+    root, holds = groups_module.pth_root_mod, NormIdentity.holds
+    monkeypatch.setattr(groups_module, "pth_root_mod", lambda G, x, precision: drawn.append(x) or root(G, x, precision))
+    monkeypatch.setattr(NormIdentity, "holds", lambda self, f, m: drawn.append(self.rho) or holds(self, f, m))
+    if site == "banach":
+        check_banach_submult_N(G, 1, trials=trials, seed=2, cap=cap)
+    elif site == "convolution":
+        suite_convolution(G, trials, seed=2, cap=cap)
+    elif site == "samples":
+        cli._sample_distributions(G, generator("2:norms"), trials, cap)
+    elif site == "saturation":
+        check_saturation(G, samples=trials, seed=2, precision=12)
+    elif site == "mahler":
+        suite_mahler(G, trials, seed=2)
+    (rng,) = made
+    return drawn, rng
+
+
+_SITE_SEEDS = {
+    "banach": "2:banach:{}:1",
+    "convolution": "2:convolution:{}",
+    "samples": "2:norms",
+    "saturation": "2:sat:{}",
+    "mahler": "2:mahler:{}",
+}
+
+
+@pytest.mark.parametrize("site", sorted(_SITE_SEEDS))
+@pytest.mark.parametrize(
+    "G",
+    # 41^6 > 2^32: sample_points draws one coordinate at a time
+    [builtin_heisenberg(3), builtin_heisenberg(5), builtin_abelian(3, 2), builtin_heisenberg(41)],
+    ids=lambda G: G.name,
+)
+def test_the_sampling_sites_draw_what_randrange_and_choice_drew(G, site, monkeypatch):
+    trials, cap = (6, 2) if G.p < 41 else (4, 1)
+    want_rng = random.Random(_SITE_SEEDS[site].format(G.name))
+    want = _randrange_draws(G, site, want_rng, trials, cap)
+    got, got_rng = _run_site(G, site, trials, cap, monkeypatch)
+    assert got == want and len(want) >= trials
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_inconclusive_counted_only_when_present():

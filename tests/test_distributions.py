@@ -6,7 +6,7 @@ import random
 import re
 import tokenize
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -944,6 +944,13 @@ def test_random_dcoeff_distribution_draws_what_the_fraction_version_drew(G, seed
     assert got_rng.getstate() == want_rng.getstate()
 
 
+def test_random_dcoeff_distribution_on_no_index_raises_as_randrange_did():
+    # support degree 0 leaves no nonzero index to draw: rng.randrange(0) raised, and randbelow must not loop
+    with pytest.raises(ValueError, match="empty range"):
+        random_dcoeff_distribution(H3, random.Random(0), 4, support_degree=0)
+    assert random_dcoeff_distribution(H3, random.Random(0), 4, support_degree=0, nterms=0).dcoeffs == {(0, 0, 0): 1}
+
+
 @pytest.mark.parametrize("seed", [39, 104])
 def test_random_dcoeff_distribution_falls_back_to_the_unit_when_terms_cancel(seed):
     # abelian(2, 3), two draws over the degree-1 indices: at these seeds the two terms cancel
@@ -1083,6 +1090,54 @@ def test_banach_check_with_diracs_at_cap_gives_the_records_at_degmax_cap(G, N, c
     got = [r.to_dict() for r in check_banach_submult_N(G, N, trials=6, seed=5, cap=cap)]
     assert got == [r.to_dict() for r in _banach_at_degmax_cap(G, N, 6, 5, cap)]
     assert got[0]["verdict"] == (FAIL if faulty else LOWER_BOUND_PASS)
+
+
+def _st_submult_by_logmag(G, sigma, trials, seed, cap):
+    """check_submultiplicative as it was: three LogMag norms per trial and a LogMag product on the large side."""
+    rng = random.Random(f"{seed}:submult:{G.name}:{sigma}")
+    bad = []
+    for _ in range(trials):
+        lam = dist_module.random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
+        mu = dist_module.random_dcoeff_distribution(G, rng, cap=G.degmax() * cap)
+        conv = dist_module.convolve(G, lam, mu, cap_out=cap)
+        lhs, rhs = st_norm(conv, sigma).mag, st_norm(lam, sigma).mag * st_norm(mu, sigma).mag
+        if not lhs <= rhs:
+            lam_d, mu_d = ({str(a): f"{v.numerator}/{v.denominator}" for a, v in nu.dcoeffs.items()} for nu in (lam, mu))
+            bad.append({"lam": lam_d, "mu": mu_d, "lhs": lhs, "rhs": rhs})
+    anchor = "||lam * mu||_s <= ||lam||_s ||mu||_s (truncated left side)"
+    params = {"group": G.name, "sigma": sigma, "trials": trials, "seed": seed, "cap": cap}
+    return [record("norms/st-submultiplicative", anchor, params, bad, ok=LOWER_BOUND_PASS)]
+
+
+@pytest.mark.parametrize("fault", [None, "convolve-loses-p", "zero-factor"])
+@pytest.mark.parametrize("sigma, cap", [(Fraction(1, 4), 2), (Fraction(1), 4)])
+@pytest.mark.parametrize("G", CONV_GROUPS + [COCYCLE], ids=lambda G: G.name)
+def test_st_check_on_scaled_ints_gives_the_records_of_the_logmag_loop(G, sigma, cap, fault, monkeypatch):
+    convolve_, sample = dist_module.convolve, dist_module.random_dcoeff_distribution
+    if fault == "convolve-loses-p":
+
+        def scaled(G, lam, mu, cap_out=None, opposite=False):
+            nu = convolve_(G, lam, mu, cap_out=cap_out, opposite=opposite)
+            return Distribution(G, nu.cap, {b: Fraction(m, G.p) for b, m in nu.moments.items()})
+
+        monkeypatch.setattr(dist_module, "convolve", scaled)
+    elif fault == "zero-factor":
+        # every other factor is 0 (norm bottom) and the product the unit Dirac (norm p^0): the large side is bottom
+        draws = count()
+
+        def sometimes_zero(G, rng, cap):
+            lam = sample(G, rng, cap)
+            return Distribution.from_dcoeffs(G, {}, cap) if next(draws) % 2 else lam
+
+        monkeypatch.setattr(dist_module, "random_dcoeff_distribution", sometimes_zero)
+        monkeypatch.setattr(dist_module, "convolve", lambda G, lam, mu, cap_out: Distribution.dirac(G, G.identity, cap_out))
+    got = [r.to_dict() for r in check_submultiplicative(G, sigma, trials=6, seed=5, cap=cap)]
+    if fault == "zero-factor":
+        draws = count()  # the oracle draws the same factors from its start
+    assert got == [r.to_dict() for r in _st_submult_by_logmag(G, sigma, 6, 5, cap)]
+    assert got[0]["verdict"] == (LOWER_BOUND_PASS if fault is None else FAIL)
+    if fault == "zero-factor":
+        assert all(v["rhs"] == "0" for v in got[0]["witness"]["violations"])
 
 
 @pytest.mark.parametrize("G", [H3, A32, H_HALF], ids=lambda G: G.name)
