@@ -49,12 +49,11 @@ from .padic import (
     WeightTable,
     binom_value,
     bilinear_kernel,
+    cap_scaled_row,
     format_fraction,
-    gather,
     indices_up_to,
     int_valuation,
     mahler_row,
-    multi_factorial,
     numerators,
     p_power_at_most,
     row_kernel,
@@ -117,13 +116,7 @@ def _moment_kernel(d: int, cap: int):
 @lru_cache(maxsize=None)
 def _basis_kernel(d: int, cap: int):
     """cap! d_alpha for |alpha| <= cap from the moments: the Taylor rows of alpha! d_alpha, each times cap!/alpha!."""
-    fact = math.factorial(cap)
-
-    def scaled(alpha):
-        scale = fact // multi_factorial(alpha)
-        return [(beta, w * scale) for beta, w in taylor_row(alpha)]
-
-    return row_kernel(scaled, d, cap)
+    return row_kernel(cap_scaled_row(taylor_row, cap), d, cap)
 
 
 class Distribution:
@@ -215,14 +208,12 @@ class Distribution:
         return None if self.basis_table is None else self.basis_table.terms
 
     def moment(self, beta: MultiIndex) -> Fraction:
-        beta = tuple(beta)
-        if sum(beta) <= self.cap:
+        """lambda(Z^beta); beyond the cap, read by position from the moments of degree |beta|."""
+        beta, degree = tuple(beta), sum(beta)
+        if degree <= self.cap:
             return self.moments.get(beta, 0)
-        if self.point is not None:
-            return math.prod(c**b for c, b in zip(self.point, beta))
-        if self.exact and self.basis_table is not None:
-            return Fraction(gather(mahler_row, self.basis_table.nums, [beta])[0], self.basis_table.den)
-        raise InsufficientCap(f"moment {beta} beyond cap {self.cap} of a truncated distribution")
+        nums, den = self._moment_numerators(degree)
+        return Fraction(nums[indices_up_to(self.group.d, degree).index(beta)], den)
 
     def _moment_numerators(self, degree: int) -> Tuple[Sequence[int], int]:
         """The moments of degree <= ``degree``, in indices_up_to order, as int numerators over one denominator.

@@ -128,6 +128,8 @@ class PValuedGroup:
     def validate(self) -> List[str]:
         v: List[str] = []
         p, d = self.p, self.d
+        if p >= 2**40:  # is_prime divides by every k up to sqrt(p)
+            return [f"p={p} must be below 2^40"]
         if not is_prime(p):
             return [f"p={p} must be a prime"]
         if d < 1:
@@ -758,16 +760,12 @@ def check_coefficient_bound(G: PValuedGroup) -> List[CheckRecord]:
 def check_polydisc_bound(G: PValuedGroup, N: int) -> List[CheckRecord]:
     """Weighted Gauss-norm bound ||F_i|| <= p^tau_i and ||I_i|| <= p^tau_i on the N-th polydisc."""
     params = G.neighborhood_params(N)
-    bad = []
-    tau = params.tau
-    for i, f in enumerate(G.F):
-        norm = f.gauss_norm(params.rho, G.p)
-        if not norm.mag <= LogMag(tau[i]):
-            bad.append({"poly": f"F{i + 1}", "norm": norm.mag, "bound": LogMag(tau[i])})
-    for i, g in enumerate(G.I):
-        norm = g.gauss_norm(tau, G.p)
-        if not norm.mag <= LogMag(tau[i]):
-            bad.append({"poly": f"I{i + 1}", "norm": norm.mag, "bound": LogMag(tau[i])})
+    tau, bad = params.tau, []
+    for label, polys, radii in (("F", G.F, params.rho), ("I", G.I, tau)):
+        for i, f in enumerate(polys):
+            norm = f.gauss_norm(radii, G.p)
+            if not norm.mag <= LogMag(tau[i]):
+                bad.append({"poly": f"{label}{i + 1}", "norm": norm.mag, "bound": LogMag(tau[i])})
     return [
         record(
             "polydisc/gauss-bound",

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .padic import (
     Rational,
+    cap_scaled_row,
     mahler_row,
-    multi_factorial,
     scatter,
     taylor_row,
     valuation_pairs,
@@ -53,18 +52,6 @@ def taylor_to_mahler(f: TruncatedSeries) -> MahlerFamily:
     return MahlerFamily.from_numerators(f.dim, f.cap, scatter(mahler_row, nums, f.dim, f.cap), den)
 
 
-@lru_cache(maxsize=64)
-def _taylor_row_over(row, cap: int):
-    """alpha -> row(alpha) with each weight times cap!/alpha!, an int since alpha! divides |alpha|! and so cap!."""
-    fact = math.factorial(cap)
-
-    def scaled(alpha):
-        scale = fact // multi_factorial(alpha)
-        return tuple((beta, w * scale) for beta, w in row(alpha))
-
-    return scaled
-
-
 def mahler_to_taylor(m: MahlerFamily) -> TruncatedSeries:
     """c_beta = sum_{alpha >= beta} m_alpha / alpha! * prod_i a(alpha_i, beta_i)
 
@@ -72,7 +59,7 @@ def mahler_to_taylor(m: MahlerFamily) -> TruncatedSeries:
     """
     if not m.exact:
         raise ValueError("only exact Mahler families admit conversion")
-    nums = scatter(_taylor_row_over(taylor_row, m.cap), m.nums, m.dim, m.cap)
+    nums = scatter(cap_scaled_row(taylor_row, m.cap), m.nums, m.dim, m.cap)
     return TruncatedSeries.from_numerators(m.dim, m.cap, nums, m.den * math.factorial(m.cap))
 
 

@@ -9,8 +9,10 @@ The change between the monomial and binomial bases lives here once: two
 cached tables of integer basis rows (:func:`mahler_row`, :func:`taylor_row`)
 and one kernel pair over int numerators.  Functions :func:`scatter` through a
 row table; distributions, their duals under <lam, f> = sum_alpha m_alpha(f)
-d_alpha(lam), gather through the same table, compiled by :func:`row_kernel`
-(:func:`gather` is the loop form, for a single read).
+d_alpha(lam), gather through the same table, compiled by :func:`row_kernel`.
+The Taylor rows with cap!/alpha! folded into their weights, which take
+moments or a Mahler family back to ints over one denominator, are
+:func:`cap_scaled_row` of the row.
 
 Hot paths keep rationals as int numerators over one common denominator
 (:func:`numerators`); a series, a Mahler family or a distribution's table
@@ -254,24 +256,21 @@ def taylor_row(alpha: MultiIndex) -> Row:
     return _product([[(b, falling_coeff(a, b)) for b in range(a + 1)] for a in alpha])
 
 
-def gather(row, nums: Mapping[MultiIndex, int], indices: Sequence[MultiIndex]) -> List[int]:
-    """out_i = sum over (k, w) in row(i) of w * nums[k], for each i in indices; absent k read as 0.
+@lru_cache(maxsize=64)  # one function per (row, cap), so the tables built on it are shared
+def cap_scaled_row(row, cap: int):
+    """alpha -> row(alpha) with each weight times cap!/alpha!, an int since alpha! divides |alpha|! and so cap!."""
+    fact = math.factorial(cap)
 
-    The loop form, for a read at a few indices; a table is read through :func:`row_kernel`.
-    """
-    out = []
-    for i in indices:
-        acc = 0
-        for k, w in row(i):
-            n = nums.get(k)
-            if n:
-                acc += w * n
-        out.append(acc)
-    return out
+    def scaled(alpha):
+        scale = fact // multi_factorial(alpha)
+        return tuple((beta, w * scale) for beta, w in row(alpha))
+
+    return scaled
 
 
 def row_kernel(row, d: int, cap: int) -> Callable[[Sequence[int]], tuple]:
-    """:func:`gather` through ``row`` at every index of :func:`indices_up_to` (d, cap), as one :func:`linear_kernel`.
+    """out_i = sum over (k, w) in row(i) of w * nums[k] at every index i of :func:`indices_up_to` (d, cap),
+    as one :func:`linear_kernel`.
 
     The kernel reads the numerators at those indices by position; a basis
     row of an index lies among them.
@@ -306,7 +305,7 @@ def scatter_table(row, dim: int, cap: int) -> ScatterTable:
 
 
 def scatter(row, nums: Mapping[MultiIndex, int], dim: int, cap: int) -> Dict[MultiIndex, int]:
-    """The transpose of :func:`gather`: out_i = sum of w * nums[k] over (i, w) in row(k); zeros dropped.
+    """The transpose of :func:`row_kernel`: out_i = sum of w * nums[k] over (i, w) in row(k); zeros dropped.
 
     The sums run over a list indexed by the positions of :func:`scatter_table`.
     """

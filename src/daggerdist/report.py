@@ -15,12 +15,13 @@ A report is a flat list of check records.  Verdicts are:
 The process exit status is 1 for ``fail`` only.  ``counts`` lists
 ``inconclusive`` only when some record has that verdict.
 
-Emission is byte-deterministic: records are sorted stably by check id, then
-by the compact sorted-key JSON of their rendered params
-(``json.dumps(render(params), sort_keys=True)``); fields have a fixed order,
-and all rationals are rendered as "num/den" strings.  :func:`emit_json`
-writes the bytes of ``json.dumps(report.to_dict(), indent=2)``, but writes
-each record, and its sort key, in one walk of its raw values.
+Emission is byte-deterministic, and :func:`emit_json` is its one writer: it
+walks each record's raw values once, writing rationals as "num/den" strings,
+a magnitude p^q as "p^num/den" ("0" at bottom) and INFINITY as "inf", dict
+keys as strings in sorted order, in the layout of ``json.dumps(indent=2)``.
+Records are sorted stably by check id, then by the compact sorted-key JSON of
+their written params; fields have a fixed order.  ``to_dict`` on a record or
+a report is the parse of that text, which :func:`emit_text` reads.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional
 
-from .padic import INFINITY, LogMag, format_fraction
+from .padic import INFINITY, LogMag
 
 PASS = "pass"
 FAIL = "fail"
@@ -39,23 +40,6 @@ LOWER_BOUND_PASS = "lower-bound-pass"
 INCONCLUSIVE = "inconclusive"
 
 SCHEMA_VERSION = 1
-
-
-def render(value: Any) -> Any:
-    """Normalize values for report output (rationals become strings)."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, Fraction):
-        return format_fraction(value)
-    if isinstance(value, LogMag):
-        return "0" if value.is_bottom else "p^" + format_fraction(value.exponent)
-    if value == INFINITY:
-        return "inf"
-    if isinstance(value, (list, tuple)):
-        return [render(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): render(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    return value
 
 
 class _Fields:
@@ -83,17 +67,7 @@ class CheckRecord(_Fields):
         self.details: Dict[str, Any] = {} if details is None else details
 
     def to_dict(self) -> Dict[str, Any]:
-        out = {
-            "check": self.check_id,
-            "anchor": self.anchor,
-            "params": render(self.params),
-            "verdict": self.verdict,
-        }
-        if self.witness is not None:
-            out["witness"] = render(self.witness)
-        if self.details:
-            out["details"] = render(self.details)
-        return out
+        return json.loads(_record_json(self)[2])
 
 
 def settled(params: Dict[str, Any], ok: str = PASS) -> str:
@@ -142,18 +116,7 @@ class Report(_Fields):
         return counts
 
     def to_dict(self) -> Dict[str, Any]:
-        # each record rendered once, then sorted stably by check and rendered params
-        checks = sorted(
-            (r.to_dict() for r in self.records),
-            key=lambda rec: (rec["check"], json.dumps(rec["params"], sort_keys=True)),
-        )
-        return {
-            "schema": SCHEMA_VERSION,
-            "group": self.group,
-            "seed": self.seed,
-            "counts": self.counts(),
-            "checks": checks,
-        }
+        return json.loads(emit_json(self))
 
 
 _quote = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
@@ -167,7 +130,7 @@ def _object(fields, pad: str) -> str:
 
 
 def _json(value, pad: str) -> str:
-    """json.dumps(render(value), indent=2) for a value whose first line is opened by pad (a newline and an indent)."""
+    """The indent=2 JSON text of a report value whose first line is opened by pad (a newline and an indent)."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -180,14 +143,14 @@ def _json(value, pad: str) -> str:
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]" if value else "[]"
-    if isinstance(value, dict):  # as render orders it: by str(key), a later key of the same string taking its place
+    if isinstance(value, dict):  # by str(key), a later key of the same string taking its place
         value = {str(k): v for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
         return _object([(k, _json(v, inner)) for k, v in value.items()], pad) if value else "{}"
-    return json.dumps(render(value))
+    return '"inf"' if value == INFINITY else json.dumps(value)  # None, a bool, a float
 
 
 def _record_json(r: CheckRecord) -> tuple:
-    """(check id, compact sorted-key JSON of the rendered params, indent=2 text of to_dict()) in one walk."""
+    """(check id, compact sorted-key JSON of the written params, the record's indent=2 text) in one walk."""
     fields = [("check", r.check_id), ("anchor", r.anchor), ("params", r.params), ("verdict", r.verdict)]
     if r.witness is not None:
         fields.append(("witness", r.witness))
@@ -195,12 +158,12 @@ def _record_json(r: CheckRecord) -> tuple:
         fields.append(("details", r.details))
     fields = [(k, _json(v, "\n      ")) for k, v in fields]  # a record is an item of the report's checks list
     params = fields[2][1]
-    # render sorted the params' keys, so dropping the layout, with ", " between items, gives json.dumps(sort_keys=True)
+    # _json sorted the params' keys, so dropping the layout, with ", " between items, gives json.dumps(sort_keys=True)
     return r.check_id, _LAYOUT.sub("", params.replace(",\n", ", \n")), _object(fields, "\n    ")
 
 
 def emit_json(report: Report) -> bytes:
-    """json.dumps(report.to_dict(), indent=2) and a newline, each record written in one walk of its raw values."""
+    """The report as indent=2 JSON and a newline: header, counts, then the sorted records, each written in one walk."""
     records = sorted(map(_record_json, report.records), key=itemgetter(0, 1))
     checks = "[\n    " + ",\n    ".join([text for _, _, text in records]) + "\n  ]" if records else "[]"
     counts = _object([(verdict, str(n)) for verdict, n in report.counts().items()], "\n  ")

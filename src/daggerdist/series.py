@@ -264,10 +264,15 @@ class TruncatedSeries(Coefficients):
                 memo[k] = g_power(i, k - 1) * gs[i]
             return memo[k]
 
+        def g_monomial(idx):  # g^idx; a zero times an exact g_i is exact, times a g_i^k past the cap it is not
+            out = one
+            for i, k in enumerate(idx):
+                if k:
+                    out = out * (gs[i] if out.is_zero() else g_power(i, k))
+            return out
+
         # sum_idx nums[idx] g^idx in one int dict over the parts' common denominator, divided by den at the end
-        parts = [
-            (n, math.prod((g_power(i, k) for i, k in enumerate(idx) if k), start=one)) for idx, n in self.nums.items()
-        ]
+        parts = [(n, g_monomial(idx)) for idx, n in self.nums.items()]
         den = math.lcm(*(part.den for _, part in parts))
         nums: Dict[MultiIndex, int] = {}
         for n, part in parts:

@@ -8,6 +8,7 @@ import random
 import runpy
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,7 +36,7 @@ from daggerdist.groups import (
     sample_points,
 )
 from daggerdist.mahler import NormIdentity
-from daggerdist.padic import INFINITY, LogMag, indices_up_to
+from daggerdist.padic import INFINITY, LogMag, format_fraction, indices_up_to
 from daggerdist.report import (
     FAIL,
     INCONCLUSIVE,
@@ -46,7 +47,6 @@ from daggerdist.report import (
     Report,
     emit_json,
     emit_text,
-    render,
 )
 from daggerdist.series import Coefficients
 from test_distributions import H_HALF
@@ -64,11 +64,43 @@ def test_resolve_group_from_config_file(tmp_path):
     assert resolve_group(str(path)).multiply([1, 1, 0], [0, 0, 1]) == (1, 1, 1)
 
 
+def _render(value):
+    """The report's value normalization as it was before emit_json wrote every value itself: the oracle."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, Fraction):
+        return format_fraction(value)
+    if isinstance(value, LogMag):
+        return "0" if value.is_bottom else "p^" + format_fraction(value.exponent)
+    if value == INFINITY:
+        return "inf"
+    if isinstance(value, (list, tuple)):
+        return [_render(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _render(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    return value
+
+
+def _record_dict(r):
+    """CheckRecord.to_dict as it was, field by field through _render: the oracle."""
+    out = {"check": r.check_id, "anchor": r.anchor, "params": _render(r.params), "verdict": r.verdict}
+    if r.witness is not None:
+        out["witness"] = _render(r.witness)
+    if r.details:
+        out["details"] = _render(r.details)
+    return out
+
+
 def test_render_normalizes_exact_values():
-    assert render(Fraction(1, 3)) == "1/3"
-    assert render(LogMag(Fraction(-2, 5))) == "p^-2/5"
-    assert render(LogMag.bottom()) == "0"
-    assert render({"b": Fraction(1), "a": 2}) == {"a": 2, "b": "1/1"}
+    def rendered(value):
+        return CheckRecord("x/y", "s", PASS, {"v": value}).to_dict()["params"]["v"]
+
+    assert rendered(Fraction(1, 3)) == "1/3"
+    assert rendered(LogMag(Fraction(-2, 5))) == "p^-2/5"
+    assert rendered(LogMag.bottom()) == "0"
+    assert rendered({"b": Fraction(1), "a": 2}) == {"a": 2, "b": "1/1"}
+    assert rendered(INFINITY) == "inf"
+    assert rendered(True) is True and rendered(False) is False
 
 
 def test_report_json_fields():
@@ -91,12 +123,12 @@ def test_report_json_fields():
 
 def _double_render_to_dict(report):
     """Report.to_dict as it was: params rendered once for the sort key and again for the output."""
-    ordered = sorted(report.records, key=lambda r: (r.check_id, json.dumps(render(r.params), sort_keys=True)))
+    ordered = sorted(report.records, key=lambda r: (r.check_id, json.dumps(_render(r.params), sort_keys=True)))
     verdicts = (PASS, LOWER_BOUND_PASS, REGIME_UNMET, INCONCLUSIVE, FAIL)
     counts = {v: sum(r.verdict == v for r in report.records) for v in verdicts}
     if not counts[INCONCLUSIVE]:
         del counts[INCONCLUSIVE]
-    checks = [r.to_dict() for r in ordered]
+    checks = [_record_dict(r) for r in ordered]
     return {"schema": 1, "group": report.group, "seed": report.seed, "counts": counts, "checks": checks}
 
 
@@ -136,7 +168,7 @@ _records = st.builds(
 
 def _json_dumps_writer(report):
     """emit_json as it was: the rendered report through json.dumps(indent=2)."""
-    return json.dumps(report.to_dict(), indent=2).encode() + b"\n"
+    return json.dumps(_double_render_to_dict(report), indent=2).encode() + b"\n"
 
 
 _NESTED = {"violations": [{"alpha": [1, 0], "lhs": LogMag(Fraction(-1, 2)), "rhs": LogMag.bottom()}, INFINITY]}
@@ -156,7 +188,8 @@ def test_report_renders_each_record_once_in_the_order_of_the_double_render(recor
     # records share check ids and often params, so the stable sort's tie order is exercised too
     report = Report(group="g", seed=3, records=records)
     assert report.to_dict() == _double_render_to_dict(report)
-    assert emit_json(report) == json.dumps(_double_render_to_dict(report), indent=2).encode() + b"\n"
+    assert [r.to_dict() for r in records] == [_record_dict(r) for r in records]
+    assert emit_json(report) == _json_dumps_writer(report)
 
 
 @settings(deadline=None, max_examples=100)
@@ -170,7 +203,7 @@ def test_emit_json_writes_the_bytes_json_dumps_wrote(records, group, seed):
     assert emit_json(report) == _json_dumps_writer(report)
     # each record's sort key is the compact sorted-key JSON of its rendered params
     for r in records:
-        assert report_module._record_json(r)[:2] == (r.check_id, json.dumps(render(r.params), sort_keys=True))
+        assert report_module._record_json(r)[:2] == (r.check_id, json.dumps(_render(r.params), sort_keys=True))
 
 
 def test_empty_suites_empty_report_exit_zero(tmp_path, capsys):
@@ -416,6 +449,25 @@ def test_bad_group_gives_one_line_error(command, tag, capsys):
     assert err.startswith("daggerdist: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("how", ["tag", "config"])
+def test_a_prime_of_2_to_the_40_or_more_is_rejected_at_once(how, tmp_path, capsys):
+    # 2^61 - 1 is prime, and trial division up to its square root would run for minutes
+    p, group = 2**61 - 1, f"heisenberg({2**61 - 1})"
+    if how == "config":
+        config = tmp_path / "group.json"
+        config.write_text(json.dumps({**group_to_config(builtin_heisenberg(3)), "p": p}))
+        group = str(config)
+    start = time.perf_counter()
+    assert main(["describe-group", "--group", group]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"daggerdist: error: invalid group data: p={p} must be below 2^40\n"
+
+
+def test_a_prime_below_2_to_the_40_is_still_accepted(capsys):
+    assert main(["describe-group", "--group", "heisenberg(1000000000039)"]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 10**12 + 39
+
+
 # the error lines as they read when the expected arity came from inspect.signature of the builtin
 WRONG_ARITY_ERRORS = {
     "abelian(3)": "malformed group tag 'abelian(3)', expected abelian(p,d)",
@@ -612,18 +664,47 @@ def _broken_heisenberg():
 PINNED_CONFIGS = {"heisenberg-half": H_HALF, "broken-heisenberg(3)": _broken_heisenberg()}
 
 
-@pytest.mark.parametrize("key", sorted(PINNED_REPORTS))
-def test_report_bytes_pinned(key, tmp_path):
-    options, digest = PINNED_REPORTS[key]
-    out = tmp_path / "report.json"
+def _pinned_group(key, tmp_path):
+    """The --group argument of a pin: the builtin tag, or a config file of PINNED_CONFIGS."""
     group = key.split()[0]
     if group in PINNED_CONFIGS:
         config = tmp_path / "group.json"
         config.write_text(json.dumps(group_to_config(PINNED_CONFIGS[group])))
         group = str(config)
-    status = main(["verify", "--group", group, *options, "--format", "json", "--out", str(out)])
+    return group
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(key, tmp_path):
+    options, digest = PINNED_REPORTS[key]
+    out = tmp_path / "report.json"
+    status = main(["verify", "--group", _pinned_group(key, tmp_path), *options, "--format", "json", "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     assert status == (1 if json.loads(out.read_bytes())["counts"]["fail"] else 0)
+
+
+# text reports: key -> (options, sha256, exit status); emit_text reads the parsed JSON of emit_json
+PINNED_TEXT_REPORTS = {
+    "heisenberg(3)": (
+        ["--trials", "5"],
+        "013cb8fb40e34eb692606b199b79011f25654191c7e9ec592c037e6dd835eb00",
+        0,
+    ),
+    "broken-heisenberg(3)": (
+        ["--trials", "20", "--seed", "3"],
+        "d0fbf114a74991bfe444a3a7344d25798ca0ba191c831e10ef99052c3887a46c",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TEXT_REPORTS))
+def test_text_report_bytes_pinned(key, tmp_path):
+    options, digest, want = PINNED_TEXT_REPORTS[key]
+    out = tmp_path / "report.txt"
+    status = main(["verify", "--group", _pinned_group(key, tmp_path), *options, "--format", "text", "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert status == want
 
 
 def test_the_broken_law_fails_every_check_it_breaks_with_a_witness(tmp_path):

@@ -42,7 +42,6 @@ from daggerdist.mahler import taylor_to_mahler
 from daggerdist.padic import (
     LogMag,
     binom_value,
-    gather,
     indices_up_to,
     mahler_row,
     multi_binom_value,
@@ -59,6 +58,19 @@ from daggerdist.series import Coefficients, TruncatedSeries
 
 H3 = builtin_heisenberg(3)
 A32 = builtin_abelian(3, 2)
+
+
+def gather(row, nums, indices):
+    """out_i = sum over (k, w) in row(i) of w * nums[k] for each i, absent k read as 0: the basis-row read as a loop."""
+    out = []
+    for i in indices:
+        acc = 0
+        for k, w in row(i):
+            n = nums.get(k)
+            if n:
+                acc += w * n
+        out.append(acc)
+    return out
 
 
 def basis_moment(beta, alpha):
@@ -1203,12 +1215,19 @@ def _loop_plan(G, cap_out):
     return tuple(rows), tuple(left), tuple(right), den
 
 
+def _gather_moment(lam, beta):
+    """Distribution.moment beyond the cap as it was: the point's monomial, or the Mahler-row gather at beta alone."""
+    if lam.point is not None:
+        return math.prod(c**b for c, b in zip(lam.point, beta))
+    return Fraction(gather(mahler_row, lam.basis_table.nums, [beta])[0], lam.basis_table.den)
+
+
 def _gather_moment_numerators(lam, indices):
     """Distribution._moment_numerators as it was: the gather loop, or the table and each moment beyond cap alone."""
     if lam._moments is None and lam.point is None:
         return gather(mahler_row, lam.basis_table.nums, indices), lam.basis_table.den
     table, cap = lam.moment_table, lam.cap
-    values = [table.nums.get(b, 0) if sum(b) <= cap else lam.moment(b) * table.den for b in indices]
+    values = [table.nums.get(b, 0) if sum(b) <= cap else _gather_moment(lam, b) * table.den for b in indices]
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], table.den * scale
 
@@ -1293,6 +1312,9 @@ def test_compiled_basis_changes_match_the_gather_loops(data):
         got, got_den = lam._moment_numerators(degree)
         want, want_den = _gather_moment_numerators(lam, indices_up_to(d, degree))
         assert [Fraction(n, got_den) for n in got] == [Fraction(n, want_den) for n in want]
+        # a single moment beyond the cap, read by position from that table
+        beyond = [b for b in indices_up_to(d, degree) if sum(b) > cap]
+        assert [lam.moment(b) for b in beyond] == [_gather_moment(lam, b) for b in beyond]
 
 
 def _nonzero_items(indices, values):

@@ -393,3 +393,10 @@ def test_int_results_need_not_be_reduced():
     assert square == TruncatedSeries(1, 4, {(2,): 1}) and square.terms == {(2,): 1}
     assert (square + x).numerators() == ({(2,): 9, (1,): 9}, 9)
     assert x.substitute([x]).numerators() == ({(1,): 9}, 9)
+
+
+def test_a_zero_factor_keeps_the_substitution_exact():
+    # x0 * x1^2 at (0, z) is exactly 0, though z^2 passes the cap 1
+    f = TruncatedSeries(2, 3, {(1, 2): 1})
+    got = f.substitute([TruncatedSeries(1, 1, {}), TruncatedSeries.variable(0, 1, 1)])
+    assert got.is_zero() and got.exact
