@@ -217,19 +217,10 @@ class PValuedGroup:
         return self.plan("inverse", _inverse_kernel)(*x)
 
     def power(self, x: Sequence, n: int) -> Point:
-        """x^n as n products from the left, never by repeated squaring.
-
-        The law is only checked associative up to a degree cap, so the
-        product order is part of the definition.
-        """
+        """x^n as n products from the left (:func:`_left_power`)."""
         if n < 0:
             return self.power(self.invert(x), -n)
-        x = self.check_point(x)
-        law = self.plan("law", _law_kernel)
-        out = self.identity
-        for _ in range(n):
-            out = law(*out, *x)
-        return out
+        return _left_power(self.plan("law", _law_kernel), self.check_point(x), n)
 
     def commutator(self, x: Sequence, y: Sequence) -> Point:
         """x^-1 y^-1 x y; x and y are checked once, the kernels' own results are not."""
@@ -301,6 +292,15 @@ def _law_kernel(G: PValuedGroup):
 
 def _inverse_kernel(G: PValuedGroup):
     return compile_polys(G.I, G.d)
+
+
+def _left_power(law: Callable[..., Point], x: Point, n: int) -> Point:
+    """x^n for a checked point x and n >= 0, n products from the left through the law kernel and never by
+    repeated squaring: the law is checked associative only up to a degree cap, so the order is part of x^n."""
+    out = (0,) * len(x)
+    for _ in range(n):
+        out = law(*out, *x)
+    return out
 
 
 def _f_monomial(G: PValuedGroup, gamma: Tuple[int, ...]) -> TruncatedSeries:
@@ -524,16 +524,13 @@ def check_model_consistency(
         return []
     rng = random.Random(f"{seed}:model:{G.name}")
     pts = sample_points(G, rng, 2 * samples, precision)
+    law, inverse, model = G.plan("law", _law_kernel), G.plan("inverse", _inverse_kernel), G.model
     bad = []
     for k in range(samples):
-        x, y = pts[2 * k], pts[2 * k + 1]
-        via_chart = G.model.psi(G.multiply(x, y))
-        via_model = G.model.multiply(G.model.psi(x), G.model.psi(y))
-        if via_chart != via_model:
+        x, y = G.check_point(pts[2 * k]), G.check_point(pts[2 * k + 1])
+        if model.psi(law(*x, *y)) != model.multiply(model.psi(x), model.psi(y)):
             bad.append({"x": [format_fraction(c) for c in x], "y": [format_fraction(c) for c in y]})
-        inv_chart = G.model.psi(G.invert(x))
-        inv_model = G.model.invert(G.model.psi(x))
-        if inv_chart != inv_model:
+        if model.psi(inverse(*x)) != model.invert(model.psi(x)):
             bad.append({"x": [format_fraction(c) for c in x], "op": "invert"})
     return [
         record(
@@ -551,21 +548,21 @@ def check_pvaluation(
     """Sample-level filtration axioms for omega."""
     rng = random.Random(f"{seed}:pval:{G.name}")
     pts = sample_points(G, rng, 2 * samples, precision)
+    law, inverse, omega = G.plan("law", _law_kernel), G.plan("inverse", _inverse_kernel), G._omega_num
     bad: Dict[str, list] = {"quotient": [], "commutator": [], "power": []}
     for k in range(samples):
-        # each sample is checked once: the points multiply, commutator and power return need no second check
+        # each sample is checked once, and the kernels' own results need no check
         x, y = G.check_point(pts[2 * k]), G.check_point(pts[2 * k + 1])
-        wx, wy = G._omega_num(x), G._omega_num(y)
-        q = G.multiply(x, G.invert(y))
-        if G._omega_num(q) < min(wx, wy):
+        wx, wy, y_inv = omega(x), omega(y), inverse(*y)
+        if omega(law(*x, *y_inv)) < min(wx, wy):
             bad["quotient"].append([format_fraction(c) for c in x + y])
         if wx is not INFINITY and wy is not INFINITY:
-            c = G.commutator(x, y)
-            if G._omega_num(c) < wx + wy:
+            c = law(*law(*law(*inverse(*x), *y_inv), *x), *y)  # [x, y] = x^-1 y^-1 x y
+            if omega(c) < wx + wy:
                 bad["commutator"].append([format_fraction(v) for v in x + y])
         if wx is not INFINITY:
-            xp = G.power(x, G.p)
-            if G._omega_num(xp) != wx + G._omega_den:  # omega(x^p) = omega(x) + 1, over the common denominator
+            xp = _left_power(law, x, G.p)
+            if omega(xp) != wx + G._omega_den:  # omega(x^p) = omega(x) + 1, over the common denominator
                 bad["power"].append([format_fraction(v) for v in x])
     anchors = {
         "quotient": "omega(x y^-1) >= min(omega(x), omega(y)) on samples",

@@ -7,9 +7,10 @@ comparison reduces to an exact comparison of rationals.
 
 The change between the monomial and binomial bases lives here once: two
 cached tables of integer basis rows (:func:`mahler_row`, :func:`taylor_row`)
-and one kernel pair over int numerators.  Functions :func:`scatter` through a
-row table; distributions, their duals under <lam, f> = sum_alpha m_alpha(f)
-d_alpha(lam), gather through the same table, compiled by :func:`row_kernel`.
+and one kernel pair over int numerators.  Functions scatter through a row's
+:class:`ScatterTable` into a dense int list (:func:`scatter` is its dict);
+distributions, their duals under <lam, f> = sum_alpha m_alpha(f) d_alpha(lam),
+gather through the same table, compiled by :func:`row_kernel`.
 The Taylor rows with cap!/alpha! folded into their weights, which take
 moments or a Mahler family back to ints over one denominator, are
 :func:`cap_scaled_row` of the row.
@@ -283,19 +284,34 @@ def row_kernel(row, d: int, cap: int) -> Callable[[Sequence[int]], tuple]:
 class ScatterTable(dict):
     """k -> ((position of i, w) for (i, w) in row(k)): a row table over dense output positions.
 
-    A position is handed to each output index when a row first reaches it, and
-    a row is filled on first use, so a table costs only what its scatters touch.
+    A position is handed to each output index when a row first reaches it (``indices`` lists
+    them by position), and a row is filled on first use, so a table costs only what its scatters touch.
     """
 
     def __init__(self, row):
         super().__init__()
         self.row = row
         self.position: Dict[MultiIndex, int] = {}
+        self.indices: List[MultiIndex] = []
 
     def __missing__(self, k: MultiIndex) -> Tuple[Tuple[int, int], ...]:
-        position = self.position
-        self[k] = entries = tuple((position.setdefault(i, len(position)), w) for i, w in self.row(k))
+        position, indices, entries = self.position, self.indices, []
+        for i, w in self.row(k):
+            if i not in position:
+                position[i] = len(indices)
+                indices.append(i)
+            entries.append((position[i], w))
+        self[k] = entries = tuple(entries)
         return entries
+
+    def dense(self, pairs: Iterable[Tuple[MultiIndex, int]]) -> List[int]:
+        """out[n] = sum of w * c over (k, c) in pairs and (n, w) in self[k]: a list over every position, zeros kept."""
+        rows = [(self[k], c) for k, c in pairs]  # first, as a new row may add output positions
+        out = [0] * len(self.indices)
+        for entries, c in rows:
+            for n, w in entries:
+                out[n] += w * c
+        return out
 
 
 @lru_cache(maxsize=64)
@@ -305,17 +321,9 @@ def scatter_table(row, dim: int, cap: int) -> ScatterTable:
 
 
 def scatter(row, nums: Mapping[MultiIndex, int], dim: int, cap: int) -> Dict[MultiIndex, int]:
-    """The transpose of :func:`row_kernel`: out_i = sum of w * nums[k] over (i, w) in row(k); zeros dropped.
-
-    The sums run over a list indexed by the positions of :func:`scatter_table`.
-    """
+    """The transpose of :func:`row_kernel`: :meth:`ScatterTable.dense` of :func:`scatter_table`, zeros dropped."""
     table = scatter_table(row, dim, cap)
-    rows = [(table[k], n) for k, n in nums.items()]  # first, as a new row may add output positions
-    out = [0] * len(table.position)
-    for entries, n in rows:
-        for i, w in entries:
-            out[i] += w * n
-    return {i: t for i, t in zip(table.position, out) if t}
+    return {i: t for i, t in zip(table.indices, table.dense(nums.items())) if t}
 
 
 def numerators(values: Mapping[MultiIndex, Rational]) -> Tuple[Dict[MultiIndex, int], int]:

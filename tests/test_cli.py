@@ -824,9 +824,9 @@ def _run_site(G, site, trials, cap, monkeypatch):
     for module in (cli, dist_module):
         monkeypatch.setattr(module, "sample_points", points)
         monkeypatch.setattr(module, "random_dcoeff_distribution", dcoeffs)
-    root, holds = groups_module.pth_root_mod, NormIdentity.holds
+    root, trial = groups_module.pth_root_mod, NormIdentity.trial
     monkeypatch.setattr(groups_module, "pth_root_mod", lambda G, x, precision: drawn.append(x) or root(G, x, precision))
-    monkeypatch.setattr(NormIdentity, "holds", lambda self, f, m: drawn.append(self.rho) or holds(self, f, m))
+    monkeypatch.setattr(NormIdentity, "trial", lambda self, f: drawn.append(self.rho) or trial(self, f))
     if site == "banach":
         check_banach_submult_N(G, 1, trials=trials, seed=2, cap=cap)
     elif site == "convolution":

@@ -2,11 +2,12 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daggerdist import cli as cli_module, mahler as mahler_module
+from daggerdist import mahler as mahler_module
 from daggerdist.cli import _random_poly, suite_mahler
 from daggerdist.groups import builtin_heisenberg
 from daggerdist.mahler import (
@@ -19,6 +20,7 @@ from daggerdist.mahler import (
 )
 from daggerdist.padic import (
     LogMag,
+    cap_scaled_row,
     digit_sum,
     falling_coeff,
     grlex_key,
@@ -26,9 +28,12 @@ from daggerdist.padic import (
     multi_binom_value,
     multi_factorial,
     scatter,
+    scatter_table,
     stirling_second,
     taylor_row,
     valuation,
+    valuation_pairs,
+    weighted_sup_num,
 )
 from daggerdist.report import Report, emit_json
 from daggerdist.series import TruncatedSeries
@@ -295,14 +300,14 @@ def test_norm_identity_checker_matches_the_fraction_norms(data, p, dim):
 def test_suite_mahler_fails_on_a_family_with_one_numerator_scaled_by_p(monkeypatch):
     # the top Mahler coefficient of each draw scaled by p: the norms differ wherever it attains the sup
     G = builtin_heisenberg(3)
-    convert = cli_module.taylor_to_mahler
+    forward = mahler_module.mahler_scatter
 
     def scaled(f):
-        m = convert(f)
-        top = max(m.nums, key=grlex_key)
-        return MahlerFamily.from_numerators(m.dim, m.cap, {**m.nums, top: G.p * m.nums[top]}, m.den)
+        indices, nums = forward(f)
+        top = max((n for n, c in enumerate(nums) if c), key=lambda n: grlex_key(indices[n]))
+        return indices, [G.p * c if n == top else c for n, c in enumerate(nums)]
 
-    monkeypatch.setattr(cli_module, "taylor_to_mahler", scaled)
+    monkeypatch.setattr(mahler_module, "mahler_scatter", scaled)
     report = Report(group=G.name, seed=0)
     report.extend(suite_mahler(G, trials=12, seed=0))
     norm = report.records[0].to_dict()
@@ -311,6 +316,89 @@ def test_suite_mahler_fails_on_a_family_with_one_numerator_scaled_by_p(monkeypat
     # the whole failure report, byte for byte as the LogMag comparison wrote it
     digest = "e2f262b159c4b8116b53dd2608f241a20ae6d1572b07edca186ce165d5853c36"
     assert hashlib.sha256(emit_json(report)).hexdigest() == digest
+
+
+def _full_sups_holds(check, f, family):
+    """NormIdentity.holds as first written: both scaled sups in full, a valuation read for every Mahler term."""
+    p = check.p
+    gauss = weighted_sup_num(valuation_pairs(f.nums, p), p, check.gauss, den=f.den)
+    return gauss == weighted_sup_num(valuation_pairs(family.nums, p), p, check.mahler, den=family.den)
+
+
+def _assert_trial_matches_the_oracles(check, f, family):
+    """The trial of f, its forward step giving ``family`` (index -> numerator over f's den, zeros kept), against
+    the full sups and the Fraction round trip; returns the trial's verdicts."""
+    m = MahlerFamily.from_numerators(f.dim, f.cap, {a: n for a, n in family.items() if n}, f.den)
+    with mock.patch.object(mahler_module, "mahler_scatter", lambda _: (list(family), list(family.values()))):
+        norm, round_trip = check.trial(f)
+    holds = _full_sups_holds(check, f, m)
+    assert norm == (None if holds else (f.gauss_norm(check.rho, check.p).mag, mahler_norm(m, check.rho, check.p).mag))
+    assert round_trip == (f.terms == _fraction_mahler_to_taylor(m.coeffs))
+    return norm is None, round_trip
+
+
+@st.composite
+def _trial_cases(draw):
+    """(check, f): up to five nonzero numerators at indices of dimension 1-3 and cap 0-12, and a radius vector."""
+    p, dim, cap = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3)), draw(st.integers(0, 12))
+    numerator = st.builds(lambda n, k: n * k, st.integers(-(p**3), p**3).filter(bool), st.sampled_from([1, p, p * p]))
+    nums = {}
+    for _ in range(draw(st.integers(0, 5))):
+        index, budget = [], cap
+        for _ in range(dim):
+            index.append(draw(st.integers(0, budget)))
+            budget -= index[-1]
+        nums[tuple(draw(st.permutations(index)))] = draw(numerator)
+    rho = draw(st.lists(st.builds(Fraction, st.integers(1, 8), st.integers(1, 4)), min_size=dim, max_size=dim))
+    f = TruncatedSeries.from_numerators(dim, cap, nums, draw(st.sampled_from([1, 2, p, p * p])))
+    return NormIdentity(rho, p), f
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_trial_cases(), data=st.data())
+def test_the_trial_decides_as_the_full_sups_and_the_fraction_round_trip(case, data):
+    check, f = case
+    p, scale = check.p, check.mahler.den
+    # f's own family, as the trial scatters it and as the old suite checked it
+    indices, nums = mahler_module.mahler_scatter(f)
+    family = dict(zip(indices, nums))
+    assert {a: Fraction(n, f.den) for a, n in family.items() if n} == _fraction_taylor_to_mahler(f.terms)
+    m = taylor_to_mahler(f)
+    assert _full_sups_holds(check, f, m) and mahler_to_taylor(m) == f
+    assert check.trial(f) == (None, True)
+    assert _assert_trial_matches_the_oracles(check, f, family) == (True, True)
+    # one numerator scaled by p or dropped; scaled where a term reaches the Gauss sup, a weight equal to the
+    # sup goes from v = 0 to v = 1, and a larger weight keeps its v > 0
+    support = [a for a, n in family.items() if n]
+    picks = data.draw(st.lists(st.sampled_from(support), max_size=3)) if support else []
+    sup = weighted_sup_num(valuation_pairs(f.nums, p), p, check.gauss)
+    reaching = [a for a in support if check.mahler[a] - scale * valuation(family[a], p) == sup]
+    for a in picks + reaching:
+        _assert_trial_matches_the_oracles(check, f, {**family, a: p * family[a]})
+    for a in picks:
+        _assert_trial_matches_the_oracles(check, f, {**family, a: 0})
+
+
+def test_the_trial_where_a_mahler_weight_equals_the_gauss_sup():
+    # f = X at rho = 1, p = 3: the Gauss sup is 1, and the one Mahler term binom(X, 1) has weight v(1!) + 1 = 1
+    check, f = NormIdentity([1], 3), TruncatedSeries(1, 3, {(1,): 1})
+    assert check.mahler[(1,)] == weighted_sup_num(valuation_pairs(f.nums, 3), 3, check.gauss) == 1
+    assert _assert_trial_matches_the_oracles(check, f, {(1,): 1}) == (True, True)  # v = 0: reaches the sup
+    assert _assert_trial_matches_the_oracles(check, f, {(1,): 3}) == (False, False)  # v = 1: falls short
+    assert _assert_trial_matches_the_oracles(check, f, {(1,): 1, (2,): 1}) == (False, False)  # weight 2 exceeds it
+    assert _assert_trial_matches_the_oracles(check, f, {(1,): 0}) == (False, False)  # dropped
+
+
+def test_a_sparse_conversion_fills_only_the_positions_its_rows_reach():
+    # X_3^40 reaches the 40 indices (0, 0, a), 1 <= a <= 40, not all C(43, 3) = 12341 of total degree <= 40
+    scatter_table.cache_clear()
+    f = TruncatedSeries(3, 40, {(0, 0, 40): 1})
+    assert mahler_to_taylor(taylor_to_mahler(f)) == f
+    assert NormIdentity([1, 1, 1], 3).trial(f) == (None, True)
+    reached = [(0, 0, a) for a in range(1, 41)]
+    for table in (scatter_table(mahler_row, 3, 40), scatter_table(cap_scaled_row(taylor_row, 40), 3, 40)):
+        assert sorted(table.indices) == reached
+        assert table.position == {a: n for n, a in enumerate(table.indices)}
 
 
 @st.composite
