@@ -19,10 +19,13 @@ of :mod:`daggerdist.padic`, the transpose of the Mahler conversions: the
 Mahler rows derive a basis combination's moments, the Taylor rows (cap!/alpha!
 folded into their weights) a moment table's basis coefficients.
 
-The basis side feeds every norm through one cached valuation table per
-distribution, alpha -> v_p(n_alpha) - v_p(den) over the basis numerators
-(:meth:`Distribution.valuations`).  The norm
-weights are tabled per index, one :func:`~daggerdist.padic.weight_table` per
+A table a kernel returns is kept as its list, in indices_up_to order over
+one denominator (:meth:`~daggerdist.series.Coefficients.from_dense`), and
+read by position by the next kernel; its dict is built only when read.  A
+norm reads the basis table: a kept list in ascending weight, each valuation
+only while a weight can still beat the sup
+(:func:`~daggerdist.padic.ordered_sup_num`), a given table term by term.  The
+norm weights are tabled per index, one :func:`~daggerdist.padic.weight_table` per
 distinct weight vector, which each (norm, radius) or (norm, N) finds through
 its own key in the group's plans.  The contact check, the comparison maps,
 the norm tower and the sandwich compare two weights per alpha, and each
@@ -38,12 +41,13 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import repeat
 from operator import mul, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groups import PValuedGroup, Point, randbelow, sample_points
 from .padic import (
+    INFINITY,
     LogMag,
     MultiIndex,
     WeightTable,
@@ -55,12 +59,13 @@ from .padic import (
     int_valuation,
     mahler_row,
     numerators,
+    ordered_sup_num,
     p_power_at_most,
     row_kernel,
     taylor_row,
     tensor_kernel,
+    valuation_pairs,
     weight_table,
-    weighted_sup,
     weighted_sup_num,
 )
 from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, record
@@ -69,11 +74,6 @@ from .series import Coefficients, NormValue
 
 class InsufficientCap(ValueError):
     pass
-
-
-def _nonzero(indices, values) -> dict:
-    """{index: value} over the nonzero values, in index order."""
-    return dict(compress(zip(indices, values), values))
 
 
 def _powers(x, cap: int) -> Tuple[List[int], int]:
@@ -100,11 +100,10 @@ def _as_table(d: int, values) -> Coefficients:
 
 
 def _tensor_table(point: Point, column, cap: int) -> Coefficients:
-    """The tensor product of the per-coordinate (numerators, den) tables column(x_i, cap), over the dens' product."""
-    d = len(point)
+    """The tensor product of the per-coordinate (numerators, den) tables column(x_i, cap), over the dens' product,
+    kept as the kernel's list."""
     nums, dens = zip(*(column(c, cap) for c in point))
-    values = tensor_kernel(d, cap)(*nums)
-    return Coefficients.from_numerators(d, cap, _nonzero(indices_up_to(d, cap), values), math.prod(dens))
+    return Coefficients.from_dense(len(point), cap, tensor_kernel(len(point), cap)(*nums), math.prod(dens))
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +128,8 @@ class Distribution:
     coordinates are exact rationals, kept as ``int`` where they are integers
     (as :meth:`PValuedGroup.check_point` or ``multiply`` gives it).
 
-    Either table is given as rationals or as a table, kept as it is.  The
+    Either table is given as rationals or as a table, kept as it is: a
+    kernel's list (:meth:`Coefficients.from_dense`) stays a list.  The
     moment table may be None for an exact distribution, built on first read,
     once: a Dirac (a point without moments) tables both sides from its point.
     """
@@ -185,9 +185,7 @@ class Distribution:
             if self.point is not None:
                 self._moments = _tensor_table(self.point, _powers, self.cap)
             else:
-                d, cap = self.group.d, self.cap
-                nums, den = self._moment_numerators(cap)
-                self._moments = Coefficients.from_numerators(d, cap, _nonzero(indices_up_to(d, cap), nums), den)
+                self._moments = Coefficients.from_dense(self.group.d, self.cap, *self._moment_numerators(self.cap))
         return self._moments
 
     @property
@@ -222,7 +220,7 @@ class Distribution:
         a basis expansion runs the compiled Mahler-row gather over its
         numerators, and a Dirac tables the powers of its point.
         """
-        d, table = self.group.d, self._moments
+        table = self._moments
         if self.point is not None and degree <= self.cap:
             table = self.moment_table
         if table is None or degree > self.cap:
@@ -230,11 +228,10 @@ class Distribution:
                 table = _tensor_table(self.point, _powers, degree)
             elif self.exact:
                 basis = self.basis_table
-                dense = list(map(basis.nums.get, indices_up_to(d, degree), repeat(0)))
-                return _moment_kernel(d, degree)(dense), basis.den
+                return _moment_kernel(self.group.d, degree)(basis.dense_up_to(degree)), basis.den
             else:
                 raise InsufficientCap(f"moments of degree {degree} beyond cap {self.cap} of a truncated distribution")
-        return list(map(table.nums.get, indices_up_to(d, degree), repeat(0))), table.den
+        return table.dense_up_to(degree), table.den
 
     def ensure_dcoeffs(self) -> Coefficients:
         """The basis table, derived without one as d_alpha = lambda(binom(Z, alpha)) for |alpha| <= cap.
@@ -245,8 +242,7 @@ class Distribution:
         if self.basis_table is None:
             d, cap = self.group.d, self.cap
             moments, den = self._moment_numerators(cap)
-            nums = _nonzero(indices_up_to(d, cap), _basis_kernel(d, cap)(moments))
-            self._basis = Coefficients.from_numerators(d, cap, nums, den * math.factorial(cap))
+            self._basis = Coefficients.from_dense(d, cap, _basis_kernel(d, cap)(moments), den * math.factorial(cap))
         return self._basis
 
     def valuations(self) -> Dict[MultiIndex, int]:
@@ -339,8 +335,7 @@ def convolve(
     form, left, right, law_den = G.plan(("convolution", cap_out), lambda G: _compile_plan(G, cap_out))
     m1, den1 = lam._moment_numerators(left)
     m2, den2 = mu._moment_numerators(right)
-    nums = _nonzero(indices_up_to(G.d, cap_out), form(m1, m2))
-    moments = Coefficients.from_numerators(G.d, cap_out, nums, den1 * den2 * law_den)
+    moments = Coefficients.from_dense(G.d, cap_out, form(m1, m2), den1 * den2 * law_den)
     # a product of Diracs is the Dirac at the product of the points
     point = None
     if lam.point is not None and mu.point is not None:
@@ -366,9 +361,25 @@ def _dagger_table(G: PValuedGroup, N: int) -> WeightTable:
     return _table(G, ("dagger_norm", N), lambda G: G.neighborhood_params(N).tau, True)
 
 
+def _sup_num(lam: Distribution, table: WeightTable, floor=-INFINITY) -> Optional[int]:
+    """table.den * sup over the basis coefficients of -v(d_alpha) - table.weight(alpha), None being bottom.
+
+    None too when the sup does not exceed ``floor``; a value returned is the
+    exact sup.  A table kept as a kernel's list is read in ascending weight
+    (:func:`~daggerdist.padic.ordered_sup_num`); a given table, a few terms,
+    is read as it is.
+    """
+    basis, p = lam.ensure_dcoeffs(), lam.group.p
+    if basis.dense is not None:
+        return ordered_sup_num(basis.dense, basis.den, p, table.order(basis.cap), table.den, floor)
+    best = weighted_sup_num(valuation_pairs(basis.nums, p), p, table, -1, basis.den)
+    return best if best is not None and best > floor else None
+
+
 def _weighted_sup(lam: Distribution, table: WeightTable) -> NormValue:
     """sup over the basis coefficients of -v(d_alpha) - table.weight(alpha)."""
-    return NormValue(weighted_sup(lam.valuations(), lam.group.p, table, sign=-1), lam.exact)
+    best = _sup_num(lam, table)
+    return NormValue(LogMag(None if best is None else Fraction(best, table.den)), lam.exact)
 
 
 def st_norm(lam: Distribution, sigma: Fraction) -> NormValue:
@@ -417,17 +428,20 @@ def random_dcoeff_distribution(
 def _product_violation(table: WeightTable, conv: Distribution, lam: Distribution, mu: Distribution) -> dict:
     """{} if ||conv|| <= ||lam|| ||mu|| in table's norm, else the two sides as magnitudes.
 
-    The three sups are ints over table.den, None being bottom, so a pass
-    builds no Fraction.  Both factors must be exact: a truncated norm is only
-    a lower bound, and a lower bound on the large side would make a pass unsound.
+    The sups are ints over table.den, None being bottom, so a pass builds no
+    Fraction: conv's is read in ascending weight only while a weight can
+    exceed ||lam|| ||mu||, and is exact on a failure.  Both factors must be
+    exact: a truncated norm is only a lower bound, and a lower bound on the
+    large side would make a pass unsound.
     """
     if not (lam.exact and mu.exact):
         raise ValueError("a truncated norm (a lower bound) cannot sit on the large side of an inequality")
-    p, den = lam.group.p, table.den
-    lhs, a, b = (weighted_sup_num(nu.valuations(), p, table, sign=-1) for nu in (conv, lam, mu))
-    if lhs is None or (a is not None and b is not None and lhs <= a + b):
+    a, b = _sup_num(lam, table), _sup_num(mu, table)
+    rhs = None if a is None or b is None else a + b
+    lhs = _sup_num(conv, table, -INFINITY if rhs is None else rhs)
+    if lhs is None:
         return {}
-    return {"lhs": LogMag(Fraction(lhs, den)), "rhs": LogMag(None if a is None or b is None else Fraction(a + b, den))}
+    return {"lhs": LogMag(Fraction(lhs, table.den)), "rhs": LogMag(None if rhs is None else Fraction(rhs, table.den))}
 
 
 def check_submultiplicative(

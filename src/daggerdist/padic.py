@@ -24,11 +24,13 @@ most 64 bits and generated names, kept as ``kernel.source``.  Here are the
 product over coordinates (:func:`tensor_kernel`, a Dirac's x^beta and
 binom(x, beta)), and the linear and bilinear int forms
 (:func:`linear_kernel`, :func:`bilinear_kernel`) behind the basis changes and
-the convolution of distributions.  Every weighted norm is one
-:func:`weighted_sup_num` over a :class:`WeightTable`, in ints over the
-table's denominator; it reads valuations, and given numerators over ``den``
-takes v_p(den) once.  A table entry is a sum of per-coordinate terms, as
-v_p(alpha!) is the sum of the v_p(alpha_i!).
+the convolution of distributions.  Every weighted norm is a sup over a
+:class:`WeightTable`, in ints over the table's denominator, taking v_p(den)
+of numerators over ``den`` once: :func:`weighted_sup_num` reads a sparse
+family's (alpha, valuation) pairs, and :func:`ordered_sup_num` a dense list
+in the table's weight order, stopping at the first weight that cannot beat
+the sup.  A table entry is a sum of per-coordinate terms, as v_p(alpha!) is
+the sum of the v_p(alpha_i!).
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import product, repeat
-from operator import add, mul, sub
+from operator import eq, itemgetter, mul
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -337,6 +339,11 @@ def same_ratios(a: Mapping[MultiIndex, int], da: int, b: Mapping[MultiIndex, int
     return a.keys() == b.keys() and all(n * db == b[k] * da for k, n in a.items())
 
 
+def same_dense_ratios(a: Sequence[int], da: int, b: Sequence[int], db: int) -> bool:
+    """Whether a[n] / da == b[n] / db at every position of two lists of one length, zeros included."""
+    return all(map(eq, map(mul, a, repeat(db)), map(mul, b, repeat(da))))
+
+
 def binom_value(x: Rational, k: int) -> Fraction:
     """binom(x, k) = x(x-1)...(x-k+1)/k! for rational x."""
     if k < 0:
@@ -451,6 +458,7 @@ class WeightTable(dict):
         self.den = den = math.lcm(*(w.denominator for w in self.weights))
         self.nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
         self.factorials = None if p is None else _FactorialColumn(den, p)
+        self.orders: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
     def __missing__(self, alpha: MultiIndex) -> int:
         value = sum(map(mul, self.nums, alpha))
@@ -462,6 +470,15 @@ class WeightTable(dict):
     def weight(self, alpha: MultiIndex) -> Fraction:
         """The unscaled weight at alpha."""
         return Fraction(self[alpha], self.den)
+
+    def order(self, cap: int) -> Tuple[Tuple[int, int], ...]:
+        """(position, -entry) over :func:`indices_up_to` (d, cap), in ascending entry, ties by position: the
+        visit of :func:`ordered_sup_num`, sorted once per cap."""
+        order = self.orders.get(cap)
+        if order is None:
+            negated = enumerate(-self[alpha] for alpha in indices_up_to(len(self.nums), cap))
+            self.orders[cap] = order = tuple(sorted(negated, key=itemgetter(1), reverse=True))
+        return order
 
 
 @lru_cache(maxsize=1024)
@@ -485,22 +502,38 @@ def weighted_sup_num(valuations, p: int, table: WeightTable, sign: int = 1, den:
 
     ``sign`` is 1 or -1.  The c_alpha may be int numerators over the positive
     common denominator ``den``, whose valuation is taken once; None (bottom)
-    when there are no pairs.  A dict alpha -> v_p(c_alpha), such as a
-    distribution's valuation table, is read in one pass of C-level maps;
-    other pairs, such as :func:`valuation_pairs` gives, are read as they
-    come, which costs less than building the dict would save.
+    when there are no pairs.  The pairs, such as :func:`valuation_pairs`
+    gives, are read as they come: a sparse family's few terms.
     """
     scale = table.den
-    if type(valuations) is dict:
-        if not valuations:
-            return None
-        weights, scaled = map(table.__getitem__, valuations), map(mul, valuations.values(), repeat(scale))
-        best = max(map(sub, weights, scaled)) if sign > 0 else -min(map(add, weights, scaled))
-    else:
-        best = max((sign * table[a] - v * scale for a, v in valuations), default=None)
-        if best is None:
-            return None
-    return best + int_valuation(den, p) * scale
+    best = max((sign * table[a] - v * scale for a, v in valuations), default=None)
+    return None if best is None else best + int_valuation(den, p) * scale
+
+
+def ordered_sup_num(
+    nums: Sequence[int], den: int, p: int, order: Sequence[Tuple[int, int]], scale: int, floor=-INFINITY
+) -> Optional[int]:
+    """scale * sup over the positions n of -v_p(nums[n] / den) + bound(n), read in ``order``, or None.
+
+    ``order`` lists (position, bound) over every position in descending
+    bound, as :meth:`WeightTable.order` gives it for a dense family, the
+    bound being minus the weight times ``scale``.  A term is its bound less
+    v_p(nums[n]) * scale, and v_p(n) >= 0 for an int n, so the visit stops
+    once a bound is at most the running sup: a Dirac whose weights are >= 0
+    reads one valuation.  None when no term exceeds ``floor`` (bottom, with
+    no floor); a value returned is the exact sup.
+    """
+    shift = int_valuation(den, p) * scale
+    start = top = floor - shift
+    for n, bound in order:
+        if bound <= top:
+            break
+        c = nums[n]
+        if c:
+            term = bound - int_valuation(c, p) * scale
+            if term > top:
+                top = term
+    return top + shift if top > start else None
 
 
 def weighted_sup(valuations, p: int, table: WeightTable, sign: int = 1, den: int = 1) -> LogMag:

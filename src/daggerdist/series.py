@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, repeat
 from operator import add
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -31,9 +32,11 @@ from .padic import (
     _tuple_text,
     format_fraction,
     grlex_key,
+    indices_up_to,
     numerators,
     parse_fraction,
     parse_int,
+    same_dense_ratios,
     same_ratios,
     valuation_pairs,
     weight_table,
@@ -87,10 +90,13 @@ class Coefficients:
     """A finite family alpha -> nums[alpha] / den of rationals: nonzero ints over one positive int.
 
     Equality compares the ratios, so neither side need be reduced.  ``terms``
-    is the read-only Fraction view, built on first read.
+    is the read-only Fraction view, built on first read.  A family built by
+    :meth:`from_dense` keeps its numerators as the list ``dense`` over every
+    index of :func:`~daggerdist.padic.indices_up_to` (dim, cap), zeros
+    included, as a kernel returns them; ``nums`` is then built on first read.
     """
 
-    __slots__ = ("dim", "cap", "nums", "den", "exact", "_terms")
+    __slots__ = ("dim", "cap", "nums", "den", "exact", "dense", "_terms")
 
     def __init__(self, dim: int, cap: int, terms: Mapping[MultiIndex, Rational], exact: bool = True):
         self._set(dim, cap, *numerators(clean_terms(dim, cap, terms)), exact)
@@ -102,9 +108,31 @@ class Coefficients:
         f._set(dim, cap, nums, den, exact)
         return f
 
+    @classmethod
+    def from_dense(cls, dim: int, cap: int, dense: Sequence[int], den: int):
+        """The exact family dense[n] / den at the n-th index of indices_up_to(dim, cap), unchecked."""
+        f = cls.__new__(cls)
+        f.dim, f.cap, f.dense, f.den, f.exact, f._terms = dim, cap, dense, den, True, None
+        return f
+
     def _set(self, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int, exact: bool):
         self.dim, self.cap, self.nums, self.den, self.exact = dim, cap, nums, den, bool(exact)
-        self._terms = None
+        self.dense = self._terms = None
+
+    def __getattr__(self, name):
+        # called only for an unset slot: ``nums`` of a dense family, built here once
+        if name != "nums" or self.dense is None:
+            raise AttributeError(name)
+        dense = self.dense
+        self.nums = nums = dict(compress(zip(indices_up_to(self.dim, self.cap), dense), dense))
+        return nums
+
+    def dense_up_to(self, cap: int) -> Sequence[int]:
+        """The numerators at every index of indices_up_to(dim, cap) by position, zeros included."""
+        dense = self.dense
+        if dense is None or cap > self.cap:
+            return list(map(self.nums.get, indices_up_to(self.dim, cap), repeat(0)))
+        return dense if cap == self.cap else dense[: len(indices_up_to(self.dim, cap))]
 
     @property
     def terms(self) -> Mapping[MultiIndex, Fraction]:
@@ -127,7 +155,12 @@ class Coefficients:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.dim == other.dim and same_ratios(self.nums, self.den, other.nums, other.den)
+        if self.dim != other.dim:
+            return False
+        a, b = self.dense, other.dense
+        if a is not None and b is not None and len(a) == len(b):  # two lists over the same indices
+            return same_dense_ratios(a, self.den, b, other.den)
+        return same_ratios(self.nums, self.den, other.nums, other.den)
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))

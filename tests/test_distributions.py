@@ -1321,6 +1321,89 @@ def _nonzero_items(indices, values):
     return [(i, v) for i, v in zip(indices, values) if v]
 
 
+def _dict_moment_numerators(lam, degree):
+    """Distribution._moment_numerators as it was before the lists: every table read through its dict."""
+    d, table = lam.group.d, lam._moments
+    if lam.point is not None and degree <= lam.cap:
+        table = lam.moment_table
+    if table is None or degree > lam.cap:
+        if lam.point is not None:
+            table = Distribution.dirac(lam.group, lam.point, degree).moment_table
+        else:
+            dense = [lam.basis_table.nums.get(b, 0) for b in indices_up_to(d, degree)]
+            return dist_module._moment_kernel(d, degree)(dense), lam.basis_table.den
+    return [table.nums.get(b, 0) for b in indices_up_to(d, degree)], table.den
+
+
+def _dict_convolve(G, lam, mu, cap_out):
+    """convolve's tables as they were: the form's output with its zeros dropped, as a dict, then the Taylor kernel
+    over that dict read back by position; (moment table, basis table)."""
+    form, left, right, law_den = G.plan(("convolution", cap_out), lambda G: dist_module._compile_plan(G, cap_out))
+    m1, den1 = _dict_moment_numerators(lam, left)
+    m2, den2 = _dict_moment_numerators(mu, right)
+    indices = indices_up_to(G.d, cap_out)
+    nums = dict(_nonzero_items(indices, form(m1, m2)))
+    moments = Coefficients.from_numerators(G.d, cap_out, nums, den1 * den2 * law_den)
+    dense = [moments.nums.get(b, 0) for b in indices]
+    nums = dict(_nonzero_items(indices, dist_module._basis_kernel(G.d, cap_out)(dense)))
+    return moments, Coefficients.from_numerators(G.d, cap_out, nums, moments.den * math.factorial(cap_out))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_dense_convolution_matches_the_dict_tables(data):
+    G = data.draw(st.sampled_from(CONV_GROUPS))
+    cap_out = data.draw(st.integers(0, 4))
+    lam, mu = (data.draw(kernel_inputs(G, G.degmax() * cap_out)) for _ in range(2))
+    want_moments, want_basis = _dict_convolve(G, lam, mu, cap_out)
+    got = convolve(G, lam, mu, cap_out=cap_out)
+    # the form's list is the moment table, and the Taylor kernel's list the basis table, each over every index
+    size = len(indices_up_to(G.d, cap_out))
+    assert len(got.moment_table.dense) == size and got.basis_table is None
+    basis = got.ensure_dcoeffs()
+    assert len(basis.dense) == size
+    for table, want in ((got.moment_table, want_moments), (basis, want_basis)):
+        assert (list(table.nums.items()), table.den) == (list(want.nums.items()), want.den)
+        assert table == want and want == table
+    # every read of it by position: a prefix of the list, or the dict beyond it
+    for degree in range(cap_out + 2):
+        if degree <= cap_out or got.exact:
+            assert list(got._moment_numerators(degree)[0]) == list(_dict_moment_numerators(got, degree)[0])
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda G: G.name)
+def test_a_dirac_norm_reads_one_valuation(G, monkeypatch):
+    # at an int point binom(x, 0) = 1 over den 1 gives the sup 0, and with weights >= 0 no later bound exceeds it
+    rng = random.Random(f"one-valuation:{G.name}")
+    reads, int_valuation = [], padic_module.int_valuation
+    monkeypatch.setattr(padic_module, "int_valuation", lambda n, p: reads.append(n) or int_valuation(n, p))
+    for cap in (4, 8):
+        lam = Distribution.dirac(G, [rng.randrange(-(G.p**6), G.p**6) for _ in range(G.d)], cap)
+        lam.ensure_dcoeffs()
+        reads.clear()
+        # st_norm_prime at sigma = 0 has every weight 0: all bounds tie with the sup
+        for norm, arg in ((dagger_norm, 1), (dagger_norm, 8), (st_norm, Fraction(1, 2)), (st_norm_prime, 0)):
+            assert norm(lam, arg).mag == LogMag(0)
+            assert reads == [1, 1]  # the denominator's valuation, then alpha = 0's
+            reads.clear()
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_a_sup_over_a_floor_is_the_exact_sup_or_none(data):
+    # a given basis table is read term by term, a derived one (a Dirac's, a truncated copy's) as the kernel's list
+    G = data.draw(st.sampled_from(CONV_GROUPS))
+    lam = data.draw(kernel_inputs(G))
+    table = dist_module._dagger_table(G, data.draw(st.sampled_from([1, 2, 8])))
+    best = dist_module._sup_num(lam, table)
+    pairs = [(a, valuation(c, G.p)) for a, c in lam.dcoeffs.items()]
+    assert (LogMag.bottom() if best is None else LogMag(Fraction(best, table.den))) == weighted_sup(
+        pairs, G.p, table, sign=-1
+    )
+    for floor in [] if best is None else [best - 1, best, best + 1]:
+        assert dist_module._sup_num(lam, table, floor) == (best if best > floor else None)
+
+
 def _weight_violations(valuations, small, large):
     """The per-call loop as it was: the alpha where |d_alpha| p^(-small(alpha)) <= |d_alpha| p^(-large(alpha)) fails."""
     bad = []

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +20,11 @@ from daggerdist.padic import (
     multi_binom_value,
     multi_factorial,
     multi_factorial_valuation,
+    ordered_sup_num,
     p_power_at_most,
     parse_fraction,
     parse_int,
+    same_dense_ratios,
     same_ratios,
     stirling_second,
     tensor_kernel,
@@ -31,6 +34,7 @@ from daggerdist.padic import (
     weighted_sup,
     weighted_sup_num,
 )
+from daggerdist.series import Coefficients
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-(10**6)), max_value=Fraction(10**6), max_denominator=10**4
@@ -200,6 +204,79 @@ def test_weighted_sup_over_a_denominator_matches_the_fractions(data, p, dim, sig
     scaled = weighted_sup_num(valuation_pairs(nums, p), p, table, sign, den=den)
     assert got == (LogMag.bottom() if scaled is None else LogMag(Fraction(scaled, table.den)))
     assert type(scaled) is int or (scaled is None and not nums)
+
+
+def _dict_sup_num(valuations, p, table, den=1):
+    """weighted_sup_num's path for a dict alpha -> v_p(c_alpha) at sign -1 as it was: every valuation read."""
+    if not valuations:
+        return None
+    scale = table.den
+    weights, scaled = map(table.__getitem__, valuations), map(mul, valuations.values(), repeat(scale))
+    return -min(map(add, weights, scaled)) + int_valuation(den, p) * scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), dim=st.integers(1, 3))
+def test_ordered_sup_matches_the_full_dict_sup(data, p, dim):
+    cap = data.draw(st.integers(0, 4))
+    indices = indices_up_to(dim, cap)
+    # zeros, units and p-powers, so terms tie and whole families vanish; weights of 0 tie their bounds
+    entry = st.one_of(st.just(0), st.integers(-(p**4), p**4), st.integers(-3, 3).map(lambda k: k * p**3))
+    nums = data.draw(st.lists(entry, min_size=len(indices), max_size=len(indices)))
+    weight = st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-2, 3), Fraction(5, 4)])
+    weights = tuple(data.draw(st.lists(weight, min_size=dim, max_size=dim)))
+    table = weight_table(weights, data.draw(st.sampled_from([None, p])))
+    den = data.draw(st.sampled_from([1, 2, p, p**3, 6 * p**2]))
+    want = _dict_sup_num({a: int_valuation(n, p) for a, n in zip(indices, nums) if n}, p, table, den)
+    order = table.order(cap)
+    assert sorted(order) == [(n, -table[a]) for n, a in enumerate(indices)]
+    assert ordered_sup_num(nums, den, p, order, table.den) == want
+    # with a floor: None exactly when the sup does not exceed it, the exact sup otherwise
+    floor = data.draw(st.integers(-40, 40))
+    got = ordered_sup_num(nums, den, p, order, table.den, floor)
+    assert got == (want if want is not None and want > floor else None)
+
+
+def test_ordered_sup_stops_at_the_first_bound_the_sup_reaches(monkeypatch):
+    reads = []
+    monkeypatch.setattr(padic_module, "int_valuation", lambda n, p: reads.append(n) or int_valuation(n, p))
+    # all weights 0, so every bound ties at 0: the sup 0 is read at position 0, and the tie stops the visit
+    table = weight_table((0, 0), None)
+    nums = [1, 3, 5, 9, 2, 7]
+    assert ordered_sup_num(nums, 1, 3, table.order(2), table.den) == 0
+    assert reads == [1, 1]  # the denominator's valuation, then position 0's
+    # weights 1, 2 over (0,0), (0,1), (1,0), (0,2), (1,1), (2,0): the bounds are 0, -2, -1, -4, -3, -2; position 0
+    # is zero, position 2 gives -1 - v(3) = -2, and the next bound, -2 at position 1, cannot exceed it
+    table, reads[:] = weight_table((1, 2), None), []
+    assert ordered_sup_num([0, 6, 3, 1, 1, 1], 1, 3, table.order(2), table.den) == -2
+    assert reads == [1, 3]
+    # an empty family is bottom, and so is one that never exceeds its floor
+    assert ordered_sup_num([0] * 6, 9, 3, table.order(2), table.den) is None
+    assert ordered_sup_num([1, 0, 0, 0, 0, 0], 1, 3, table.order(2), table.den, floor=0) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), scale=st.sampled_from([1, 2, 3, 9]))
+def test_dense_ratios_are_coefficient_equality(data, scale):
+    size = data.draw(st.integers(1, 6))
+    indices = indices_up_to(1, size - 1)
+    a = data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+    da, db = data.draw(st.sampled_from([1, 2, 3, 6])), data.draw(st.sampled_from([1, 2, 3, 6]))
+    b = data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+    # the same values over an unreduced denominator, then with one position changed
+    k, delta = data.draw(st.integers(0, size - 1)), data.draw(st.integers(-3, 3).filter(bool))
+    c = [scale * n for n in a]
+    c[k] += delta
+
+    def table(z, dz):  # the dict form of a list
+        return Coefficients.from_numerators(1, size - 1, {i: n for i, n in zip(indices, z) if n}, dz)
+
+    for x, dx, y, dy in [(a, da, b, db), (a, da, [scale * n for n in a], scale * da), (a, da, c, scale * da)]:
+        want = table(x, dx) == table(y, dy)  # the dict comparison
+        assert same_dense_ratios(x, dx, y, dy) == same_dense_ratios(y, dy, x, dx) == want
+        assert (Coefficients.from_dense(1, size - 1, x, dx) == Coefficients.from_dense(1, size - 1, y, dy)) == want
+    assert same_dense_ratios(a, da, [scale * n for n in a], scale * da)
+    assert not same_dense_ratios(a, da, c, scale * da)
 
 
 def test_multi_factorial_is_computed_once_per_index():
