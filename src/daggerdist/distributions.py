@@ -19,15 +19,15 @@ of :mod:`daggerdist.padic`, the transpose of the Mahler conversions: the
 Mahler rows derive a basis combination's moments, the Taylor rows (cap!/alpha!
 folded into their weights) a moment table's basis coefficients.
 
-A table a kernel returns is kept as its list, in indices_up_to order over
-one denominator (:meth:`~daggerdist.series.Coefficients.from_dense`), and
-read by position by the next kernel; its dict is built only when read.  A
-norm reads the basis table: a kept list in ascending weight, each valuation
-only while a weight can still beat the sup
-(:func:`~daggerdist.padic.ordered_sup_num`), a given table term by term.  The
-norm weights are tabled per index, one :func:`~daggerdist.padic.weight_table` per
-distinct weight vector, which each (norm, radius) or (norm, N) finds through
-its own key in the group's plans.  The contact check, the comparison maps,
+Every table is a list in indices_up_to order over one denominator
+(:meth:`~daggerdist.series.Coefficients.from_dense`), a given one converted
+once, read by position by the next kernel and by ``==``; its dict is built
+only when read.  A norm reads the basis list in ascending weight, each
+valuation only while a weight can still beat the sup
+(:func:`~daggerdist.padic.ordered_sup_num`).  The norm weights are tabled
+per index, one :func:`~daggerdist.padic.weight_table` per distinct weight
+vector, which each (norm, radius) or (norm, N) finds through its own key in
+the group's plans.  The contact check, the comparison maps,
 the norm tower and the sandwich compare two weights per alpha, and each
 weight is a sum over the coordinates, so a plan certified on the axes k e_i
 up to a sample's support cap passes every alpha of it; a sample's valuations
@@ -62,11 +62,10 @@ from .padic import (
     ordered_sup_num,
     p_power_at_most,
     row_kernel,
+    same_dense_ratios,
     taylor_row,
     tensor_kernel,
-    valuation_pairs,
     weight_table,
-    weighted_sup_num,
 )
 from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, record
 from .series import Coefficients, NormValue
@@ -93,10 +92,13 @@ def _binomials(x, cap: int) -> Tuple[List[int], int]:
 
 
 def _as_table(d: int, values) -> Coefficients:
-    """A table as it is, or rationals as a checked table whose cap is its own largest degree."""
-    if isinstance(values, Coefficients):
+    """A kernel's list as it is; rationals (checked, the cap their largest degree) or a sparse table as the list."""
+    if not isinstance(values, Coefficients):
+        values = Coefficients(d, max([0, *map(sum, values)]), values)
+    elif values.dense is not None:
         return values
-    return Coefficients(d, max([0, *map(sum, values)]), values)
+    dense = tuple(map(values.nums.get, indices_up_to(d, values.cap), repeat(0)))
+    return Coefficients.from_dense(d, values.cap, dense, values.den)
 
 
 def _tensor_table(point: Point, column, cap: int) -> Coefficients:
@@ -121,17 +123,18 @@ def _basis_kernel(d: int, cap: int):
 class Distribution:
     """Truncated moment family with optional basis coefficients.
 
-    ``exact`` means the stored data determines the whole distribution: either
-    ``point`` is set (a Dirac, moments are monomial evaluations) or
-    ``basis_table`` is the complete finite basis expansion.  Exact
-    distributions can produce moments of any degree on demand.  The point's
-    coordinates are exact rationals, kept as ``int`` where they are integers
-    (as :meth:`PValuedGroup.check_point` or ``multiply`` gives it).
+    ``exact``, derived, means the stored data determines the whole
+    distribution: ``point`` is set (a Dirac or a product of Diracs; moments are
+    monomial evaluations), or no moments are given and ``basis_table`` is the
+    complete finite basis expansion.  Exact distributions can produce moments
+    of any degree on demand.  The point's coordinates are exact rationals,
+    kept as ``int`` where they are integers (as
+    :meth:`PValuedGroup.check_point` or ``multiply`` gives it).
 
-    Either table is given as rationals or as a table, kept as it is: a
-    kernel's list (:meth:`Coefficients.from_dense`) stays a list.  The
-    moment table may be None for an exact distribution, built on first read,
-    once: a Dirac (a point without moments) tables both sides from its point.
+    Either table is given as rationals or as a table, and kept as a list
+    (:func:`_as_table`).  The moment table may be None for an exact
+    distribution, built on first read, once: a Dirac (a point without
+    moments) tables both sides from its point.
     """
 
     def __init__(
@@ -140,21 +143,18 @@ class Distribution:
         cap: int,
         moments: Optional[Mapping[MultiIndex, Fraction] | Coefficients],
         dcoeffs: Optional[Mapping[MultiIndex, Fraction] | Coefficients] = None,
-        exact: bool = False,
         point: Optional[Point] = None,
     ):
+        if moments is None and point is None and dcoeffs is None:
+            raise ValueError("a distribution needs moments, a point or a basis expansion")
         self.group = group
         self.cap = cap
         self._moments = None if moments is None else _as_table(group.d, moments)
         self._basis = None if dcoeffs is None else _as_table(group.d, dcoeffs)
-        self.exact = bool(exact)
+        self.exact = moments is None or point is not None
         self.point = None if point is None else group.check_point(point)
         self._dirac = moments is None and self.point is not None
         self._valuations = None
-        if self.exact and self.point is None and self._basis is None:
-            raise ValueError("an exact distribution needs a point or a full basis expansion")
-        if moments is None and not self.exact:
-            raise ValueError("only an exact distribution can derive its moments")
 
     # -- construction ------------------------------------------------------
 
@@ -167,14 +167,14 @@ class Distribution:
         although ``dcoeffs`` stop at cap: |binom(x, alpha)|_p <= 1 on Z_p with
         equality at alpha = 0, so every norm with positive weights is p^0.
         """
-        return cls(G, cap, None, exact=True, point=x)
+        return cls(G, cap, None, point=x)
 
     @classmethod
     def from_dcoeffs(
         cls, G: PValuedGroup, dcoeffs: Mapping[MultiIndex, Fraction] | Coefficients, cap: int
     ) -> "Distribution":
         """A finite basis combination, as rationals or as a table; exact, its moments derived when read."""
-        return cls(G, cap, None, dcoeffs, exact=True)
+        return cls(G, cap, None, dcoeffs)
 
     # -- moments and basis coefficients ------------------------------------
 
@@ -246,7 +246,7 @@ class Distribution:
         return self._basis
 
     def valuations(self) -> Dict[MultiIndex, int]:
-        """alpha -> v_p(d_alpha) = v_p(n_alpha) - v_p(den) over the basis table, in its order; computed once."""
+        """alpha -> v_p(d_alpha) = v_p(n_alpha) - v_p(den) over the basis table, in grlex order; computed once."""
         if self._valuations is None:
             p, table = self.group.p, self.ensure_dcoeffs()
             v_den, values = int_valuation(table.den, p), map(int_valuation, table.nums.values(), repeat(p))
@@ -264,10 +264,7 @@ class Distribution:
         if not isinstance(other, Distribution):
             return NotImplemented
         cap = min(self.cap, other.cap)
-        for beta in indices_up_to(self.group.d, cap):
-            if self.moment(beta) != other.moment(beta):
-                return False
-        return True
+        return same_dense_ratios(*self._moment_numerators(cap), *other._moment_numerators(cap))
 
     def __repr__(self):
         tag = "exact" if self.exact else "truncated"
@@ -340,7 +337,7 @@ def convolve(
     point = None
     if lam.point is not None and mu.point is not None:
         point = G.multiply(lam.point, mu.point)
-    return Distribution(G, cap_out, moments, exact=point is not None, point=point)
+    return Distribution(G, cap_out, moments, point=point)
 
 
 # -- norm families ---------------------------------------------------------
@@ -365,15 +362,11 @@ def _sup_num(lam: Distribution, table: WeightTable, floor=-INFINITY) -> Optional
     """table.den * sup over the basis coefficients of -v(d_alpha) - table.weight(alpha), None being bottom.
 
     None too when the sup does not exceed ``floor``; a value returned is the
-    exact sup.  A table kept as a kernel's list is read in ascending weight
-    (:func:`~daggerdist.padic.ordered_sup_num`); a given table, a few terms,
-    is read as it is.
+    exact sup.  The basis list is read in ascending weight
+    (:func:`~daggerdist.padic.ordered_sup_num`).
     """
-    basis, p = lam.ensure_dcoeffs(), lam.group.p
-    if basis.dense is not None:
-        return ordered_sup_num(basis.dense, basis.den, p, table.order(basis.cap), table.den, floor)
-    best = weighted_sup_num(valuation_pairs(basis.nums, p), p, table, -1, basis.den)
-    return best if best is not None and best > floor else None
+    basis = lam.ensure_dcoeffs()
+    return ordered_sup_num(basis.dense, basis.den, lam.group.p, table.order(basis.cap), table.den, floor)
 
 
 def _weighted_sup(lam: Distribution, table: WeightTable) -> NormValue:
@@ -587,7 +580,7 @@ class _CoefficientCheck:
         return ok
 
     def violations(self, lam: Distribution) -> List[dict]:
-        """The witnesses of the failing alpha on lam's support, in its valuations' order; read only if uncertified."""
+        """The witnesses of the failing alpha on lam's support, in grlex order; read only if uncertified."""
         if self.certifies(lam.support_cap()):
             return []
         valuations, bad = lam.valuations(), []

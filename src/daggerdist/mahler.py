@@ -26,7 +26,6 @@ from .padic import (
     scatter,
     scatter_table,
     taylor_row,
-    valuation_pairs,
     weight_table,
     weighted_sup,
     weighted_sup_num,
@@ -69,7 +68,7 @@ def mahler_norm(m: MahlerFamily, rho: Sequence[Rational], p: int) -> NormValue:
     """sup_alpha |m_alpha| / |alpha!| * p^(sum rho_i alpha_i)."""
     if len(rho) != m.dim:
         raise DimensionMismatch(f"expected {m.dim} radii, got {len(rho)}")
-    return NormValue(weighted_sup(valuation_pairs(m.nums, p), p, weight_table(tuple(rho), p), den=m.den), m.exact)
+    return NormValue(weighted_sup(m.nums, p, weight_table(tuple(rho), p), m.den), m.exact)
 
 
 def mahler_scatter(f: TruncatedSeries) -> Tuple[List[MultiIndex], List[int]]:
@@ -111,7 +110,7 @@ class NormIdentity:
     def holds(self, f: TruncatedSeries, family: MahlerFamily) -> bool:
         """Whether the Gauss norm of f equals the Mahler-side norm of family, both of rho's dimension (unchecked)."""
         p = self.p
-        sup = weighted_sup_num(valuation_pairs(f.nums, p), p, self.gauss, den=f.den)
+        sup = weighted_sup_num(f.nums, p, self.gauss, f.den)
         if sup is not None:  # what the terms of the family's numerators, without its den, must reach
             sup -= int_valuation(family.den, p) * self.gauss.den
         return self._decide(sup, family.nums.items())
@@ -125,7 +124,7 @@ class NormIdentity:
         """
         indices, nums = mahler_scatter(f)
         support, norm = [(a, n) for a, n in zip(indices, nums) if n], None
-        if not self._decide(weighted_sup_num(valuation_pairs(f.nums, self.p), self.p, self.gauss), support):
+        if not self._decide(weighted_sup_num(f.nums, self.p, self.gauss), support):
             family = MahlerFamily.from_numerators(f.dim, f.cap, dict(support), f.den)
             norm = f.gauss_norm(self.rho, self.p).mag, mahler_norm(family, self.rho, self.p).mag
         back, fact = scatter_table(cap_scaled_row(taylor_row, f.cap), f.dim, f.cap), math.factorial(f.cap)

@@ -27,10 +27,10 @@ binom(x, beta)), and the linear and bilinear int forms
 the convolution of distributions.  Every weighted norm is a sup over a
 :class:`WeightTable`, in ints over the table's denominator, taking v_p(den)
 of numerators over ``den`` once: :func:`weighted_sup_num` reads a sparse
-family's (alpha, valuation) pairs, and :func:`ordered_sup_num` a dense list
-in the table's weight order, stopping at the first weight that cannot beat
-the sup.  A table entry is a sum of per-coordinate terms, as v_p(alpha!) is
-the sum of the v_p(alpha_i!).
+family's numerators, and :func:`ordered_sup_num` a distribution's dense list
+in ascending weight, stopping at the first weight that cannot beat the sup.
+A table entry is a sum of per-coordinate terms, as v_p(alpha!) is the sum of
+the v_p(alpha_i!).
 """
 from __future__ import annotations
 
@@ -340,8 +340,8 @@ def same_ratios(a: Mapping[MultiIndex, int], da: int, b: Mapping[MultiIndex, int
 
 
 def same_dense_ratios(a: Sequence[int], da: int, b: Sequence[int], db: int) -> bool:
-    """Whether a[n] / da == b[n] / db at every position of two lists of one length, zeros included."""
-    return all(map(eq, map(mul, a, repeat(db)), map(mul, b, repeat(da))))
+    """Whether two lists have one length and a[n] / da == b[n] / db at every position, zeros included."""
+    return len(a) == len(b) and all(map(eq, map(mul, a, repeat(db)), map(mul, b, repeat(da))))
 
 
 def binom_value(x: Rational, k: int) -> Fraction:
@@ -492,21 +492,11 @@ def weight_table(weights: Tuple[Rational, ...], p: Optional[int]) -> WeightTable
     return WeightTable(weights, p)
 
 
-def valuation_pairs(nums: Mapping[MultiIndex, int], p: int) -> Iterable[Tuple[MultiIndex, int]]:
-    """(alpha, v_p(n_alpha)) for nonzero int numerators, in their order, through :func:`int_valuation`."""
-    return zip(nums, map(int_valuation, nums.values(), repeat(p)))
-
-
-def weighted_sup_num(valuations, p: int, table: WeightTable, sign: int = 1, den: int = 1) -> Optional[int]:
-    """table.den * sup over the (alpha, v_p(c_alpha)) pairs of -v_p(c_alpha / den) + sign * table.weight(alpha).
-
-    ``sign`` is 1 or -1.  The c_alpha may be int numerators over the positive
-    common denominator ``den``, whose valuation is taken once; None (bottom)
-    when there are no pairs.  The pairs, such as :func:`valuation_pairs`
-    gives, are read as they come: a sparse family's few terms.
-    """
+def weighted_sup_num(nums: Mapping[MultiIndex, int], p: int, table: WeightTable, den: int = 1) -> Optional[int]:
+    """table.den * sup over alpha of -v_p(nums[alpha] / den) + table.weight(alpha), None (bottom) for no terms:
+    a sparse family's nonzero int numerators over the positive ``den``, whose valuation is taken once."""
     scale = table.den
-    best = max((sign * table[a] - v * scale for a, v in valuations), default=None)
+    best = max((table[a] - int_valuation(n, p) * scale for a, n in nums.items()), default=None)
     return None if best is None else best + int_valuation(den, p) * scale
 
 
@@ -536,9 +526,9 @@ def ordered_sup_num(
     return top + shift if top > start else None
 
 
-def weighted_sup(valuations, p: int, table: WeightTable, sign: int = 1, den: int = 1) -> LogMag:
-    """:func:`weighted_sup_num` as a magnitude: one Fraction is built at the end, bottom when there are no pairs."""
-    best = weighted_sup_num(valuations, p, table, sign, den)
+def weighted_sup(nums: Mapping[MultiIndex, int], p: int, table: WeightTable, den: int = 1) -> LogMag:
+    """:func:`weighted_sup_num` as a magnitude: one Fraction is built at the end, bottom when there are no terms."""
+    best = weighted_sup_num(nums, p, table, den)
     return LogMag(None if best is None else Fraction(best, table.den))
 
 

@@ -8,7 +8,7 @@ maps multi-indices of total degree <= cap to nonzero coefficients.  The
 series is a polynomial and nothing was lost to truncation).  Sums, products,
 scaling, truncation, embedding and substitution all run on the ints;
 truncation only ever drops high-degree tails, and the flag records when that
-may have happened.
+may have happened.  A distribution's tables keep the list a kernel returns.
 
 ``Fraction``s are built only at the edges: the read-only view ``terms`` (and
 from it :meth:`Coefficients.coefficient`, :meth:`Coefficients.sorted_terms`,
@@ -36,9 +36,7 @@ from .padic import (
     numerators,
     parse_fraction,
     parse_int,
-    same_dense_ratios,
     same_ratios,
-    valuation_pairs,
     weight_table,
     weighted_sup,
     write_kernel,
@@ -93,10 +91,11 @@ class Coefficients:
     is the read-only Fraction view, built on first read.  A family built by
     :meth:`from_dense` keeps its numerators as the list ``dense`` over every
     index of :func:`~daggerdist.padic.indices_up_to` (dim, cap), zeros
-    included, as a kernel returns them; ``nums`` is then built on first read.
+    included, as a kernel returns them, and builds its dict ``nums`` on first
+    read; any other family has ``dense`` None.
     """
 
-    __slots__ = ("dim", "cap", "nums", "den", "exact", "dense", "_terms")
+    __slots__ = ("dim", "cap", "_nums", "den", "exact", "dense", "_terms")
 
     def __init__(self, dim: int, cap: int, terms: Mapping[MultiIndex, Rational], exact: bool = True):
         self._set(dim, cap, *numerators(clean_terms(dim, cap, terms)), exact)
@@ -112,27 +111,27 @@ class Coefficients:
     def from_dense(cls, dim: int, cap: int, dense: Sequence[int], den: int):
         """The exact family dense[n] / den at the n-th index of indices_up_to(dim, cap), unchecked."""
         f = cls.__new__(cls)
-        f.dim, f.cap, f.dense, f.den, f.exact, f._terms = dim, cap, dense, den, True, None
+        f.dim, f.cap, f.dense, f.den, f.exact, f._nums, f._terms = dim, cap, dense, den, True, None, None
         return f
 
     def _set(self, dim: int, cap: int, nums: Dict[MultiIndex, int], den: int, exact: bool):
-        self.dim, self.cap, self.nums, self.den, self.exact = dim, cap, nums, den, bool(exact)
+        self.dim, self.cap, self._nums, self.den, self.exact = dim, cap, nums, den, bool(exact)
         self.dense = self._terms = None
 
-    def __getattr__(self, name):
-        # called only for an unset slot: ``nums`` of a dense family, built here once
-        if name != "nums" or self.dense is None:
-            raise AttributeError(name)
-        dense = self.dense
-        self.nums = nums = dict(compress(zip(indices_up_to(self.dim, self.cap), dense), dense))
+    @property
+    def nums(self) -> Dict[MultiIndex, int]:
+        """alpha -> nonzero numerator; a dense family builds it from its list on first read."""
+        nums = self._nums
+        if nums is None:
+            dense = self.dense
+            self._nums = nums = dict(compress(zip(indices_up_to(self.dim, self.cap), dense), dense))
         return nums
 
     def dense_up_to(self, cap: int) -> Sequence[int]:
-        """The numerators at every index of indices_up_to(dim, cap) by position, zeros included."""
-        dense = self.dense
-        if dense is None or cap > self.cap:
-            return list(map(self.nums.get, indices_up_to(self.dim, cap), repeat(0)))
-        return dense if cap == self.cap else dense[: len(indices_up_to(self.dim, cap))]
+        """A dense family's numerators over indices_up_to(dim, cap), zeros included: grlex order puts every index
+        of degree <= c first, so a lower cap reads a prefix of the list, and a higher one pads it with zeros."""
+        dense, size = self.dense, len(indices_up_to(self.dim, cap))
+        return dense[:size] if size <= len(dense) else (*dense, *repeat(0, size - len(dense)))
 
     @property
     def terms(self) -> Mapping[MultiIndex, Fraction]:
@@ -155,12 +154,7 @@ class Coefficients:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        a, b = self.dense, other.dense
-        if a is not None and b is not None and len(a) == len(b):  # two lists over the same indices
-            return same_dense_ratios(a, self.den, b, other.den)
-        return same_ratios(self.nums, self.den, other.nums, other.den)
+        return self.dim == other.dim and same_ratios(self.nums, self.den, other.nums, other.den)
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
@@ -350,8 +344,7 @@ class TruncatedSeries(Coefficients):
         """
         if len(rho) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} radii, got {len(rho)}")
-        table = weight_table(tuple(rho), None)
-        return NormValue(weighted_sup(valuation_pairs(self.nums, p), p, table, den=self.den), self.exact)
+        return NormValue(weighted_sup(self.nums, p, weight_table(tuple(rho), None), self.den), self.exact)
 
 
 def compile_polys(polys: Sequence[TruncatedSeries], nvars: int) -> Callable[..., tuple]:

@@ -42,7 +42,9 @@ from daggerdist.mahler import taylor_to_mahler
 from daggerdist.padic import (
     LogMag,
     binom_value,
+    grlex_key,
     indices_up_to,
+    int_valuation,
     mahler_row,
     multi_binom_value,
     multi_factorial,
@@ -51,10 +53,10 @@ from daggerdist.padic import (
     taylor_row,
     valuation,
     weight_table,
-    weighted_sup,
 )
 from daggerdist.report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, Report, emit_json, record
 from daggerdist.series import Coefficients, TruncatedSeries
+from test_padic import _dict_sup_num, _magnitude
 
 H3 = builtin_heisenberg(3)
 A32 = builtin_abelian(3, 2)
@@ -436,7 +438,7 @@ def _convolve_per_term(G, lam, mu, cap_out=None, opposite=False):
     point = None
     if lam.point is not None and mu.point is not None:
         point = G.multiply(lam.point, mu.point)
-    return Distribution(G, cap_out, moments, exact=point is not None, point=point)
+    return Distribution(G, cap_out, moments, point=point)
 
 
 @st.composite
@@ -700,7 +702,7 @@ def _dirac_per_index(G, x, cap):
             moments[beta] = mu
         if dv:
             dcoeffs[beta] = dv
-    return Distribution(G, cap, moments, dcoeffs, exact=True, point=x)
+    return Distribution(G, cap, moments, dcoeffs, point=x)
 
 
 @settings(deadline=None, max_examples=120)
@@ -823,7 +825,7 @@ def test_norms_read_the_valuation_table_as_the_coefficients_would(data):
         assert got.is_exact == lam.exact
         # the path before the table: one valuation per coefficient of ensure_dcoeffs(), on every call
         table = weight_table(tuple(weights), G.p if factorial else None)
-        assert got.mag == weighted_sup(pairs, G.p, table, sign=-1)
+        assert got.mag == _magnitude(_dict_sup_num(dict(pairs), G.p, table), table)
 
 
 def _exceeds(table, other, alpha):
@@ -1166,13 +1168,13 @@ def test_convolve_and_from_dcoeffs_fill_what_init_fills(G):
     x, y = ([rng.randrange(G.p**4) for _ in range(G.d)] for _ in range(2))
     lam, mu = Distribution.dirac(G, x, 3), Distribution.dirac(G, y, 3)
     nu = convolve(G, lam, mu)
-    same(nu, Distribution(G, nu.cap, nu.moments, exact=True, point=G.multiply(x, y)))
+    same(nu, Distribution(G, nu.cap, nu.moments, point=G.multiply(x, y)))
     truncated = [Distribution(G, 4, d.moments) for d in (lam, mu)]
     out = convolve(G, *truncated, cap_out=2)
     same(out, Distribution(G, 2, out.moments))
     dcoeffs = {(0,) * G.d: 3, (1,) + (0,) * (G.d - 1): Fraction(1, 2), (0, 1) + (0,) * (G.d - 2): 0}
     nonzero = {k: v for k, v in dcoeffs.items() if v}
-    same(Distribution.from_dcoeffs(G, dcoeffs, 4), Distribution(G, 4, None, nonzero, exact=True))
+    same(Distribution.from_dcoeffs(G, dcoeffs, 4), Distribution(G, 4, None, nonzero))
 
 
 # -- compiled kernels and per-plan verdict tables against the loops they replace ----
@@ -1391,18 +1393,131 @@ def test_a_dirac_norm_reads_one_valuation(G, monkeypatch):
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_a_sup_over_a_floor_is_the_exact_sup_or_none(data):
-    # a given basis table is read term by term, a derived one (a Dirac's, a truncated copy's) as the kernel's list
+    # every basis table, given (converted to a list) or derived (a Dirac's, a truncated copy's), is read as a list
     G = data.draw(st.sampled_from(CONV_GROUPS))
     lam = data.draw(kernel_inputs(G))
     table = dist_module._dagger_table(G, data.draw(st.sampled_from([1, 2, 8])))
     best = dist_module._sup_num(lam, table)
-    pairs = [(a, valuation(c, G.p)) for a, c in lam.dcoeffs.items()]
-    assert (LogMag.bottom() if best is None else LogMag(Fraction(best, table.den))) == weighted_sup(
-        pairs, G.p, table, sign=-1
-    )
+    valuations = {a: valuation(c, G.p) for a, c in lam.dcoeffs.items()}
+    assert _magnitude(best, table) == _magnitude(_dict_sup_num(valuations, G.p, table), table)
     for floor in [] if best is None else [best - 1, best, best + 1]:
         assert dist_module._sup_num(lam, table, floor) == (best if best > floor else None)
 
+
+def _per_moment_eq(lam, mu):
+    """Distribution.__eq__ as it was: one Fraction per moment of degree <= the smaller cap, read through moment()."""
+    cap = min(lam.cap, mu.cap)
+    for beta in indices_up_to(lam.group.d, cap):
+        if lam.moment(beta) != mu.moment(beta):
+            return False
+    return True
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_the_moment_comparison_matches_the_per_moment_loop(data):
+    G = data.draw(st.sampled_from(ORACLE_GROUPS))
+    lam = data.draw(oracle_distributions(G))
+    kind = data.draw(st.sampled_from(["independent", "truncated", "from-basis", "unreduced", "perturbed"]))
+    cap = data.draw(st.integers(0, lam.cap + 2))  # below, at or above lam's own
+    if kind == "independent":
+        mu = data.draw(oracle_distributions(G))
+    elif kind == "truncated":  # lam's moments at another cap: cut below lam's cap, unknown (so zero) above it
+        mu = Distribution(G, cap, lam.moments)
+    elif kind == "from-basis":  # the same moments up to lam's cap, derived from its basis table
+        mu = Distribution.from_dcoeffs(G, lam.ensure_dcoeffs(), cap)
+    else:
+        table = lam.moment_table
+        nums = {b: 3 * n for b, n in table.nums.items()}  # the same ratios over an unreduced denominator
+        if kind == "perturbed":
+            beta = data.draw(st.sampled_from(indices_up_to(G.d, min(cap, lam.cap))))
+            nums[beta] = nums.get(beta, 0) + table.den
+        mu = Distribution(G, cap, Coefficients.from_numerators(G.d, lam.cap, nums, 3 * table.den))
+    want = _per_moment_eq(lam, mu)
+    assert (lam == mu) == (mu == lam) == want and lam == lam
+    assert not want if kind == "perturbed" else want or kind == "independent"
+
+
+def test_distributions_on_groups_of_two_dimensions_differ():
+    # the moments of degree <= 1 are 1, 0, 0 over abelian(3,2) and 1, 0, 0, 0 over heisenberg(3): two lengths
+    assert Distribution.dirac(A32, (0, 0), 1) != Distribution.dirac(H3, (0, 0, 0), 1)
+    assert Distribution.dirac(H3, (0, 0, 0), 1) != Distribution.dirac(A32, (0, 0), 1)
+    assert Distribution.dirac(H3, (0, 0, 0), 1) == Distribution.from_dcoeffs(H3, {(0, 0, 0): 1}, 3)
+
+
+def _dict_dense_up_to(nums, d, cap):
+    """Coefficients.dense_up_to's dict branch as it was: each index of indices_up_to(d, cap) read from the dict."""
+    return [nums.get(b, 0) for b in indices_up_to(d, cap)]
+
+
+@st.composite
+def given_tables(draw, G):
+    """(given, sparse): a table as a caller gives it, as rationals or as a sparse table, and its sparse table as
+    the old __init__ kept it; zero entries raise the cap above the largest nonzero degree, or leave no term."""
+    p, d = G.p, G.d
+    index = st.tuples(*[st.integers(0, 3)] * d)
+    coeff = st.builds(Fraction, st.integers(-(p**3), p**3), st.sampled_from([1, 2, p, p**2]))
+    values = draw(st.dictionaries(index, st.one_of(st.just(Fraction(0)), coeff), max_size=5))
+    sparse = Coefficients(d, max([0, *map(sum, values)]), values)
+    if draw(st.booleans()):
+        return values, sparse
+    # a sparse table such as random_dcoeff_distribution gives, its cap at or above its largest degree
+    sparse = Coefficients.from_numerators(d, sparse.cap + draw(st.integers(0, 2)), dict(sparse.nums), sparse.den)
+    return sparse, sparse
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_a_given_table_is_read_as_its_dict_was(data):
+    G = data.draw(st.sampled_from(ORACLE_GROUPS))
+    p, d = G.p, G.d
+    given, sparse = data.draw(given_tables(G))
+    cap = data.draw(st.integers(0, 6))  # the distribution's cap: below, at or above the table's own
+    lam, truncated = Distribution.from_dcoeffs(G, given, cap), Distribution(G, cap, given)
+    for table in (lam.basis_table, truncated.moment_table):
+        assert table.dense is not None and (table.cap, table.den) == (sparse.cap, sparse.den)
+        assert table == sparse and list(table.nums) == sorted(sparse.nums, key=grlex_key)
+        for c in range(sparse.cap + 3):  # caps below, at and above the table's own
+            assert list(table.dense_up_to(c)) == _dict_dense_up_to(sparse.nums, d, c)
+    # the norms as the dict path read the given terms: the weight subtracted, every valuation read
+    valuations = {a: int_valuation(n, p) for a, n in sparse.nums.items()}
+    sigma, N = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)])), data.draw(st.integers(1, 8))
+    for table in (dist_module._dagger_table(G, N), dist_module._st_table(G, sigma)):
+        assert dist_module._sup_num(lam, table) == _dict_sup_num(valuations, p, table, sparse.den)
+    # the moments, read by position from the given table or derived from it, past its cap too
+    for degree in range(cap + 3):
+        assert list(lam._moment_numerators(degree)[0]) == list(_dict_moment_numerators(lam, degree)[0])
+        if degree <= cap:
+            assert list(truncated._moment_numerators(degree)[0]) == _dict_dense_up_to(sparse.nums, d, degree)
+
+
+@pytest.mark.parametrize("G", [H3, A32], ids=lambda G: G.name)
+def test_an_all_zero_table_is_a_list_of_zeros(G):
+    # no nonzero term: the table's cap is its largest degree, 0 for no term at all, and it reads as zeros past it
+    for given, own in (({}, 0), ({(1,) + (0,) * (G.d - 1): 0}, 1)):
+        lam = Distribution.from_dcoeffs(G, given, 3)
+        table = lam.basis_table
+        assert table.cap == own and list(table.dense) == [0] * len(indices_up_to(G.d, own))
+        assert list(table.dense_up_to(3)) == [0] * len(indices_up_to(G.d, 3)) and not table.nums
+        assert dist_module._sup_num(lam, dist_module._dagger_table(G, 1)) is None and not lam.moments
+        assert lam == Distribution.from_dcoeffs(G, {}, 5) and lam != Distribution.dirac(G, G.identity, 3)
+    # random_dcoeff_distribution's table when every draw cancels: p over p at alpha = 0, its cap the support's
+    fallback = Coefficients.from_numerators(G.d, 3, {(0,) * G.d: G.p}, G.p)
+    lam = Distribution.from_dcoeffs(G, fallback, 2)
+    assert list(lam.basis_table.dense) == [G.p] + [0] * (len(indices_up_to(G.d, 3)) - 1)
+    assert lam == Distribution.dirac(G, G.identity, 2) and dagger_norm(lam, 1).mag == LogMag(0)
+
+
+def test_a_given_tables_witnesses_come_in_grlex_order():
+    # a given table is kept as a list, so its valuations come in grlex order, not in the order of the caller's
+    # dict, and that order decides which witnesses a failing check keeps
+    given = {(0, 0, 3): 1, (2, 0, 0): 3, (0, 1, 0): 9, (1, 0, 0): 1, (0, 0, 1): 5}
+    lam = Distribution.from_dcoeffs(H3, given, 4)
+    want = [((0, 0, 1), 0), ((0, 1, 0), 2), ((1, 0, 0), 0), ((2, 0, 0), 1), ((0, 0, 3), 0)]
+    assert list(lam.valuations().items()) == want
+    check = dist_module._CoefficientCheck(weight_table((0, 0, 0), None), weight_table((1, 1, 1), None))
+    kept = record("embeddings/contact", "every alpha > 0 fails", {}, check.violations(lam)).witness["violations"]
+    assert [w["alpha"] for w in kept] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 def _weight_violations(valuations, small, large):
     """The per-call loop as it was: the alpha where |d_alpha| p^(-small(alpha)) <= |d_alpha| p^(-large(alpha)) fails."""

@@ -32,7 +32,6 @@ from daggerdist.padic import (
     stirling_second,
     taylor_row,
     valuation,
-    valuation_pairs,
     weighted_sup_num,
 )
 from daggerdist.report import Report, emit_json
@@ -321,8 +320,8 @@ def test_suite_mahler_fails_on_a_family_with_one_numerator_scaled_by_p(monkeypat
 def _full_sups_holds(check, f, family):
     """NormIdentity.holds as first written: both scaled sups in full, a valuation read for every Mahler term."""
     p = check.p
-    gauss = weighted_sup_num(valuation_pairs(f.nums, p), p, check.gauss, den=f.den)
-    return gauss == weighted_sup_num(valuation_pairs(family.nums, p), p, check.mahler, den=family.den)
+    gauss = weighted_sup_num(f.nums, p, check.gauss, f.den)
+    return gauss == weighted_sup_num(family.nums, p, check.mahler, family.den)
 
 
 def _assert_trial_matches_the_oracles(check, f, family):
@@ -371,7 +370,7 @@ def test_the_trial_decides_as_the_full_sups_and_the_fraction_round_trip(case, da
     # sup goes from v = 0 to v = 1, and a larger weight keeps its v > 0
     support = [a for a, n in family.items() if n]
     picks = data.draw(st.lists(st.sampled_from(support), max_size=3)) if support else []
-    sup = weighted_sup_num(valuation_pairs(f.nums, p), p, check.gauss)
+    sup = weighted_sup_num(f.nums, p, check.gauss)
     reaching = [a for a in support if check.mahler[a] - scale * valuation(family[a], p) == sup]
     for a in picks + reaching:
         _assert_trial_matches_the_oracles(check, f, {**family, a: p * family[a]})
@@ -382,7 +381,7 @@ def test_the_trial_decides_as_the_full_sups_and_the_fraction_round_trip(case, da
 def test_the_trial_where_a_mahler_weight_equals_the_gauss_sup():
     # f = X at rho = 1, p = 3: the Gauss sup is 1, and the one Mahler term binom(X, 1) has weight v(1!) + 1 = 1
     check, f = NormIdentity([1], 3), TruncatedSeries(1, 3, {(1,): 1})
-    assert check.mahler[(1,)] == weighted_sup_num(valuation_pairs(f.nums, 3), 3, check.gauss) == 1
+    assert check.mahler[(1,)] == weighted_sup_num(f.nums, 3, check.gauss) == 1
     assert _assert_trial_matches_the_oracles(check, f, {(1,): 1}) == (True, True)  # v = 0: reaches the sup
     assert _assert_trial_matches_the_oracles(check, f, {(1,): 3}) == (False, False)  # v = 1: falls short
     assert _assert_trial_matches_the_oracles(check, f, {(1,): 1, (2,): 1}) == (False, False)  # weight 2 exceeds it

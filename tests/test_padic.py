@@ -29,7 +29,6 @@ from daggerdist.padic import (
     stirling_second,
     tensor_kernel,
     valuation,
-    valuation_pairs,
     weight_table,
     weighted_sup,
     weighted_sup_num,
@@ -189,6 +188,11 @@ def test_valuation_of_fraction_subclass_and_zero():
     assert valuation("3/25", 5) == -2
 
 
+def _magnitude(scaled, table):
+    """A sup scaled by table.den, None being bottom, as a LogMag."""
+    return LogMag.bottom() if scaled is None else LogMag(Fraction(scaled, table.den))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), dim=st.integers(1, 3), sign=st.sampled_from([1, -1]))
 def test_weighted_sup_over_a_denominator_matches_the_fractions(data, p, dim, sign):
@@ -198,11 +202,13 @@ def test_weighted_sup_over_a_denominator_matches_the_fractions(data, p, dim, sig
     weights = tuple(data.draw(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=dim, max_size=dim)))
     table = weight_table(weights, data.draw(st.sampled_from([None, p])))
     fractions = {a: Fraction(n, den) for a, n in nums.items()}
-    got = weighted_sup(valuation_pairs(nums, p), p, table, sign, den=den)
-    assert got == weighted_sup([(a, valuation(c, p)) for a, c in fractions.items()], p, table, sign)
-    # the int kernel behind it: the sup scaled by table.den, None for bottom
-    scaled = weighted_sup_num(valuation_pairs(nums, p), p, table, sign, den=den)
-    assert got == (LogMag.bottom() if scaled is None else LogMag(Fraction(scaled, table.den)))
+    want = LogMag(max((sign * table.weight(a) - valuation(c, p) for a, c in fractions.items()), default=None))
+    if sign == 1:  # the int kernel: the sup scaled by table.den, None for bottom
+        scaled = weighted_sup_num(nums, p, table, den)
+        assert weighted_sup(nums, p, table, den) == want
+    else:  # the weight subtracted, as a distribution's norm reads it: the dict path that a given table took
+        scaled = _dict_sup_num({a: int_valuation(n, p) for a, n in nums.items()}, p, table, den)
+    assert _magnitude(scaled, table) == want
     assert type(scaled) is int or (scaled is None and not nums)
 
 
@@ -213,6 +219,45 @@ def _dict_sup_num(valuations, p, table, den=1):
     scale = table.den
     weights, scaled = map(table.__getitem__, valuations), map(mul, valuations.values(), repeat(scale))
     return -min(map(add, weights, scaled)) + int_valuation(den, p) * scale
+
+
+def _pairs_sup_num(valuations, p, table, sign=1, den=1):
+    """weighted_sup_num as it was: over (alpha, v_p(c_alpha)) pairs, the weight counted with ``sign``."""
+    scale = table.den
+    best = max((sign * table[a] - v * scale for a, v in valuations), default=None)
+    return None if best is None else best + int_valuation(den, p) * scale
+
+
+def _valuation_pairs(nums, p):
+    """The pairs the old weighted_sup_num read: (alpha, v_p(n_alpha)) in the numerators' order."""
+    return zip(nums, map(int_valuation, nums.values(), repeat(p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), dim=st.integers(1, 3))
+def test_the_sup_of_numerators_matches_the_pairs_path(data, p, dim):
+    index = st.tuples(*[st.integers(0, 4)] * dim)
+    nums = data.draw(st.dictionaries(index, st.integers(-(p**4), p**4).filter(bool), max_size=5))
+    # v_p(den) = 0, 1, 2 and 3: the denominator's valuation shifts every term
+    den = data.draw(st.sampled_from([1, 4, p, 3 * p**2, p**3]))
+    weights = tuple(data.draw(st.lists(st.fractions(-2, 2, max_denominator=4), min_size=dim, max_size=dim)))
+    table = weight_table(weights, data.draw(st.sampled_from([None, p])))
+    want = _pairs_sup_num(_valuation_pairs(nums, p), p, table, den=den)
+    assert weighted_sup_num(nums, p, table, den) == want
+    assert weighted_sup(nums, p, table, den) == _magnitude(want, table)
+    # the sign -1 pairs, which a given distribution table was read through, are the dict oracle's sup
+    valuations = dict(_valuation_pairs(nums, p))
+    assert _pairs_sup_num(_valuation_pairs(nums, p), p, table, -1, den) == _dict_sup_num(valuations, p, table, den)
+
+
+def test_the_sup_of_numerators_takes_the_denominator_once():
+    table = weight_table((1, Fraction(1, 2)), None)  # den 2: a term is 2 * (weight - v_p(n)) + 2 * v_p(den)
+    nums = {(1, 0): 9, (0, 2): 6, (2, 0): 5}
+    assert weighted_sup_num(nums, 3, table) == max(2 - 4, 2 - 2, 4 - 0) == 4
+    assert weighted_sup_num(nums, 3, table, 9) == 4 + 2 * 2
+    assert weighted_sup_num(nums, 3, table, 2) == 4  # v_3(2) = 0
+    # an empty family is bottom, whatever its denominator
+    assert weighted_sup_num({}, 3, table, 27) is None and weighted_sup({}, 3, table, 27) == LogMag.bottom()
 
 
 @settings(max_examples=400, deadline=None)
@@ -277,6 +322,9 @@ def test_dense_ratios_are_coefficient_equality(data, scale):
         assert (Coefficients.from_dense(1, size - 1, x, dx) == Coefficients.from_dense(1, size - 1, y, dy)) == want
     assert same_dense_ratios(a, da, [scale * n for n in a], scale * da)
     assert not same_dense_ratios(a, da, c, scale * da)
+    # lists of two lengths differ, even where one is the other padded with zeros
+    assert not same_dense_ratios(a, da, [*a, 0], da) and not same_dense_ratios([*a, 0], da, a, da)
+    assert not same_dense_ratios(a, da, a[:-1], da) and not same_dense_ratios([], 1, a, da)
 
 
 def test_multi_factorial_is_computed_once_per_index():
