@@ -68,7 +68,7 @@ from .padic import (
     weight_table,
 )
 from .report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, record
-from .series import Coefficients, NormValue
+from .series import Coefficients, NormValue, check_index
 
 
 class InsufficientCap(ValueError):
@@ -207,7 +207,8 @@ class Distribution:
 
     def moment(self, beta: MultiIndex) -> Fraction:
         """lambda(Z^beta); beyond the cap, read by position from the moments of degree |beta|."""
-        beta, degree = tuple(beta), sum(beta)
+        beta = check_index(self.group.d, beta)
+        degree = sum(beta)
         if degree <= self.cap:
             return self.moments.get(beta, 0)
         nums, den = self._moment_numerators(degree)

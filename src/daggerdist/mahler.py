@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Collection, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .padic import (
+    INFINITY,
     MultiIndex,
     Rational,
     cap_scaled_row,
-    int_valuation,
     mahler_row,
     scatter,
     scatter_table,
@@ -83,8 +83,8 @@ class NormIdentity:
     """The norm identity at one radius vector rho > 0 and prime p, decided on scaled ints.
 
     The Gauss table (sum rho_i alpha_i) and the Mahler table (plus the int v_p(alpha!)) are resolved once, over
-    one denominator.  A Mahler term is its weight less v_p(n) >= 0 for an int n, so against the Gauss sup s only
-    a weight that reaches s needs a valuation: the identity holds iff no term exceeds s and some term equals it.
+    one denominator.  Against the Gauss sup s, :func:`weighted_sup_num` with floor s - 1 returns the Mahler sup
+    if it reaches s and reads a valuation only for a weight that does: the identity holds iff that is s.
     """
 
     def __init__(self, rho: Sequence[Rational], p: int):
@@ -92,28 +92,6 @@ class NormIdentity:
         if any(r <= 0 for r in self.rho):
             raise ValueError("norm identity requires positive radii")
         self.p, self.gauss, self.mahler = p, weight_table(self.rho, None), weight_table(self.rho, p)
-
-    def _decide(self, sup: Optional[int], pairs: Collection[Tuple[MultiIndex, int]]) -> bool:
-        """Whether sup (None: bottom) is the Mahler-side sup over the (alpha, nonzero numerator) pairs, without den."""
-        p, table, scale, hit = self.p, self.mahler, self.mahler.den, False
-        if sup is None:
-            return not pairs
-        for alpha, n in pairs:
-            term = table[alpha]
-            if term >= sup:
-                term -= int_valuation(n, p) * scale
-                if term > sup:
-                    return False
-                hit = hit or term == sup
-        return hit
-
-    def holds(self, f: TruncatedSeries, family: MahlerFamily) -> bool:
-        """Whether the Gauss norm of f equals the Mahler-side norm of family, both of rho's dimension (unchecked)."""
-        p = self.p
-        sup = weighted_sup_num(f.nums, p, self.gauss, f.den)
-        if sup is not None:  # what the terms of the family's numerators, without its den, must reach
-            sup -= int_valuation(family.den, p) * self.gauss.den
-        return self._decide(sup, family.nums.items())
 
     def trial(self, f: TruncatedSeries) -> Tuple[Optional[tuple], bool]:
         """(norm, round_trip) for an exact polynomial f and its family, kept as :func:`mahler_scatter`'s list.
@@ -123,12 +101,13 @@ class NormIdentity:
         by cap!/alpha! to cap! times f's numerators.
         """
         indices, nums = mahler_scatter(f)
-        support, norm = [(a, n) for a, n in zip(indices, nums) if n], None
-        if not self._decide(weighted_sup_num(f.nums, self.p, self.gauss), support):
-            family = MahlerFamily.from_numerators(f.dim, f.cap, dict(support), f.den)
-            norm = f.gauss_norm(self.rho, self.p).mag, mahler_norm(family, self.rho, self.p).mag
+        support, norm, p = {a: n for a, n in zip(indices, nums) if n}, None, self.p
+        sup = weighted_sup_num(f.nums, p, self.gauss)
+        if weighted_sup_num(support, p, self.mahler, floor=-INFINITY if sup is None else sup - 1) != sup:
+            family = MahlerFamily.from_numerators(f.dim, f.cap, support, f.den)
+            norm = f.gauss_norm(self.rho, p).mag, mahler_norm(family, self.rho, p).mag
         back, fact = scatter_table(cap_scaled_row(taylor_row, f.cap), f.dim, f.cap), math.factorial(f.cap)
-        out, position = back.dense(support), back.position
+        out, position = back.dense(support.items()), back.position
         for beta, n in f.nums.items():
             if beta not in position:  # no Taylor row reaches beta
                 return norm, False
@@ -136,16 +115,11 @@ class NormIdentity:
         return norm, not any(out)
 
 
-def verify_norm_identity(
-    f: TruncatedSeries, rho: Sequence[Rational], p: int, family: Optional[MahlerFamily] = None
-):
-    """Compare the Gauss norm of f with the Mahler-side norm, exactly.
+def verify_norm_identity(f: TruncatedSeries, rho: Sequence[Rational], p: int):
+    """Compare the Gauss norm of f with the Mahler-side norm of its family, exactly.
 
-    ``family`` is f's Mahler family if the caller has already converted f;
-    by default f is converted here.  Returns (equal, gauss_mag, mahler_mag); the
-    norms check the dimensions, the checker that the radii are positive.
+    Returns (equal, gauss_mag, mahler_mag); the norms check the dimensions, the checker that the radii are positive.
     """
-    check = NormIdentity(rho, p)
-    m = taylor_to_mahler(f) if family is None else family
-    gauss, mahler = f.gauss_norm(check.rho, p).mag, mahler_norm(m, check.rho, p).mag
-    return check.holds(f, m), gauss, mahler
+    rho = NormIdentity(rho, p).rho
+    gauss, mahler = f.gauss_norm(rho, p).mag, mahler_norm(taylor_to_mahler(f), rho, p).mag
+    return gauss == mahler, gauss, mahler

@@ -6,7 +6,8 @@ represented by their exponent q (see :class:`LogMag`), so every norm
 comparison reduces to an exact comparison of rationals.
 
 The change between the monomial and binomial bases lives here once: two
-cached tables of integer basis rows (:func:`mahler_row`, :func:`taylor_row`)
+integer basis rows (:func:`mahler_row`, :func:`taylor_row`), not cached, as
+each table or kernel built on a row reads it once and keeps what it read,
 and one kernel pair over int numerators.  Functions scatter through a row's
 :class:`ScatterTable` into a dense int list (:func:`scatter` is its dict);
 distributions, their duals under <lam, f> = sum_alpha m_alpha(f) d_alpha(lam),
@@ -28,9 +29,10 @@ the convolution of distributions.  Every weighted norm is a sup over a
 :class:`WeightTable`, in ints over the table's denominator, taking v_p(den)
 of numerators over ``den`` once: :func:`weighted_sup_num` reads a sparse
 family's numerators, and :func:`ordered_sup_num` a distribution's dense list
-in ascending weight, stopping at the first weight that cannot beat the sup.
-A table entry is a sum of per-coordinate terms, as v_p(alpha!) is the sum of
-the v_p(alpha_i!).
+in ascending weight; each skips a weight that cannot beat the running sup,
+which starts at an optional floor.  A table entry is a sum of per-coordinate
+terms, as v_p(alpha!) is the sum of the v_p(alpha_i!).  A module cache here
+is unbounded, and kept only where a run reads an entry twice.
 """
 from __future__ import annotations
 
@@ -103,9 +105,8 @@ def multi_factorial_valuation(alpha: MultiIndex, p: int) -> int:
     return sum(factorial_valuation(a, p) for a in alpha)
 
 
-@lru_cache(maxsize=1024)
 def multi_factorial(alpha: MultiIndex) -> int:
-    """alpha! = alpha_1! ... alpha_d! as an int, computed once per index."""
+    """alpha! = alpha_1! ... alpha_d! as an int."""
     return math.prod(map(math.factorial, alpha))
 
 
@@ -243,7 +244,6 @@ def _product(factors) -> Row:
     return tuple(out)
 
 
-@lru_cache(maxsize=1024)
 def mahler_row(beta: MultiIndex) -> Row:
     """(alpha, prod_i s(beta_i, alpha_i) * alpha_i!) for alpha <= beta: Z^beta in the binomial basis.
 
@@ -253,13 +253,12 @@ def mahler_row(beta: MultiIndex) -> Row:
     return _product([[(a, stirling_second(b, a) * math.factorial(a)) for a in range(b + 1)] for b in beta])
 
 
-@lru_cache(maxsize=1024)
 def taylor_row(alpha: MultiIndex) -> Row:
     """(beta, prod_i a(alpha_i, beta_i)) for beta <= alpha: alpha! binom(Z, alpha) in monomials."""
     return _product([[(b, falling_coeff(a, b)) for b in range(a + 1)] for a in alpha])
 
 
-@lru_cache(maxsize=64)  # one function per (row, cap), so the tables built on it are shared
+@lru_cache(maxsize=None)  # one function per (row, cap), so the tables built on it are shared
 def cap_scaled_row(row, cap: int):
     """alpha -> row(alpha) with each weight times cap!/alpha!, an int since alpha! divides |alpha|! and so cap!."""
     fact = math.factorial(cap)
@@ -316,7 +315,7 @@ class ScatterTable(dict):
         return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def scatter_table(row, dim: int, cap: int) -> ScatterTable:
     """The one table of ``row`` for families of dimension ``dim`` and cap ``cap``, which keeps its output list short."""
     return ScatterTable(row)
@@ -481,7 +480,7 @@ class WeightTable(dict):
         return order
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=None)
 def weight_table(weights: Tuple[Rational, ...], p: Optional[int]) -> WeightTable:
     """The weights of one norm at one radius vector; ``p`` adds v_p(alpha!).
 
@@ -492,12 +491,22 @@ def weight_table(weights: Tuple[Rational, ...], p: Optional[int]) -> WeightTable
     return WeightTable(weights, p)
 
 
-def weighted_sup_num(nums: Mapping[MultiIndex, int], p: int, table: WeightTable, den: int = 1) -> Optional[int]:
-    """table.den * sup over alpha of -v_p(nums[alpha] / den) + table.weight(alpha), None (bottom) for no terms:
-    a sparse family's nonzero int numerators over the positive ``den``, whose valuation is taken once."""
+def weighted_sup_num(
+    nums: Mapping[MultiIndex, int], p: int, table: WeightTable, den: int = 1, floor=-INFINITY
+) -> Optional[int]:
+    """table.den * sup over alpha of -v_p(nums[alpha] / den) + table.weight(alpha) for a sparse family's nonzero
+    numerators over the positive ``den``, or None: :func:`ordered_sup_num`'s contract, in the family's own order,
+    so a weight that cannot exceed the running sup (at first ``floor``) reads no valuation."""
     scale = table.den
-    best = max((table[a] - int_valuation(n, p) * scale for a, n in nums.items()), default=None)
-    return None if best is None else best + int_valuation(den, p) * scale
+    shift = int_valuation(den, p) * scale
+    start = top = floor - shift
+    for a, n in nums.items():
+        term = table[a]
+        if term > top:
+            term -= int_valuation(n, p) * scale
+            if term > top:
+                top = term
+    return top + shift if top > start else None
 
 
 def ordered_sup_num(

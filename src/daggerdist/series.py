@@ -58,6 +58,16 @@ class NormValue(NamedTuple):
     is_exact: bool
 
 
+def check_index(dim: int, idx: Sequence[int]) -> MultiIndex:
+    """idx as an int tuple; one of the wrong length raises DimensionMismatch, one with a negative entry ValueError."""
+    idx = tuple(map(int, idx))
+    if len(idx) != dim:
+        raise DimensionMismatch(f"index {idx} has length {len(idx)}, expected {dim}")
+    if min(idx, default=0) < 0:
+        raise ValueError(f"negative exponent in index {idx}")
+    return idx
+
+
 def clean_terms(dim: int, cap: int, terms: Mapping[MultiIndex, Rational]) -> Dict[MultiIndex, Fraction]:
     """The nonzero terms with int-tuple indices and Fraction coefficients; a bad dim, cap or index raises."""
     if dim < 1:
@@ -66,11 +76,7 @@ def clean_terms(dim: int, cap: int, terms: Mapping[MultiIndex, Rational]) -> Dic
         raise ValueError("cap must be non-negative")
     out: Dict[MultiIndex, Fraction] = {}
     for idx, c in terms.items():
-        idx = tuple(map(int, idx))
-        if len(idx) != dim:
-            raise DimensionMismatch(f"index {idx} has length {len(idx)}, expected {dim}")
-        if min(idx, default=0) < 0:
-            raise ValueError(f"negative exponent in index {idx}")
+        idx = check_index(dim, idx)
         if sum(idx) > cap:
             raise ValueError(f"index {idx} exceeds cap {cap}")
         if type(c) is not Fraction:
@@ -141,7 +147,7 @@ class Coefficients:
         return self._terms
 
     def coefficient(self, idx: MultiIndex) -> Fraction:
-        return self.terms.get(tuple(idx), Fraction(0))
+        return self.terms.get(check_index(self.dim, idx), Fraction(0))
 
     def sorted_terms(self) -> Iterable[Tuple[MultiIndex, Fraction]]:
         """Terms in graded-lexicographic order (deterministic)."""

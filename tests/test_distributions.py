@@ -55,7 +55,7 @@ from daggerdist.padic import (
     weight_table,
 )
 from daggerdist.report import FAIL, LOWER_BOUND_PASS, PASS, REGIME_UNMET, CheckRecord, Report, emit_json, record
-from daggerdist.series import Coefficients, TruncatedSeries
+from daggerdist.series import Coefficients, DimensionMismatch, TruncatedSeries
 from test_padic import _dict_sup_num, _magnitude
 
 H3 = builtin_heisenberg(3)
@@ -127,6 +127,18 @@ def test_truncated_moment_raises_beyond_cap():
     lam = Distribution(H3, 2, {(1, 0, 0): Fraction(1)})
     with pytest.raises(InsufficientCap):
         lam.moment((3, 0, 0))
+
+
+def test_a_malformed_moment_index_raises():
+    # within the cap and beyond it, for a Dirac and for a truncated moment table, as a series' index check raises
+    for lam in (Distribution.dirac(H3, [1, 2, 3], 4), Distribution(H3, 2, {(1, 0, 0): Fraction(1)})):
+        for beta in [(1,), (9,), (1, 0, 0, 0), (0, 0, 0, 9)]:
+            with pytest.raises(DimensionMismatch, match="length"):
+                lam.moment(beta)
+        for beta in [(-1, 2, 0), (0, 0, -1)]:
+            with pytest.raises(ValueError, match="negative"):
+                lam.moment(beta)
+    assert Distribution.dirac(H3, [1, 2, 3], 4).moment([1, 2, 0]) == 4
 
 
 def test_convolution_matches_group_multiplication():

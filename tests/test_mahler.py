@@ -24,6 +24,7 @@ from daggerdist.padic import (
     digit_sum,
     falling_coeff,
     grlex_key,
+    int_valuation,
     mahler_row,
     multi_binom_value,
     multi_factorial,
@@ -289,11 +290,21 @@ def test_norm_identity_checker_matches_the_fraction_norms(data, p, dim):
         families.append(MahlerFamily.from_numerators(dim, 6 * dim, {**m.nums, a: p * m.nums[a]}, m.den))
     families.append(MahlerFamily(dim, 6 * dim, {}))
     gauss = _fraction_gauss_norm(f, rho, p)
+    assert f.gauss_norm(rho, p).mag == gauss
+    holds = []
     for family in families:
         mahler = _fraction_mahler_norm(family, rho, p)
-        assert check.holds(f, family) == (gauss == mahler)
-        assert verify_norm_identity(f, rho, p, family) == (gauss == mahler, gauss, mahler)
-    assert check.holds(f, m) and check.holds(f, families[-1]) == f.is_zero()
+        assert mahler_norm(family, rho, p).mag == mahler
+        # the trial of f, its forward step giving the family: both over a denominator the two share
+        den = math.lcm(f.den, family.den)
+        g = TruncatedSeries.from_numerators(dim, 6 * dim, {a: n * (den // f.den) for a, n in f.nums.items()}, den)
+        scattered = {a: n * (den // family.den) for a, n in family.nums.items()}
+        with mock.patch.object(mahler_module, "mahler_scatter", lambda _: (list(scattered), list(scattered.values()))):
+            holds.append(check.trial(g)[0] is None)
+        assert holds[-1] == (gauss == mahler)
+    mahler = _fraction_mahler_norm(m, rho, p)
+    assert verify_norm_identity(f, rho, p) == (gauss == mahler, gauss, mahler)
+    assert holds[0] and check.trial(f)[0] is None and holds[-1] == f.is_zero()
 
 
 def test_suite_mahler_fails_on_a_family_with_one_numerator_scaled_by_p(monkeypatch):
@@ -324,13 +335,31 @@ def _full_sups_holds(check, f, family):
     return gauss == weighted_sup_num(family.nums, p, check.mahler, family.den)
 
 
+def _threshold_holds(check, sup, pairs):
+    """NormIdentity's decision as it was, before the floor of weighted_sup_num: whether sup (None: bottom) is the
+    Mahler-side sup over the (alpha, nonzero numerator) pairs without den, reading a valuation only for a weight
+    that reaches sup."""
+    p, table, scale, hit = check.p, check.mahler, check.mahler.den, False
+    if sup is None:
+        return not pairs
+    for alpha, n in pairs:
+        term = table[alpha]
+        if term >= sup:
+            term -= int_valuation(n, p) * scale
+            if term > sup:
+                return False
+            hit = hit or term == sup
+    return hit
+
+
 def _assert_trial_matches_the_oracles(check, f, family):
     """The trial of f, its forward step giving ``family`` (index -> numerator over f's den, zeros kept), against
-    the full sups and the Fraction round trip; returns the trial's verdicts."""
+    the full sups, the threshold loop and the Fraction round trip; returns the trial's verdicts."""
     m = MahlerFamily.from_numerators(f.dim, f.cap, {a: n for a, n in family.items() if n}, f.den)
     with mock.patch.object(mahler_module, "mahler_scatter", lambda _: (list(family), list(family.values()))):
         norm, round_trip = check.trial(f)
     holds = _full_sups_holds(check, f, m)
+    assert holds == _threshold_holds(check, weighted_sup_num(f.nums, check.p, check.gauss), list(m.nums.items()))
     assert norm == (None if holds else (f.gauss_norm(check.rho, check.p).mag, mahler_norm(m, check.rho, check.p).mag))
     assert round_trip == (f.terms == _fraction_mahler_to_taylor(m.coeffs))
     return norm is None, round_trip
@@ -386,6 +415,32 @@ def test_the_trial_where_a_mahler_weight_equals_the_gauss_sup():
     assert _assert_trial_matches_the_oracles(check, f, {(1,): 3}) == (False, False)  # v = 1: falls short
     assert _assert_trial_matches_the_oracles(check, f, {(1,): 1, (2,): 1}) == (False, False)  # weight 2 exceeds it
     assert _assert_trial_matches_the_oracles(check, f, {(1,): 0}) == (False, False)  # dropped
+    # the zero series: bottom on both sides holds, and any Mahler term exceeds it
+    zero = TruncatedSeries.zero(1, 3)
+    assert _assert_trial_matches_the_oracles(check, zero, {}) == (True, True)
+    assert _assert_trial_matches_the_oracles(check, zero, {(0,): 0, (1,): 3}) == (False, False)
+
+
+def test_the_trial_decides_as_the_threshold_loop_on_the_mahler_suites_draws(monkeypatch):
+    # the 1,000 seed-7 draws of suite_mahler on heisenberg(5), and each with the numerators that reach the Gauss
+    # sup scaled by p, one at a time
+    trial, draws = NormIdentity.trial, []
+    monkeypatch.setattr(NormIdentity, "trial", lambda check, f: draws.append((check, f)) or trial(check, f))
+    suite_mahler(builtin_heisenberg(5), trials=1000, seed=7)
+    monkeypatch.undo()
+    assert len(draws) == 1000
+    verdicts = set()
+    for check, f in draws:
+        p, sup = check.p, weighted_sup_num(f.nums, check.p, check.gauss)
+        family = dict(zip(*mahler_module.mahler_scatter(f)))
+        reaching = [a for a, n in family.items() if n and check.mahler[a] - check.mahler.den * valuation(n, p) == sup]
+        for changed in [family] + [{**family, a: p * family[a]} for a in reaching]:
+            support = {a: n for a, n in changed.items() if n}
+            with mock.patch.object(mahler_module, "mahler_scatter", lambda _: (list(changed), list(changed.values()))):
+                holds = check.trial(f)[0] is None
+            assert holds == _threshold_holds(check, sup, list(support.items()))
+            verdicts.add((changed is family, holds))
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_a_sparse_conversion_fills_only_the_positions_its_rows_reach():

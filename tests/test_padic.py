@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product, repeat
 from operator import add, mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +251,31 @@ def test_the_sup_of_numerators_matches_the_pairs_path(data, p, dim):
     assert _pairs_sup_num(_valuation_pairs(nums, p), p, table, -1, den) == _dict_sup_num(valuations, p, table, den)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), dim=st.integers(1, 3))
+def test_a_sparse_sup_over_a_floor_is_the_exact_sup_or_none(data, p, dim):
+    index = st.tuples(*[st.integers(0, 4)] * dim)
+    nums = data.draw(st.dictionaries(index, st.integers(-(p**4), p**4).filter(bool), max_size=5))
+    den = data.draw(st.sampled_from([1, 4, p, 3 * p**2, p**3]))  # v_p(den) = 0, 1, 2 and 3
+    weights = tuple(data.draw(st.lists(st.fractions(-2, 2, max_denominator=4), min_size=dim, max_size=dim)))
+    table = weight_table(weights, data.draw(st.sampled_from([None, p])))
+    scale, shift = table.den, int_valuation(den, p) * table.den
+    sup = max((table.weight(a) - valuation(Fraction(n, den), p) for a, n in nums.items()), default=None)
+    best = None if sup is None else int(sup * scale)
+    assert weighted_sup_num(nums, p, table, den) == best and best == (None if sup is None else sup * scale)
+    # floors one below, at and one above the sup; an empty family is bottom over any floor
+    for floor in [-1, 0, 1] if best is None else [best - 1, best, best + 1]:
+        assert weighted_sup_num(nums, p, table, den, floor) == (best if best is not None and best > floor else None)
+    # a term whose weight cannot exceed the floor, less v_p(den), reads no valuation: only den's is read
+    reads = []
+    with mock.patch.object(padic_module, "int_valuation", lambda n, q: reads.append(n) or int_valuation(n, q)):
+        for a, n in nums.items():
+            assert weighted_sup_num({a: n}, p, table, den, table[a] + shift) is None and reads == [den]
+            assert weighted_sup_num({a: n}, p, table, den, table[a] + shift - 1) in (None, table[a] + shift)
+            assert reads == [den, den, n]
+            reads.clear()
+
+
 def test_the_sup_of_numerators_takes_the_denominator_once():
     table = weight_table((1, Fraction(1, 2)), None)  # den 2: a term is 2 * (weight - v_p(n)) + 2 * v_p(den)
     nums = {(1, 0): 9, (0, 2): 6, (2, 0): 5}
@@ -327,11 +353,9 @@ def test_dense_ratios_are_coefficient_equality(data, scale):
     assert not same_dense_ratios(a, da, a[:-1], da) and not same_dense_ratios([], 1, a, da)
 
 
-def test_multi_factorial_is_computed_once_per_index():
-    multi_factorial.cache_clear()
+def test_multi_factorial_is_the_product_of_the_factorials():
     for alpha in [(0,), (3,), (2, 4), (2, 4), (3,), (0, 0, 5)]:
         assert multi_factorial(alpha) == math.prod(math.factorial(a) for a in alpha)
-    assert (multi_factorial.cache_info().hits, multi_factorial.cache_info().misses) == (2, 4)
 
 
 def test_weight_table_reads_int_and_fraction_radii_alike():

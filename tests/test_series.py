@@ -30,6 +30,15 @@ def test_construction_drops_zeros_and_validates():
         poly(2, 1, {(1, 1): 1})  # exceeds cap
     with pytest.raises(DimensionMismatch):
         poly(2, 3, {(1,): 1})
+    with pytest.raises(ValueError, match="negative"):
+        poly(2, 3, {(-1, 2): 1})
+    # reading a coefficient checks its index as construction does
+    assert poly(2, 3, {(1, 1): 3}).coefficient([1, 1]) == 3 and f.coefficient((0, 0)) == 0
+    for idx in [(1,), (1, 1, 0)]:
+        with pytest.raises(DimensionMismatch):
+            poly(2, 3, {(1, 1): 3}).coefficient(idx)
+    with pytest.raises(ValueError, match="negative"):
+        f.coefficient((-1, 1))
 
 
 def test_addition_and_subtraction():
