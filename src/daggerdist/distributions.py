@@ -298,13 +298,7 @@ def _compile_plan(G: PValuedGroup, cap_out: int) -> tuple:
     return bilinear_kernel(rows, (len(lpos), len(rpos))), left, right, den
 
 
-def convolve(
-    G: PValuedGroup,
-    lam: Distribution,
-    mu: Distribution,
-    cap_out: Optional[int] = None,
-    opposite: bool = False,
-) -> Distribution:
+def convolve(G: PValuedGroup, lam: Distribution, mu: Distribution, cap_out: int, opposite: bool = False) -> Distribution:
     """Convolution through the group law: nu_gamma = (lam x mu)(F^gamma).
 
     The primary convention pairs Diracs as delta_x * delta_y = delta_{xy};
@@ -317,13 +311,7 @@ def convolve(
         return convolve(G, mu, lam, cap_out=cap_out, opposite=False)
     if lam.group is not G or mu.group is not G:
         raise ValueError("distributions must live on the given group")
-    degmax = G.degmax()
-    if cap_out is None:
-        if lam.exact and mu.exact:
-            cap_out = min(lam.cap, mu.cap)
-        else:
-            cap_out = min(lam.cap, mu.cap) // degmax
-    needed = degmax * cap_out
+    needed = G.degmax() * cap_out
     for side in (lam, mu):
         if not side.exact and side.cap < needed:
             raise InsufficientCap(
@@ -507,8 +495,8 @@ def check_norm_tower(lams: Sequence[Distribution], max_N: int = 8) -> List[Check
     group_name = lams[0].group.name if lams else "-"
     for k, lam in enumerate(lams):
         for N in range(1, max_N + 1):
-            tables = _dagger_table(lam.group, N), _dagger_table(lam.group, N + 1)
-            if lam.group.plan(("tower", N), lambda G: _CoefficientCheck(*tables)).certifies(lam.support_cap()):
+            check = lam.group.plan(("tower", N), lambda G: _CoefficientCheck(_dagger_table(G, N), _dagger_table(G, N + 1)))
+            if check.certifies(lam.support_cap()):
                 continue
             lo = dagger_norm(lam, N).mag
             hi = dagger_norm(lam, N + 1).mag

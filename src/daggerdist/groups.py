@@ -89,10 +89,6 @@ class NeighborhoodParams(NamedTuple):
     tau: Tuple[Fraction, ...]  # per chart coordinate
     rho: Tuple[Fraction, ...]  # duplicated across the two variable blocks of F
 
-    @property
-    def dim(self) -> int:
-        return len(self.tau)
-
 
 class PValuedGroup:
     """Prime p, rank d, omega values, group law F, inversion I, optional model."""
@@ -169,7 +165,7 @@ class PValuedGroup:
                 continue
             if not g.exact:
                 v.append(f"I[{i}] must be an exact polynomial")
-            if g.constant_term() != 0:
+            if (0,) * d in g.nums:
                 v.append(f"I[{i}] must vanish at the origin")
             for idx, c in g.terms.items():
                 if valuation(c, p) < 0:
@@ -221,12 +217,6 @@ class PValuedGroup:
         if n < 0:
             return self.power(self.invert(x), -n)
         return _left_power(self.plan("law", _law_kernel), self.check_point(x), n)
-
-    def commutator(self, x: Sequence, y: Sequence) -> Point:
-        """x^-1 y^-1 x y; x and y are checked once, the kernels' own results are not."""
-        x, y = self.check_point(x), self.check_point(y)
-        law, inverse = self.plan("law", _law_kernel), self.plan("inverse", _inverse_kernel)
-        return law(*law(*law(*inverse(*x), *inverse(*y)), *x), *y)
 
     def omega_num(self, x: Sequence):
         """_omega_den * omega(x) as an int, min_i _omega_nums[i] + _omega_den * v(x_i); +inf exactly at the identity."""
@@ -433,11 +423,9 @@ def _witness_monomial(diff: TruncatedSeries) -> Optional[dict]:
     return None
 
 
-def check_formal_group_axioms(G: PValuedGroup, cap: Optional[int] = None) -> List[CheckRecord]:
+def check_formal_group_axioms(G: PValuedGroup) -> List[CheckRecord]:
     """Associativity, unit, and inverse identities as exact polynomial identities."""
-    d = G.d
-    if cap is None:
-        cap = max(2, G.degmax() ** 2)
+    d, cap = G.d, max(2, G.degmax() ** 2)
     records: List[CheckRecord] = []
 
     def add(name: str, anchor: str, diff: TruncatedSeries, i: int):
@@ -516,14 +504,16 @@ def sample_points(G: PValuedGroup, rng: random.Random, count: int, precision: in
     return [tuple(coords[i : i + d]) for i in range(0, count * d, d)]
 
 
-def check_model_consistency(
-    G: PValuedGroup, samples: int = 100, seed: int = 0, precision: int = 12
-) -> List[CheckRecord]:
+#: The sampled law checks draw coordinates mod p^SAMPLE_PRECISION.
+SAMPLE_PRECISION = 12
+
+
+def check_model_consistency(G: PValuedGroup, samples: int = 100, seed: int = 0) -> List[CheckRecord]:
     """Chart-level multiply/invert must agree exactly with the coordinate model; no records without one."""
     if G.model is None:
         return []
     rng = random.Random(f"{seed}:model:{G.name}")
-    pts = sample_points(G, rng, 2 * samples, precision)
+    pts = sample_points(G, rng, 2 * samples, SAMPLE_PRECISION)
     law, inverse, model = G.plan("law", _law_kernel), G.plan("inverse", _inverse_kernel), G.model
     bad = []
     for k in range(samples):
@@ -536,18 +526,16 @@ def check_model_consistency(
         record(
             "model/consistency",
             "chart multiply/invert agree exactly with the matrix model",
-            {"group": G.name, "samples": samples, "seed": seed, "precision": precision},
+            {"group": G.name, "samples": samples, "seed": seed, "precision": SAMPLE_PRECISION},
             bad,
         )
     ]
 
 
-def check_pvaluation(
-    G: PValuedGroup, samples: int = 100, seed: int = 0, precision: int = 12
-) -> List[CheckRecord]:
+def check_pvaluation(G: PValuedGroup, samples: int = 100, seed: int = 0) -> List[CheckRecord]:
     """Sample-level filtration axioms for omega."""
     rng = random.Random(f"{seed}:pval:{G.name}")
-    pts = sample_points(G, rng, 2 * samples, precision)
+    pts = sample_points(G, rng, 2 * samples, SAMPLE_PRECISION)
     law, inverse, omega = G.plan("law", _law_kernel), G.plan("inverse", _inverse_kernel), G._omega_num
     bad: Dict[str, list] = {"quotient": [], "commutator": [], "power": []}
     for k in range(samples):
@@ -569,7 +557,7 @@ def check_pvaluation(
         "commutator": "omega([x, y]) >= omega(x) + omega(y) on samples",
         "power": "omega(x^p) = omega(x) + 1 on samples",
     }
-    params = {"group": G.name, "samples": samples, "seed": seed, "precision": precision}
+    params = {"group": G.name, "samples": samples, "seed": seed, "precision": SAMPLE_PRECISION}
     return [record(f"pvaluation/{name}", anchor, params, bad[name]) for name, anchor in anchors.items()]
 
 
@@ -667,7 +655,7 @@ def pth_root_mod(G: PValuedGroup, x: Point, precision: int) -> Optional[Point]:
 
 
 def check_saturation(
-    G: PValuedGroup, samples: int = 10, seed: int = 0, precision: int = 12
+    G: PValuedGroup, samples: int = 10, seed: int = 0, precision: int = SAMPLE_PRECISION
 ) -> List[CheckRecord]:
     """Finite-precision p-th root lifting for sampled x with omega(x) > p/(p-1).
 

@@ -23,7 +23,6 @@ from .padic import (
     Rational,
     cap_scaled_row,
     mahler_row,
-    scatter,
     scatter_table,
     taylor_row,
     weight_table,
@@ -60,7 +59,8 @@ def mahler_to_taylor(m: MahlerFamily) -> TruncatedSeries:
     """
     if not m.exact:
         raise ValueError("only exact Mahler families admit conversion")
-    nums = scatter(cap_scaled_row(taylor_row, m.cap), m.nums, m.dim, m.cap)
+    table = scatter_table(cap_scaled_row(taylor_row, m.cap), m.dim, m.cap)
+    nums = {b: n for b, n in zip(table.indices, table.dense(m.nums.items())) if n}
     return TruncatedSeries.from_numerators(m.dim, m.cap, nums, m.den * math.factorial(m.cap))
 
 

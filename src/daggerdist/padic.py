@@ -9,7 +9,7 @@ The change between the monomial and binomial bases lives here once: two
 integer basis rows (:func:`mahler_row`, :func:`taylor_row`), not cached, as
 each table or kernel built on a row reads it once and keeps what it read,
 and one kernel pair over int numerators.  Functions scatter through a row's
-:class:`ScatterTable` into a dense int list (:func:`scatter` is its dict);
+:class:`ScatterTable` (:func:`scatter_table`) into a dense int list;
 distributions, their duals under <lam, f> = sum_alpha m_alpha(f) d_alpha(lam),
 gather through the same table, compiled by :func:`row_kernel`.
 The Taylor rows with cap!/alpha! folded into their weights, which take
@@ -21,7 +21,9 @@ Hot paths keep rationals as int numerators over one common denominator
 stores only that form, and :func:`same_ratios` compares two of them without
 reducing either.  Every compiled kernel of the package is written by
 :func:`write_kernel`: straight-line source holding only int literals of at
-most 64 bits and generated names, kept as ``kernel.source``.  Here are the
+most 64 bits and generated names, kept as ``kernel.source``; each term
+c * factor is written by :func:`_scaled_text`, which binds any other
+coefficient (a ``Fraction`` too) as a constant ``k<n>``.  Here are the
 product over coordinates (:func:`tensor_kernel`, a Dirac's x^beta and
 binom(x, beta)), and the linear and bilinear int forms
 (:func:`linear_kernel`, :func:`bilinear_kernel`) behind the basis changes and
@@ -181,9 +183,10 @@ def _unpack_text(name: str, size: int) -> List[str]:
     return [f"{', '.join(f'{name}{k}' for k in range(size))}, = {name}"] if size else []
 
 
-def _scaled_text(c: int, factor: str, consts: Dict[str, object]) -> str:
-    """c * factor as source, c a literal of at most 64 bits or else bound in ``consts`` as k0, k1, ..."""
-    if c.bit_length() > 64:
+def _scaled_text(c: Rational, factor: str, consts: Dict[str, object]) -> str:
+    """c * factor as source, c an int literal of at most 64 bits or else (a Fraction too) bound in ``consts``
+    as k0, k1, ..."""
+    if type(c) is not int or c.bit_length() > 64:
         name = f"k{len(consts)}"
         consts[name], c = c, name
     return factor if c == 1 else f"-{factor}" if c == -1 else f"{c}*{factor}"
@@ -319,12 +322,6 @@ class ScatterTable(dict):
 def scatter_table(row, dim: int, cap: int) -> ScatterTable:
     """The one table of ``row`` for families of dimension ``dim`` and cap ``cap``, which keeps its output list short."""
     return ScatterTable(row)
-
-
-def scatter(row, nums: Mapping[MultiIndex, int], dim: int, cap: int) -> Dict[MultiIndex, int]:
-    """The transpose of :func:`row_kernel`: :meth:`ScatterTable.dense` of :func:`scatter_table`, zeros dropped."""
-    table = scatter_table(row, dim, cap)
-    return {i: t for i, t in zip(table.indices, table.dense(nums.items())) if t}
 
 
 def numerators(values: Mapping[MultiIndex, Rational]) -> Tuple[Dict[MultiIndex, int], int]:

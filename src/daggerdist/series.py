@@ -28,6 +28,7 @@ from .padic import (
     LogMag,
     MultiIndex,
     Rational,
+    _scaled_text,
     _sum_text,
     _tuple_text,
     format_fraction,
@@ -59,8 +60,8 @@ class NormValue(NamedTuple):
 
 
 def check_index(dim: int, idx: Sequence[int]) -> MultiIndex:
-    """idx as an int tuple; one of the wrong length raises DimensionMismatch, one with a negative entry ValueError."""
-    idx = tuple(map(int, idx))
+    """idx as an int tuple; a wrong length raises DimensionMismatch, a negative or non-integral entry ValueError."""
+    idx = tuple(map(parse_int, idx))
     if len(idx) != dim:
         raise DimensionMismatch(f"index {idx} has length {len(idx)}, expected {dim}")
     if min(idx, default=0) < 0:
@@ -153,10 +154,6 @@ class Coefficients:
         """Terms in graded-lexicographic order (deterministic)."""
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
-    def numerators(self) -> Tuple[Dict[MultiIndex, int], int]:
-        """(nums, den); ``den`` is the least common denominator for a family the constructor built."""
-        return self.nums, self.den
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -201,9 +198,6 @@ class TruncatedSeries(Coefficients):
     def degree(self) -> int:
         """Total degree of the stored terms (-1 for the zero series)."""
         return max(map(sum, self.nums), default=-1)
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.dim)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -358,30 +352,24 @@ def compile_polys(polys: Sequence[TruncatedSeries], nvars: int) -> Callable[...,
 
     The generated source, kept as the function's ``source``, holds only int
     literals and generated names: the coordinates ``v0, v1, ...``, ``F`` for
-    ``Fraction``, and ``c0, c1, ...`` for the coefficients that are not small
-    integers.  Those are bound as constants and never formatted into the text.
+    ``Fraction``, and ``k0, k1, ...`` for the coefficients that are not ints
+    of at most 64 bits.  Those are bound as constants by
+    :func:`~daggerdist.padic._scaled_text`, as in the linear and bilinear
+    kernels, and never formatted into the text.
 
     The outputs are all ints exactly when the coordinates and every
     coefficient are integers; otherwise every output is a ``Fraction``.
     """
     names = [f"v{i}" for i in range(nvars)]
-    consts: Dict[str, Rational] = {}
+    consts: Dict[str, object] = {}
     exprs, fraction_exprs = [], []
     for f in polys:
         if f.dim != nvars:
             raise DimensionMismatch(f"expected {nvars} variables, got {f.dim}")
         terms = []
         for idx, c in f.sorted_terms():
-            if c.denominator == 1 and c.numerator.bit_length() <= 64:
-                coeff = str(c.numerator)
-            else:
-                coeff = f"c{len(consts)}"
-                consts[coeff] = c.numerator if c.denominator == 1 else c
-            factors = [n if k == 1 else f"{n}**{k}" for n, k in zip(names, idx) if k]
-            if factors and coeff in ("1", "-1"):  # x for 1*x, -x for -1*x
-                terms.append(coeff[:-1] + "*".join(factors))
-            else:
-                terms.append("*".join([coeff] + factors))
+            factors = "*".join(n if k == 1 else f"{n}**{k}" for n, k in zip(names, idx) if k)
+            terms.append(_scaled_text(c.numerator if c.denominator == 1 else c, factors or "1", consts))
         expr = _sum_text(terms)
         exprs.append(expr)
         # a term in a variable makes the sum a Fraction; a constant needs converting

@@ -97,7 +97,7 @@ def test_criterion_02_formal_group_axioms():
 def test_criterion_03_model_consistency():
     ok = True
     for G in builtins():
-        recs = check_model_consistency(G, samples=100, seed=SEED, precision=12)
+        recs = check_model_consistency(G, samples=100, seed=SEED)
         ok &= all(r.verdict == "pass" for r in recs)
     _verdict(3, ok, "chart law agrees with the matrix model on 100 samples per group")
 
@@ -105,7 +105,7 @@ def test_criterion_03_model_consistency():
 def test_criterion_04_pvaluation_axioms():
     ok = True
     for G in builtins():
-        recs = check_pvaluation(G, samples=100, seed=SEED, precision=12)
+        recs = check_pvaluation(G, samples=100, seed=SEED)
         ok &= len(recs) == 3 and all(r.verdict == "pass" for r in recs)
     _verdict(4, ok, "p-valuation axioms (quotient, commutator, p-th power) on samples")
 

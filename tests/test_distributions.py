@@ -139,6 +139,10 @@ def test_a_malformed_moment_index_raises():
             with pytest.raises(ValueError, match="negative"):
                 lam.moment(beta)
     assert Distribution.dirac(H3, [1, 2, 3], 4).moment([1, 2, 0]) == 4
+    # a non-integral entry raises, where int() read (0.5, 1.7, 0) as (0, 1, 0)
+    with pytest.raises(ValueError, match="integer"):
+        Distribution.dirac(H3, [1, 2, 3], 4).moment((0.5, 1.7, 0))
+    assert Distribution.dirac(H3, [1, 2, 3], 4).moment((1.0, 2, 0)) == 4
 
 
 def test_convolution_matches_group_multiplication():
@@ -151,7 +155,7 @@ def test_convolution_matches_group_multiplication():
 
 def test_convolution_opposite_flag():
     x, y = [1, 0, 0], [0, 1, 0]
-    conv = convolve(H3, Distribution.dirac(H3, x, 3), Distribution.dirac(H3, y, 3), opposite=True)
+    conv = convolve(H3, Distribution.dirac(H3, x, 3), Distribution.dirac(H3, y, 3), cap_out=3, opposite=True)
     expect = Distribution.dirac(H3, H3.multiply(y, x), 3)
     assert conv.moments == expect.moments
 
@@ -422,13 +426,11 @@ def test_f_monomial_matches_the_power_product(G):
             assert (got.terms, got.exact, got.cap) == (want.terms, want.exact, want.cap)
 
 
-def _convolve_per_term(G, lam, mu, cap_out=None, opposite=False):
+def _convolve_per_term(G, lam, mu, cap_out, opposite=False):
     """convolve as a loop over the terms of each F^gamma, reading every moment through moment()."""
     if opposite:
         return _convolve_per_term(G, mu, lam, cap_out=cap_out)
     degmax = G.degmax()
-    if cap_out is None:
-        cap_out = min(lam.cap, mu.cap) if lam.exact and mu.exact else min(lam.cap, mu.cap) // degmax
     for side in (lam, mu):
         if not side.exact and side.cap < degmax * cap_out:
             raise InsufficientCap("truncated input below degmax * cap_out")
@@ -494,9 +496,9 @@ def _build_input(G, recipe):
 @given(st.data())
 def test_convolve_plan_matches_per_term_loop(data):
     G = data.draw(st.sampled_from(CONV_GROUPS))
-    cap_out = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+    cap_out = data.draw(st.sampled_from([0, 1, 2, 3]))
     opposite = data.draw(st.booleans())
-    needed = G.degmax() * (cap_out if cap_out is not None else 2)
+    needed = G.degmax() * cap_out
     recipes = [data.draw(conv_inputs(G, needed)) for _ in range(2)]
 
     def run(conv):
@@ -1179,7 +1181,7 @@ def test_convolve_and_from_dcoeffs_fill_what_init_fills(G):
     rng = random.Random(5)
     x, y = ([rng.randrange(G.p**4) for _ in range(G.d)] for _ in range(2))
     lam, mu = Distribution.dirac(G, x, 3), Distribution.dirac(G, y, 3)
-    nu = convolve(G, lam, mu)
+    nu = convolve(G, lam, mu, cap_out=3)
     same(nu, Distribution(G, nu.cap, nu.moments, point=G.multiply(x, y)))
     truncated = [Distribution(G, 4, d.moments) for d in (lam, mu)]
     out = convolve(G, *truncated, cap_out=2)
@@ -1786,5 +1788,5 @@ def test_dirac_tables_are_built_on_first_read_as_they_were_built_eagerly():
     eager = _dirac_per_index(H3, x, cap)
     assert lam.basis_table == eager.basis_table and lam.moment_table == eager.moment_table
     # a product of Diracs has its moments: its basis table is still derived from them, never from its point
-    nu = convolve(H3, Distribution.dirac(H3, [1, 2, 3], 2), Distribution.dirac(H3, [4, 5, 6], 2))
+    nu = convolve(H3, Distribution.dirac(H3, [1, 2, 3], 2), Distribution.dirac(H3, [4, 5, 6], 2), cap_out=2)
     assert nu.point is not None and nu.dcoeffs is None

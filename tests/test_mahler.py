@@ -28,7 +28,6 @@ from daggerdist.padic import (
     mahler_row,
     multi_binom_value,
     multi_factorial,
-    scatter,
     scatter_table,
     stirling_second,
     taylor_row,
@@ -182,7 +181,7 @@ def test_conversions_match_fraction_formulas(f):
 
 
 def _dict_scatter(row, nums):
-    """padic.scatter as first written, summing into a dict keyed by output index."""
+    """The scatter through a row as first written, summing into a dict keyed by output index."""
     out = {}
     for k, n in nums.items():
         for i, w in row(k):
@@ -217,9 +216,12 @@ def _capped_families(draw):
 def test_dense_conversions_match_the_dict_scatter(family):
     dim, cap, nums, den = family
     for row in (mahler_row, taylor_row):
-        assert scatter(row, nums, dim, cap) == _dict_scatter(row, nums)
+        table = scatter_table(row, dim, cap)
+        dense = table.dense(nums.items())
+        assert {i: t for i, t in zip(table.indices, dense) if t} == _dict_scatter(row, nums)
     f = TruncatedSeries.from_numerators(dim, cap, nums, den)
-    assert taylor_to_mahler(f).numerators() == (_dict_scatter(mahler_row, nums), den)
+    family = taylor_to_mahler(f)
+    assert (family.nums, family.den) == (_dict_scatter(mahler_row, nums), den)
     m = MahlerFamily.from_numerators(dim, cap, nums, den)
     back, expect = mahler_to_taylor(m), _lcm_mahler_to_taylor(m)
     assert back == expect and back.terms == expect.terms
@@ -487,7 +489,7 @@ def test_series_from_numerators_matches_the_fraction_series(family, data):
     p, dim, cap, nums, den = family
     f = TruncatedSeries.from_numerators(dim, cap, nums, den)
     expect = TruncatedSeries(dim, cap, {a: Fraction(n, den) for a, n in nums.items()})
-    assert f.numerators() == (nums, den)
+    assert (f.nums, f.den) == (nums, den)
     assert f.terms == expect.terms and (f.dim, f.cap, f.exact) == (dim, cap, True)
     assert f == expect and expect == f and hash(f) == hash(expect)
     assert f.gauss_norm([1] * dim, p) == expect.gauss_norm([1] * dim, p)
