@@ -8,6 +8,8 @@ Both conversions scatter the int numerators through the basis-row tables of
 for the way back), the same tables the distributions gather through, and the
 Mahler norm reads the numerators directly; :meth:`NormIdentity.trial` decides
 the norm identity and the round trip on the dense list of a forward scatter.
+Both scatters are linear, so :func:`basis_images` and :meth:`NormIdentity.certifies` decide the round trip and
+the norm identity at once for every exact polynomial up to a cap, on the basis monomials.
 Only exact polynomials are converted: the formulas sum over all dominating
 indices, so a truncated tail would silently corrupt the output coefficients.
 """
@@ -15,14 +17,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .padic import (
     INFINITY,
     MultiIndex,
     Rational,
     cap_scaled_row,
+    indices_up_to,
     mahler_row,
+    numerators,
     scatter_table,
     taylor_row,
     weight_table,
@@ -106,13 +110,49 @@ class NormIdentity:
         if weighted_sup_num(support, p, self.mahler, floor=-INFINITY if sup is None else sup - 1) != sup:
             family = MahlerFamily.from_numerators(f.dim, f.cap, support, f.den)
             norm = f.gauss_norm(self.rho, p).mag, mahler_norm(family, self.rho, p).mag
-        back, fact = scatter_table(cap_scaled_row(taylor_row, f.cap), f.dim, f.cap), math.factorial(f.cap)
-        out, position = back.dense(support.items()), back.position
-        for beta, n in f.nums.items():
-            if beta not in position:  # no Taylor row reaches beta
-                return norm, False
-            out[position[beta]] -= fact * n
-        return norm, not any(out)
+        return norm, _round_trip(support, f)
+
+    def certifies(self, images: Optional[list], cap: int) -> bool:
+        """Whether M, the Mahler scatter, is an isometry at rho, so that :meth:`trial` holds on every exact polynomial
+        up to ``cap``: ``images`` is :func:`basis_images` (dim, cap), and None certifies nothing.  The norms are
+        ultrametric weighted sups, so M is one iff ||M e||_Mahler <= ||e||_Gauss and ||T e / cap!||_Gauss <=
+        ||e||_Mahler on every basis monomial e; :func:`weighted_sup_num` with the right side as floor is None iff so.
+        """
+        p, gauss, mahler, fact = self.p, self.gauss, self.mahler, math.factorial(cap)
+        return images is not None and all(
+            weighted_sup_num(forward, p, mahler, floor=gauss[e]) is None
+            and weighted_sup_num(backward, p, gauss, den * fact, floor=mahler[e]) is None
+            for e, forward, (backward, den) in images
+        )
+
+
+def _round_trip(support: Dict[MultiIndex, int], f: TruncatedSeries) -> bool:
+    """Whether the family ``support``, over f's den, scatters back through the Taylor rows scaled by cap!/alpha! to
+    cap! times f's numerators."""
+    back, fact = scatter_table(cap_scaled_row(taylor_row, f.cap), f.dim, f.cap), math.factorial(f.cap)
+    out, position = back.dense(support.items()), back.position
+    for beta, n in f.nums.items():
+        if beta not in position:  # no Taylor row reaches beta
+            return False
+        out[position[beta]] -= fact * n
+    return not any(out)
+
+
+def basis_images(dim: int, cap: int) -> Optional[list]:
+    """(e, M e, T e as (numerators, den)) for each basis monomial e up to ``cap``, or None if one does not round-trip.
+
+    M e is :func:`mahler_scatter`'s family of e and T e its Taylor row scaled by cap!/alpha!, over cap! * den (den is
+    1 for int rows).  The scatters are linear, so T M e = cap! e for every e makes every exact polynomial up to
+    ``cap`` round-trip, with T / cap! the inverse of M.
+    """
+    back, images = scatter_table(cap_scaled_row(taylor_row, cap), dim, cap), []
+    for e in indices_up_to(dim, cap):
+        f = TruncatedSeries.from_numerators(dim, cap, {e: 1}, 1)
+        forward = {a: n for a, n in zip(*mahler_scatter(f)) if n}
+        if not _round_trip(forward, f):
+            return None
+        images.append((e, forward, numerators({back.indices[n]: w for n, w in back[e] if w})))
+    return images
 
 
 def verify_norm_identity(f: TruncatedSeries, rho: Sequence[Rational], p: int):

@@ -835,7 +835,8 @@ def _run_site(G, site, trials, cap, monkeypatch):
         cli._sample_distributions(G, generator("2:norms"), trials, cap)
     elif site == "saturation":
         check_saturation(G, samples=trials, seed=2, precision=12)
-    elif site == "mahler":
+    elif site == "mahler":  # a certified suite draws nothing, so the trials run as when a certificate fails
+        monkeypatch.setattr(NormIdentity, "certifies", lambda self, images, cap: False)
         suite_mahler(G, trials, seed=2)
     (rng,) = made
     return drawn, rng

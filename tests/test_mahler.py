@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daggerdist import mahler as mahler_module
-from daggerdist.cli import _random_poly, suite_mahler
-from daggerdist.groups import builtin_heisenberg
+from daggerdist.cli import MAHLER_DRAWS, _random_poly, suite_mahler
+from daggerdist.groups import builtin_abelian, builtin_heisenberg
 from daggerdist.mahler import (
     MahlerFamily,
     NormIdentity,
+    basis_images,
     mahler_norm,
     mahler_to_taylor,
     taylor_to_mahler,
@@ -24,6 +25,7 @@ from daggerdist.padic import (
     digit_sum,
     falling_coeff,
     grlex_key,
+    indices_up_to,
     int_valuation,
     mahler_row,
     multi_binom_value,
@@ -428,6 +430,7 @@ def test_the_trial_decides_as_the_threshold_loop_on_the_mahler_suites_draws(monk
     # sup scaled by p, one at a time
     trial, draws = NormIdentity.trial, []
     monkeypatch.setattr(NormIdentity, "trial", lambda check, f: draws.append((check, f)) or trial(check, f))
+    monkeypatch.setattr(NormIdentity, "certifies", lambda check, images, cap: False)  # draw as the trials do
     suite_mahler(builtin_heisenberg(5), trials=1000, seed=7)
     monkeypatch.undo()
     assert len(draws) == 1000
@@ -443,6 +446,82 @@ def test_the_trial_decides_as_the_threshold_loop_on_the_mahler_suites_draws(monk
             assert holds == _threshold_holds(check, sup, list(support.items()))
             verdicts.add((changed is family, holds))
     assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), dim=st.integers(1, 3), cap=st.integers(0, 10))
+def test_a_certified_table_decides_every_trial_as_the_fraction_oracles(data, p, dim, cap):
+    rho = data.draw(st.lists(st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)), min_size=dim, max_size=dim))
+    check = NormIdentity(rho, p)
+    assert check.certifies(basis_images(dim, cap), cap)  # Mahler's theorem: the scatter is an isometry at rho > 0
+    nums = {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        index = data.draw(st.sampled_from(indices_up_to(dim, cap)))
+        nums[index] = data.draw(st.integers(-(p**3), p**3).filter(bool)) * p ** data.draw(st.integers(0, 2))
+    f = TruncatedSeries.from_numerators(dim, cap, nums, data.draw(st.sampled_from([1, p, p * p, 6])))
+    family = MahlerFamily(dim, cap, _fraction_taylor_to_mahler(f.terms))
+    assert _fraction_gauss_norm(f, rho, p) == _fraction_mahler_norm(family, rho, p)
+    assert _fraction_mahler_to_taylor(family.coeffs) == f.terms
+    assert check.trial(f) == (None, True)
+
+
+def _records(G, trials, certified, monkeypatch):
+    """suite_mahler's records as dicts, with the certificate as computed or forced to fail, and its trial count."""
+    trial, calls = NormIdentity.trial, []
+    with monkeypatch.context() as patch:
+        patch.setattr(NormIdentity, "trial", lambda check, f: calls.append(f) or trial(check, f))
+        if not certified:
+            patch.setattr(NormIdentity, "certifies", lambda check, images, cap: False)
+        records = [rec.to_dict() for rec in suite_mahler(G, trials=trials, seed=7)]
+    return records, len(calls)
+
+
+@pytest.mark.parametrize("trials", [0, 1, 25, 1000])
+@pytest.mark.parametrize(
+    "G",
+    [builtin_heisenberg(3), builtin_heisenberg(5), builtin_heisenberg(7), builtin_abelian(2, 2), builtin_abelian(3, 2)],
+    ids=lambda G: G.name,
+)
+def test_the_certified_suite_reports_what_the_trials_report(G, trials, monkeypatch):
+    certified, drawn = _records(G, trials, True, monkeypatch)
+    assert (certified, drawn) == (_records(G, trials, False, monkeypatch)[0], 0)
+    assert [rec["verdict"] for rec in certified] == ["inconclusive" if trials == 0 else "pass"] * 2
+
+
+def test_suite_mahler_fails_where_only_the_inverse_grows(monkeypatch):
+    # every Mahler weight times p and every Taylor weight over p: T M is still cap!, but T / cap! = M^-1 grows by p,
+    # so the round trip and the forward bound hold, the backward bound fails, and the trials find the witnesses
+    G = builtin_heisenberg(3)
+    true_mahler, true_taylor = mahler_module.mahler_row, mahler_module.taylor_row
+    monkeypatch.setattr(mahler_module, "mahler_row", lambda beta: tuple((a, 3 * w) for a, w in true_mahler(beta)))
+    monkeypatch.setattr(mahler_module, "taylor_row", lambda a: tuple((b, Fraction(w, 3)) for b, w in true_taylor(a)))
+    shapes, radii = MAHLER_DRAWS
+    for dim, cap in shapes:
+        images = basis_images(dim, cap)
+        assert images is not None
+        for r in radii:
+            check = NormIdentity((r,) * dim, G.p)
+            assert not check.certifies(images, cap)
+            assert all(weighted_sup_num(m, G.p, check.mahler, floor=check.gauss[e]) is None for e, m, _ in images)
+    records = {rec.check_id: rec for rec in suite_mahler(G, trials=4, seed=0)}
+    assert records["mahler/norm-identity"].verdict == "fail"
+    assert records["mahler/norm-identity"].witness["violations"]
+    assert records["mahler/roundtrip"].verdict == "pass"
+
+
+def test_suite_mahler_fails_on_a_row_broken_at_the_last_basis_monomial_only(monkeypatch):
+    # the Mahler row of the last index of each draw shape (grlex order) scaled by p: only that monomial's round trip
+    # fails, so a certificate must read every basis monomial
+    G = builtin_heisenberg(3)
+    shapes, _ = MAHLER_DRAWS
+    last, true_row = {indices_up_to(dim, cap)[-1] for dim, cap in shapes}, mahler_module.mahler_row
+    monkeypatch.setattr(
+        mahler_module, "mahler_row", lambda beta: tuple((a, 3 ** (beta in last) * w) for a, w in true_row(beta))
+    )
+    assert all(basis_images(dim, cap) is None for dim, cap in shapes)
+    records = {rec.check_id: rec for rec in suite_mahler(G, trials=200, seed=0)}
+    assert records["mahler/roundtrip"].verdict == "fail"
+    assert records["mahler/roundtrip"].witness["violations"]
 
 
 def test_a_sparse_conversion_fills_only_the_positions_its_rows_reach():
