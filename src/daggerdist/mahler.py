@@ -5,11 +5,13 @@ is: int numerators over one positive denominator, with ``Fraction``s built
 only for its read-only view ``coeffs`` and what reads it (``repr``, records).
 Both conversions scatter the int numerators through the basis-row tables of
 :mod:`daggerdist.padic` (``mahler_row`` for Taylor to Mahler, ``taylor_row``
-for the way back), the same tables the distributions gather through, and the
-Mahler norm reads the numerators directly; :meth:`NormIdentity.trial` decides
-the norm identity and the round trip on the dense list of a forward scatter.
-Both scatters are linear, so :func:`basis_images` and :meth:`NormIdentity.certifies` decide the round trip and
-the norm identity at once for every exact polynomial up to a cap, on the basis monomials.
+for the way back, scaled by cap!/alpha!), the same tables the distributions
+gather through, and the Mahler norm reads the numerators directly.  Both
+scatters are linear, so the round trip and the norm identity are decided for
+every exact polynomial up to a cap at once, on the basis monomials:
+:func:`basis_images` scatters each one both ways, and
+:meth:`NormIdentity.violations` lists each that breaks the identity, every
+entry a counterexample.
 Only exact polynomials are converted: the formulas sum over all dominating
 indices, so a truncated tail would silently corrupt the output coefficients.
 """
@@ -17,12 +19,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .padic import (
-    INFINITY,
     MultiIndex,
     Rational,
+    ScatterTable,
     cap_scaled_row,
     indices_up_to,
     mahler_row,
@@ -63,9 +65,14 @@ def mahler_to_taylor(m: MahlerFamily) -> TruncatedSeries:
     """
     if not m.exact:
         raise ValueError("only exact Mahler families admit conversion")
-    table = scatter_table(cap_scaled_row(taylor_row, m.cap), m.dim, m.cap)
+    table = _taylor_table(m.dim, m.cap)
     nums = {b: n for b, n in zip(table.indices, table.dense(m.nums.items())) if n}
     return TruncatedSeries.from_numerators(m.dim, m.cap, nums, m.den * math.factorial(m.cap))
+
+
+def _taylor_table(dim: int, cap: int) -> ScatterTable:
+    """The table of the Taylor rows scaled by cap!/alpha!, which take a family over den to ints over den * cap!."""
+    return scatter_table(cap_scaled_row(taylor_row, cap), dim, cap)
 
 
 def mahler_norm(m: MahlerFamily, rho: Sequence[Rational], p: int) -> NormValue:
@@ -84,12 +91,8 @@ def mahler_scatter(f: TruncatedSeries) -> Tuple[List[MultiIndex], List[int]]:
 
 
 class NormIdentity:
-    """The norm identity at one radius vector rho > 0 and prime p, decided on scaled ints.
-
-    The Gauss table (sum rho_i alpha_i) and the Mahler table (plus the int v_p(alpha!)) are resolved once, over
-    one denominator.  Against the Gauss sup s, :func:`weighted_sup_num` with floor s - 1 returns the Mahler sup
-    if it reaches s and reads a valuation only for a weight that does: the identity holds iff that is s.
-    """
+    """The norm identity at one radius vector rho > 0 and prime p, decided on the basis monomials in scaled ints:
+    the Gauss table (sum rho_i alpha_i) and the Mahler table (plus the int v_p(alpha!)) share one denominator."""
 
     def __init__(self, rho: Sequence[Rational], p: int):
         self.rho = tuple(r if type(r) is Fraction else Fraction(r) for r in rho)
@@ -97,62 +100,41 @@ class NormIdentity:
             raise ValueError("norm identity requires positive radii")
         self.p, self.gauss, self.mahler = p, weight_table(self.rho, None), weight_table(self.rho, p)
 
-    def trial(self, f: TruncatedSeries) -> Tuple[Optional[tuple], bool]:
-        """(norm, round_trip) for an exact polynomial f and its family, kept as :func:`mahler_scatter`'s list.
-
-        ``norm`` is None if the identity holds, else the (Gauss, Mahler) magnitudes; f and the family share den,
-        whose valuation cancels.  ``round_trip`` is whether the family scatters back through the Taylor rows scaled
-        by cap!/alpha! to cap! times f's numerators.
+    def violations(self, images: list, inverse: bool) -> List[tuple]:
+        """(e, side, gauss, mahler) for each basis monomial e of :func:`basis_images`'s ``images`` that breaks the
+        identity, with the norms of the polynomial ``side`` names: ``"forward"``, e with ||M e||_Mahler != ||e||_Gauss;
+        and if ``inverse`` (T / cap! is M's inverse), ``"backward"``, T e / cap! with ||T e / cap!||_Gauss >
+        ||e||_Mahler.  The norms are ultrametric sups, so with the inverse the list is empty iff M is an isometry.
+        Each sup is read over a floor (forward ||e|| less one, so it comes back iff it reaches ||e||).
         """
-        indices, nums = mahler_scatter(f)
-        support, norm, p = {a: n for a, n in zip(indices, nums) if n}, None, self.p
-        sup = weighted_sup_num(f.nums, p, self.gauss)
-        if weighted_sup_num(support, p, self.mahler, floor=-INFINITY if sup is None else sup - 1) != sup:
-            family = MahlerFamily.from_numerators(f.dim, f.cap, support, f.den)
-            norm = f.gauss_norm(self.rho, p).mag, mahler_norm(family, self.rho, p).mag
-        return norm, _round_trip(support, f)
-
-    def certifies(self, images: Optional[list], cap: int) -> bool:
-        """Whether M, the Mahler scatter, is an isometry at rho, so that :meth:`trial` holds on every exact polynomial
-        up to ``cap``: ``images`` is :func:`basis_images` (dim, cap), and None certifies nothing.  The norms are
-        ultrametric weighted sups, so M is one iff ||M e||_Mahler <= ||e||_Gauss and ||T e / cap!||_Gauss <=
-        ||e||_Mahler on every basis monomial e; :func:`weighted_sup_num` with the right side as floor is None iff so.
-        """
-        p, gauss, mahler, fact = self.p, self.gauss, self.mahler, math.factorial(cap)
-        return images is not None and all(
-            weighted_sup_num(forward, p, mahler, floor=gauss[e]) is None
-            and weighted_sup_num(backward, p, gauss, den * fact, floor=mahler[e]) is None
-            for e, forward, (backward, den) in images
-        )
+        p, gauss, mahler, out = self.p, self.gauss, self.mahler, []
+        for e, (forward, den), (backward, back_den) in images:
+            unit = {e: 1}
+            if weighted_sup_num(forward, p, mahler, den, floor=gauss[e] - 1) != gauss[e]:
+                out.append((e, "forward", weighted_sup(unit, p, gauss), weighted_sup(forward, p, mahler, den)))
+            if inverse and weighted_sup_num(backward, p, gauss, back_den, floor=mahler[e]) is not None:
+                out.append((e, "backward", weighted_sup(backward, p, gauss, back_den), weighted_sup(unit, p, mahler)))
+        return out
 
 
-def _round_trip(support: Dict[MultiIndex, int], f: TruncatedSeries) -> bool:
-    """Whether the family ``support``, over f's den, scatters back through the Taylor rows scaled by cap!/alpha! to
-    cap! times f's numerators."""
-    back, fact = scatter_table(cap_scaled_row(taylor_row, f.cap), f.dim, f.cap), math.factorial(f.cap)
-    out, position = back.dense(support.items()), back.position
-    for beta, n in f.nums.items():
-        if beta not in position:  # no Taylor row reaches beta
-            return False
-        out[position[beta]] -= fact * n
-    return not any(out)
-
-
-def basis_images(dim: int, cap: int) -> Optional[list]:
-    """(e, M e, T e as (numerators, den)) for each basis monomial e up to ``cap``, or None if one does not round-trip.
-
-    M e is :func:`mahler_scatter`'s family of e and T e its Taylor row scaled by cap!/alpha!, over cap! * den (den is
-    1 for int rows).  The scatters are linear, so T M e = cap! e for every e makes every exact polynomial up to
-    ``cap`` round-trip, with T / cap! the inverse of M.
+def basis_images(dim: int, cap: int) -> Tuple[list, List[MultiIndex]]:
+    """(images, broken) over the basis monomials e up to ``cap``: ``images`` lists (e, M e, T e / cap!), each image
+    int numerators over one denominator (:func:`numerators`), M :func:`mahler_scatter` and T :func:`_taylor_table`;
+    ``broken`` lists the e with T M e != cap! e.  Both are linear, so if none is broken every exact polynomial up to
+    ``cap`` round-trips, and T / cap! is M's inverse.
     """
-    back, images = scatter_table(cap_scaled_row(taylor_row, cap), dim, cap), []
+    back, fact, images, broken = _taylor_table(dim, cap), math.factorial(cap), [], []
     for e in indices_up_to(dim, cap):
-        f = TruncatedSeries.from_numerators(dim, cap, {e: 1}, 1)
-        forward = {a: n for a, n in zip(*mahler_scatter(f)) if n}
-        if not _round_trip(forward, f):
-            return None
-        images.append((e, forward, numerators({back.indices[n]: w for n, w in back[e] if w})))
-    return images
+        indices, nums = mahler_scatter(TruncatedSeries.from_numerators(dim, cap, {e: 1}, 1))
+        forward = {a: n for a, n in zip(indices, nums) if n}
+        out, position = back.dense(forward.items()), back.position
+        if e in position:  # else no Taylor row reaches e
+            out[position[e]] -= fact
+        if e not in position or any(out):
+            broken.append(e)
+        backward, den = numerators({back.indices[n]: w for n, w in back[e] if w})
+        images.append((e, numerators(forward), (backward, den * fact)))
+    return images, broken
 
 
 def verify_norm_identity(f: TruncatedSeries, rho: Sequence[Rational], p: int):

@@ -8,7 +8,9 @@ comparison reduces to an exact comparison of rationals.
 The change between the monomial and binomial bases lives here once: two
 integer basis rows (:func:`mahler_row`, :func:`taylor_row`), not cached, as
 each table or kernel built on a row reads it once and keeps what it read,
-and one kernel pair over int numerators.  Functions scatter through a row's
+and one kernel pair over int numerators.  Their one-variable Stirling and
+falling-factorial rows are built in a loop, the last one kept
+(:class:`_TriangleRows`).  Functions scatter through a row's
 :class:`ScatterTable` (:func:`scatter_table`) into a dense int list;
 distributions, their duals under <lam, f> = sum_alpha m_alpha(f) d_alpha(lam),
 gather through the same table, compiled by :func:`row_kernel`.
@@ -112,7 +114,28 @@ def multi_factorial(alpha: MultiIndex) -> int:
     return math.prod(map(math.factorial, alpha))
 
 
-@lru_cache(maxsize=None)
+class _TriangleRows:
+    """n -> row n of the triangle with row 0 [1] and row b step(b, row b - 1), read only.  Only the last row built
+    is kept, and a later one continues from it: ascending rows cost one pass, and a deep row holds no triangle."""
+
+    def __init__(self, step: Callable[[int, List[int]], List[int]]):
+        self.step, self.n, self.row = step, 0, [1]
+
+    def __call__(self, n: int) -> List[int]:
+        if n < self.n:
+            self.n, self.row = 0, [1]
+        while self.n < n:
+            self.n += 1
+            self.row = self.step(self.n, self.row)
+        return self.row
+
+
+#: s(b, a) for 0 <= a <= b: s(b, a) = a*s(b-1, a) + s(b-1, a-1).
+_stirling_row = _TriangleRows(lambda b, row: [0, *[a * row[a] + row[a - 1] for a in range(1, b)], 1])
+#: The coefficients of x_falling^a in ascending degree: x_falling^a = x_falling^(a-1) * (x - (a-1)).
+_falling_row = _TriangleRows(lambda a, row: [0, *[row[b - 1] - (a - 1) * row[b] for b in range(1, a)], 1])
+
+
 def stirling_second(beta: int, alpha: int) -> int:
     """Stirling number of the second kind: x^beta = sum_a s(beta,a) x_falling^a.
 
@@ -120,18 +143,9 @@ def stirling_second(beta: int, alpha: int) -> int:
     """
     if not 0 <= alpha <= beta:
         raise ValueError(f"stirling_second out of range: ({beta}, {alpha})")
-    if beta == 0:
-        return 1
-    if alpha == 0:
-        return 0
-    if alpha == beta:
-        return 1
-    # s(b, a) = a*s(b-1, a) + s(b-1, a-1)
-    prev = stirling_second(beta - 1, alpha) if alpha <= beta - 1 else 0
-    return alpha * prev + stirling_second(beta - 1, alpha - 1)
+    return _stirling_row(beta)[alpha]
 
 
-@lru_cache(maxsize=None)
 def falling_coeff(alpha: int, beta: int) -> int:
     """Coefficient of x^beta in x(x-1)...(x-alpha+1); leading one is 1.
 
@@ -139,13 +153,7 @@ def falling_coeff(alpha: int, beta: int) -> int:
     """
     if not 0 <= beta <= alpha:
         raise ValueError(f"falling_coeff out of range: ({alpha}, {beta})")
-    if alpha == 0:
-        return 1
-    if beta == 0:
-        return 0
-    # x_falling^a = x_falling^(a-1) * (x - (a-1))
-    upper = falling_coeff(alpha - 1, beta) if beta <= alpha - 1 else 0
-    return falling_coeff(alpha - 1, beta - 1) - (alpha - 1) * upper
+    return _falling_row(alpha)[beta]
 
 
 @lru_cache(maxsize=None)
@@ -253,12 +261,12 @@ def mahler_row(beta: MultiIndex) -> Row:
     Z^beta = sum_alpha w_alpha binom(Z, alpha); read the other way, w_alpha is
     the moment at Z^beta of the basis monomial dual to binom(Z, alpha).
     """
-    return _product([[(a, stirling_second(b, a) * math.factorial(a)) for a in range(b + 1)] for b in beta])
+    return _product([[(a, s * math.factorial(a)) for a, s in enumerate(_stirling_row(b))] for b in beta])
 
 
 def taylor_row(alpha: MultiIndex) -> Row:
     """(beta, prod_i a(alpha_i, beta_i)) for beta <= alpha: alpha! binom(Z, alpha) in monomials."""
-    return _product([[(b, falling_coeff(a, b)) for b in range(a + 1)] for a in alpha])
+    return _product([list(enumerate(_falling_row(a))) for a in alpha])
 
 
 @lru_cache(maxsize=None)  # one function per (row, cap), so the tables built on it are shared

@@ -35,7 +35,6 @@ from daggerdist.groups import (
     load_group,
     sample_points,
 )
-from daggerdist.mahler import NormIdentity
 from daggerdist.padic import INFINITY, LogMag, format_fraction, indices_up_to
 from daggerdist.report import (
     FAIL,
@@ -763,7 +762,7 @@ def _randrange_point(G, rng, precision=6):
 
 
 def _randrange_draws(G, site, rng, trials, cap):
-    """What a sampling site drew with rng.randrange and rng.choice, in order: points, basis coefficients, radii."""
+    """What a sampling site drew with rng.randrange, in order: points and basis coefficients."""
     big, drawn = G.degmax() * cap, []
 
     def dcoeffs(cap):
@@ -793,11 +792,6 @@ def _randrange_draws(G, site, rng, trials, cap):
             x = tuple(G.p * rng.randrange(G.p**11) for _ in range(G.d))
             if G.omega_of(x) > threshold:
                 drawn.append(x)
-    elif site == "mahler":
-        for t in range(trials):
-            dim, deg = (1, 12) if t % 2 == 0 else (2, 6)
-            cli._random_poly(rng, dim, deg, G.p, cap=deg)
-            drawn.append(rng.choice([(Fraction(r),) * dim for r in ("1/4", "1/2", "1")]))
     return drawn
 
 
@@ -824,9 +818,8 @@ def _run_site(G, site, trials, cap, monkeypatch):
     for module in (cli, dist_module):
         monkeypatch.setattr(module, "sample_points", points)
         monkeypatch.setattr(module, "random_dcoeff_distribution", dcoeffs)
-    root, trial = groups_module.pth_root_mod, NormIdentity.trial
+    root = groups_module.pth_root_mod
     monkeypatch.setattr(groups_module, "pth_root_mod", lambda G, x, precision: drawn.append(x) or root(G, x, precision))
-    monkeypatch.setattr(NormIdentity, "trial", lambda self, f: drawn.append(self.rho) or trial(self, f))
     if site == "banach":
         check_banach_submult_N(G, 1, trials=trials, seed=2, cap=cap)
     elif site == "convolution":
@@ -835,9 +828,6 @@ def _run_site(G, site, trials, cap, monkeypatch):
         cli._sample_distributions(G, generator("2:norms"), trials, cap)
     elif site == "saturation":
         check_saturation(G, samples=trials, seed=2, precision=12)
-    elif site == "mahler":  # a certified suite draws nothing, so the trials run as when a certificate fails
-        monkeypatch.setattr(NormIdentity, "certifies", lambda self, images, cap: False)
-        suite_mahler(G, trials, seed=2)
     (rng,) = made
     return drawn, rng
 
@@ -847,7 +837,6 @@ _SITE_SEEDS = {
     "convolution": "2:convolution:{}",
     "samples": "2:norms",
     "saturation": "2:sat:{}",
-    "mahler": "2:mahler:{}",
 }
 
 

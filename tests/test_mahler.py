@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daggerdist import mahler as mahler_module
-from daggerdist.cli import MAHLER_DRAWS, _random_poly, suite_mahler
+from daggerdist.cli import MAHLER_GRID, main, suite_mahler
 from daggerdist.groups import builtin_abelian, builtin_heisenberg
 from daggerdist.mahler import (
     MahlerFamily,
@@ -30,13 +31,14 @@ from daggerdist.padic import (
     mahler_row,
     multi_binom_value,
     multi_factorial,
+    numerators,
     scatter_table,
     stirling_second,
     taylor_row,
     valuation,
     weighted_sup_num,
 )
-from daggerdist.report import Report, emit_json
+from daggerdist.report import Report, emit_json, record
 from daggerdist.series import TruncatedSeries
 from test_series import _fraction_gauss_norm
 
@@ -268,14 +270,15 @@ def test_suite_mahler_fails_on_a_corrupted_row(monkeypatch):
 
 
 def test_suite_mahler_fails_on_a_corrupted_taylor_row(monkeypatch):
-    # every Taylor weight scaled by p: the round trip gives p*f, the norms are untouched
+    # every Taylor weight scaled by p: the round trip gives p*f and the forward norms are untouched, but T / cap! is
+    # no longer M's inverse, so the norm identity is unproven
     G = builtin_heisenberg(3)
     true_row = mahler_module.taylor_row
     monkeypatch.setattr(mahler_module, "taylor_row", lambda alpha: tuple((b, 3 * w) for b, w in true_row(alpha)))
     records = {rec.check_id: rec for rec in suite_mahler(G, trials=4, seed=0)}
     assert records["mahler/roundtrip"].verdict == "fail"
     assert records["mahler/roundtrip"].witness["violations"]
-    assert records["mahler/norm-identity"].verdict == "pass"
+    assert records["mahler/norm-identity"].verdict == "inconclusive"
 
 
 @settings(max_examples=300, deadline=None)
@@ -304,15 +307,15 @@ def test_norm_identity_checker_matches_the_fraction_norms(data, p, dim):
         g = TruncatedSeries.from_numerators(dim, 6 * dim, {a: n * (den // f.den) for a, n in f.nums.items()}, den)
         scattered = {a: n * (den // family.den) for a, n in family.nums.items()}
         with mock.patch.object(mahler_module, "mahler_scatter", lambda _: (list(scattered), list(scattered.values()))):
-            holds.append(check.trial(g)[0] is None)
+            holds.append(_trial(check, g)[0] is None)
         assert holds[-1] == (gauss == mahler)
     mahler = _fraction_mahler_norm(m, rho, p)
     assert verify_norm_identity(f, rho, p) == (gauss == mahler, gauss, mahler)
-    assert holds[0] and check.trial(f)[0] is None and holds[-1] == f.is_zero()
+    assert holds[0] and _trial(check, f)[0] is None and holds[-1] == f.is_zero()
 
 
 def test_suite_mahler_fails_on_a_family_with_one_numerator_scaled_by_p(monkeypatch):
-    # the top Mahler coefficient of each draw scaled by p: the norms differ wherever it attains the sup
+    # the top Mahler coefficient of each image scaled by p: the norms differ wherever it attains the sup
     G = builtin_heisenberg(3)
     forward = mahler_module.mahler_scatter
 
@@ -326,9 +329,11 @@ def test_suite_mahler_fails_on_a_family_with_one_numerator_scaled_by_p(monkeypat
     report.extend(suite_mahler(G, trials=12, seed=0))
     norm = report.records[0].to_dict()
     assert (norm["check"], norm["verdict"]) == ("mahler/norm-identity", "fail")
-    assert norm["witness"]["violations"][1] == {"gauss": "p^1/1", "mahler": "p^1/2", "trial": 1}
-    # the whole failure report, byte for byte as the LogMag comparison wrote it
-    digest = "e2f262b159c4b8116b53dd2608f241a20ae6d1572b07edca186ce165d5853c36"
+    # X at rho = 1/4: |3 * 1!| / |1!| * 3^(1/4) is 3^(-3/4), not the Gauss norm 3^(1/4)
+    witness = {"cap": 12, "dim": 1, "index": [1], "rho": ["1/4"], "side": "forward"}
+    assert norm["witness"]["violations"][1] == {**witness, "gauss": "p^1/4", "mahler": "p^-3/4"}
+    # the whole failure report, byte for byte as the basis-monomial decision writes it
+    digest = "3a3b0a936499bbd1614f12425d1e9c317a18d087b4a432778285b791a7c68e4a"
     assert hashlib.sha256(emit_json(report)).hexdigest() == digest
 
 
@@ -356,12 +361,36 @@ def _threshold_holds(check, sup, pairs):
     return hit
 
 
+def _trial(check, f):
+    """NormIdentity.trial as the sampled suite decided each draw: (norm, round_trip) for an exact polynomial f.
+
+    ``norm`` is None if the identity holds, else the (Gauss, Mahler) magnitudes; ``round_trip`` is whether f's family
+    scatters back through the Taylor rows scaled by cap!/alpha! to cap! times f's numerators.  The family's numerators
+    are put over one denominator first, so a faulted row with Fraction weights is read exactly.
+    """
+    indices, nums = mahler_module.mahler_scatter(f)
+    support = {a: n for a, n in zip(indices, nums) if n}
+    (family, den), p = numerators(support), check.p
+    sup = weighted_sup_num(f.nums, p, check.gauss)
+    norm = None
+    if weighted_sup_num(family, p, check.mahler, den, floor=-math.inf if sup is None else sup - 1) != sup:
+        m = MahlerFamily.from_numerators(f.dim, f.cap, family, den * f.den)
+        norm = f.gauss_norm(check.rho, p).mag, mahler_norm(m, check.rho, p).mag
+    back, fact = scatter_table(cap_scaled_row(mahler_module.taylor_row, f.cap), f.dim, f.cap), math.factorial(f.cap)
+    out, position = back.dense(support.items()), back.position
+    for beta, n in f.nums.items():
+        if beta not in position:  # no Taylor row reaches beta
+            return norm, False
+        out[position[beta]] -= fact * n
+    return norm, not any(out)
+
+
 def _assert_trial_matches_the_oracles(check, f, family):
     """The trial of f, its forward step giving ``family`` (index -> numerator over f's den, zeros kept), against
     the full sups, the threshold loop and the Fraction round trip; returns the trial's verdicts."""
     m = MahlerFamily.from_numerators(f.dim, f.cap, {a: n for a, n in family.items() if n}, f.den)
     with mock.patch.object(mahler_module, "mahler_scatter", lambda _: (list(family), list(family.values()))):
-        norm, round_trip = check.trial(f)
+        norm, round_trip = _trial(check, f)
     holds = _full_sups_holds(check, f, m)
     assert holds == _threshold_holds(check, weighted_sup_num(f.nums, check.p, check.gauss), list(m.nums.items()))
     assert norm == (None if holds else (f.gauss_norm(check.rho, check.p).mag, mahler_norm(m, check.rho, check.p).mag))
@@ -397,7 +426,7 @@ def test_the_trial_decides_as_the_full_sups_and_the_fraction_round_trip(case, da
     assert {a: Fraction(n, f.den) for a, n in family.items() if n} == _fraction_taylor_to_mahler(f.terms)
     m = taylor_to_mahler(f)
     assert _full_sups_holds(check, f, m) and mahler_to_taylor(m) == f
-    assert check.trial(f) == (None, True)
+    assert _trial(check, f) == (None, True)
     assert _assert_trial_matches_the_oracles(check, f, family) == (True, True)
     # one numerator scaled by p or dropped; scaled where a term reaches the Gauss sup, a weight equal to the
     # sup goes from v = 0 to v = 1, and a larger weight keeps its v > 0
@@ -425,24 +454,29 @@ def test_the_trial_where_a_mahler_weight_equals_the_gauss_sup():
     assert _assert_trial_matches_the_oracles(check, zero, {(0,): 0, (1,): 3}) == (False, False)
 
 
-def test_the_trial_decides_as_the_threshold_loop_on_the_mahler_suites_draws(monkeypatch):
-    # the 1,000 seed-7 draws of suite_mahler on heisenberg(5), and each with the numerators that reach the Gauss
-    # sup scaled by p, one at a time
-    trial, draws = NormIdentity.trial, []
-    monkeypatch.setattr(NormIdentity, "trial", lambda check, f: draws.append((check, f)) or trial(check, f))
-    monkeypatch.setattr(NormIdentity, "certifies", lambda check, images, cap: False)  # draw as the trials do
-    suite_mahler(builtin_heisenberg(5), trials=1000, seed=7)
-    monkeypatch.undo()
-    assert len(draws) == 1000
+def _sampled_draws(G, trials, seed):
+    """The (checker, polynomial) of each trial as the sampled mahler suite drew them: trial t a polynomial of the
+    shape at t % 2, and then its radius as rng.choice drew it."""
+    rng, (shapes, radii), draws = random.Random(f"{seed}:mahler:{G.name}"), MAHLER_GRID, []
+    for t in range(trials):
+        dim, deg = shapes[t % 2]
+        f = _fraction_random_poly(rng, dim, deg, G.p, cap=deg)
+        draws.append((NormIdentity((rng.choice(radii),) * dim, G.p), f))
+    return draws
+
+
+def test_the_trial_decides_as_the_threshold_loop_on_the_mahler_suites_draws():
+    # the 1,000 seed-7 draws of the sampled suite on heisenberg(5), and each with the numerators that reach the
+    # Gauss sup scaled by p, one at a time
     verdicts = set()
-    for check, f in draws:
+    for check, f in _sampled_draws(builtin_heisenberg(5), 1000, 7):
         p, sup = check.p, weighted_sup_num(f.nums, check.p, check.gauss)
         family = dict(zip(*mahler_module.mahler_scatter(f)))
         reaching = [a for a, n in family.items() if n and check.mahler[a] - check.mahler.den * valuation(n, p) == sup]
         for changed in [family] + [{**family, a: p * family[a]} for a in reaching]:
             support = {a: n for a, n in changed.items() if n}
             with mock.patch.object(mahler_module, "mahler_scatter", lambda _: (list(changed), list(changed.values()))):
-                holds = check.trial(f)[0] is None
+                holds = _trial(check, f)[0] is None
             assert holds == _threshold_holds(check, sup, list(support.items()))
             verdicts.add((changed is family, holds))
     assert verdicts == {(True, True), (False, True), (False, False)}
@@ -453,7 +487,8 @@ def test_the_trial_decides_as_the_threshold_loop_on_the_mahler_suites_draws(monk
 def test_a_certified_table_decides_every_trial_as_the_fraction_oracles(data, p, dim, cap):
     rho = data.draw(st.lists(st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)), min_size=dim, max_size=dim))
     check = NormIdentity(rho, p)
-    assert check.certifies(basis_images(dim, cap), cap)  # Mahler's theorem: the scatter is an isometry at rho > 0
+    images, broken = basis_images(dim, cap)
+    assert not broken and not check.violations(images, inverse=True)  # Mahler's theorem: M is an isometry at rho > 0
     nums = {}
     for _ in range(data.draw(st.integers(0, 5))):
         index = data.draw(st.sampled_from(indices_up_to(dim, cap)))
@@ -462,18 +497,24 @@ def test_a_certified_table_decides_every_trial_as_the_fraction_oracles(data, p, 
     family = MahlerFamily(dim, cap, _fraction_taylor_to_mahler(f.terms))
     assert _fraction_gauss_norm(f, rho, p) == _fraction_mahler_norm(family, rho, p)
     assert _fraction_mahler_to_taylor(family.coeffs) == f.terms
-    assert check.trial(f) == (None, True)
+    assert _trial(check, f) == (None, True)
 
 
-def _records(G, trials, certified, monkeypatch):
-    """suite_mahler's records as dicts, with the certificate as computed or forced to fail, and its trial count."""
-    trial, calls = NormIdentity.trial, []
-    with monkeypatch.context() as patch:
-        patch.setattr(NormIdentity, "trial", lambda check, f: calls.append(f) or trial(check, f))
-        if not certified:
-            patch.setattr(NormIdentity, "certifies", lambda check, images, cap: False)
-        records = [rec.to_dict() for rec in suite_mahler(G, trials=trials, seed=7)]
-    return records, len(calls)
+def _sampled_records(G, trials, seed):
+    """The records of the sampled mahler suite: each draw decided by :func:`_trial`, its failures the witnesses."""
+    bad_norm, bad_round = [], []
+    for t, (check, f) in enumerate(_sampled_draws(G, trials, seed)):
+        norm, round_trip = _trial(check, f)
+        if norm is not None:
+            bad_norm.append({"trial": t, "gauss": norm[0], "mahler": norm[1]})
+        if not round_trip:
+            bad_round.append({"trial": t})
+    params = {"p": G.p, "trials": trials, "seed": seed}
+    return [record("mahler/norm-identity", "", params, bad_norm), record("mahler/roundtrip", "", params, bad_round)]
+
+
+def _no_draw(*args):
+    raise AssertionError("the mahler suite drew a random number")
 
 
 @pytest.mark.parametrize("trials", [0, 1, 25, 1000])
@@ -483,45 +524,57 @@ def _records(G, trials, certified, monkeypatch):
     ids=lambda G: G.name,
 )
 def test_the_certified_suite_reports_what_the_trials_report(G, trials, monkeypatch):
-    certified, drawn = _records(G, trials, True, monkeypatch)
-    assert (certified, drawn) == (_records(G, trials, False, monkeypatch)[0], 0)
-    assert [rec["verdict"] for rec in certified] == ["inconclusive" if trials == 0 else "pass"] * 2
+    sampled = [(rec.check_id, rec.verdict, rec.params, rec.witness) for rec in _sampled_records(G, trials, 7)]
+    monkeypatch.setattr(random, "Random", _no_draw)
+    decided = [(rec.check_id, rec.verdict, rec.params, rec.witness) for rec in suite_mahler(G, trials=trials, seed=7)]
+    assert decided == sampled
+    assert [verdict for _, verdict, _, _ in decided] == ["inconclusive" if trials == 0 else "pass"] * 2
 
 
 def test_suite_mahler_fails_where_only_the_inverse_grows(monkeypatch):
     # every Mahler weight times p and every Taylor weight over p: T M is still cap!, but T / cap! = M^-1 grows by p,
-    # so the round trip and the forward bound hold, the backward bound fails, and the trials find the witnesses
+    # so the round trip holds, the forward norms shrink by p, and the backward norms grow by p
     G = builtin_heisenberg(3)
     true_mahler, true_taylor = mahler_module.mahler_row, mahler_module.taylor_row
     monkeypatch.setattr(mahler_module, "mahler_row", lambda beta: tuple((a, 3 * w) for a, w in true_mahler(beta)))
     monkeypatch.setattr(mahler_module, "taylor_row", lambda a: tuple((b, Fraction(w, 3)) for b, w in true_taylor(a)))
-    shapes, radii = MAHLER_DRAWS
+    shapes, radii = MAHLER_GRID
     for dim, cap in shapes:
-        images = basis_images(dim, cap)
-        assert images is not None
+        images, broken = basis_images(dim, cap)
+        assert not broken
         for r in radii:
-            check = NormIdentity((r,) * dim, G.p)
-            assert not check.certifies(images, cap)
-            assert all(weighted_sup_num(m, G.p, check.mahler, floor=check.gauss[e]) is None for e, m, _ in images)
+            sides = [side for _, side, _, _ in NormIdentity((r,) * dim, G.p).violations(images, inverse=True)]
+            assert sides == ["forward", "backward"] * len(images)
     records = {rec.check_id: rec for rec in suite_mahler(G, trials=4, seed=0)}
     assert records["mahler/norm-identity"].verdict == "fail"
     assert records["mahler/norm-identity"].witness["violations"]
     assert records["mahler/roundtrip"].verdict == "pass"
 
 
-def test_suite_mahler_fails_on_a_row_broken_at_the_last_basis_monomial_only(monkeypatch):
-    # the Mahler row of the last index of each draw shape (grlex order) scaled by p: only that monomial's round trip
-    # fails, so a certificate must read every basis monomial
-    G = builtin_heisenberg(3)
-    shapes, _ = MAHLER_DRAWS
-    last, true_row = {indices_up_to(dim, cap)[-1] for dim, cap in shapes}, mahler_module.mahler_row
+# the Mahler rows scaled by 3: of the last index of each shape (grlex order), or of (3, 3) in the shape (2, 6) alone
+_LAST = frozenset(indices_up_to(dim, cap)[-1] for dim, cap in MAHLER_GRID[0])
+_ROW_FAULTS = {"last": _LAST, "3-3": frozenset({(3, 3)})}
+
+
+@pytest.mark.parametrize("trials", [1, 5])
+@pytest.mark.parametrize("fault", sorted(_ROW_FAULTS))
+@pytest.mark.parametrize("p, norm", [(3, "fail"), (5, "inconclusive")])
+def test_suite_mahler_fails_on_a_row_broken_at_one_basis_monomial_only(p, norm, fault, trials, monkeypatch):
+    # only those monomials' round trips fail, so the decision must read every basis monomial (the sampled suite
+    # passed all of these but the last-index fault at 5 trials); 3 is a unit at p = 5, so the forward norms hold there
+    # but T / cap! is not M's inverse, and the norm identity is unproven
+    broken, true_row = _ROW_FAULTS[fault], mahler_module.mahler_row
     monkeypatch.setattr(
-        mahler_module, "mahler_row", lambda beta: tuple((a, 3 ** (beta in last) * w) for a, w in true_row(beta))
+        mahler_module, "mahler_row", lambda beta: tuple((a, 3 ** (beta in broken) * w) for a, w in true_row(beta))
     )
-    assert all(basis_images(dim, cap) is None for dim, cap in shapes)
-    records = {rec.check_id: rec for rec in suite_mahler(G, trials=200, seed=0)}
+    assert {e for dim, cap in MAHLER_GRID[0] for e in basis_images(dim, cap)[1]} == broken
+    records = {rec.check_id: rec for rec in suite_mahler(builtin_heisenberg(p), trials=trials, seed=7)}
     assert records["mahler/roundtrip"].verdict == "fail"
-    assert records["mahler/roundtrip"].witness["violations"]
+    assert {tuple(w["index"]) for w in records["mahler/roundtrip"].witness["violations"]} == broken
+    assert records["mahler/norm-identity"].verdict == norm
+    if norm == "fail":
+        witnesses = records["mahler/norm-identity"].witness["violations"]
+        assert {(tuple(w["index"]), w["side"]) for w in witnesses} <= {(e, "forward") for e in broken}
 
 
 def test_a_sparse_conversion_fills_only_the_positions_its_rows_reach():
@@ -529,7 +582,7 @@ def test_a_sparse_conversion_fills_only_the_positions_its_rows_reach():
     scatter_table.cache_clear()
     f = TruncatedSeries(3, 40, {(0, 0, 40): 1})
     assert mahler_to_taylor(taylor_to_mahler(f)) == f
-    assert NormIdentity([1, 1, 1], 3).trial(f) == (None, True)
+    assert _trial(NormIdentity([1, 1, 1], 3), f) == (None, True)
     reached = [(0, 0, a) for a in range(1, 41)]
     for table in (scatter_table(mahler_row, 3, 40), scatter_table(cap_scaled_row(taylor_row, 40), 3, 40)):
         assert sorted(table.indices) == reached
@@ -622,31 +675,161 @@ def _fraction_random_poly(rng, dim, deg, p, cap):
     return TruncatedSeries(dim, cap, terms, exact=True)
 
 
-@settings(max_examples=200, deadline=None)
+# -- the decision's witnesses under faulted rows, against the Fraction oracles ---------------------------------------
+
+
+def _row_fault(*rows):
+    """The Mahler rows of ``rows`` times p."""
+    return lambda p, beta: p if beta in rows else 1, lambda p, alpha: 1
+
+
+# Each fault scales the Mahler row of beta by mahler(p, beta) and the Taylor row of alpha by taylor(p, alpha): one
+# row times p (one in each shape of the suite), M times p with T over p (T M stays cap!, but T / cap! is M's inverse
+# only up to p), and M over p.
+_FAULTS = {
+    "none": (lambda p, beta: 1, lambda p, alpha: 1),
+    "row": _row_fault((2,), (1, 1)),
+    "inverse": (lambda p, beta: p, lambda p, alpha: Fraction(1, p)),
+    "over": (lambda p, beta: Fraction(1, p), lambda p, alpha: 1),
+}
+
+
+def _faulted_rows(p, fault):
+    """mahler_module's mahler_row and taylor_row scaled by the fault's (mahler, taylor) scales, as a context."""
+    (mahler_scale, taylor_scale), true_mahler, true_taylor = fault, mahler_row, taylor_row
+    return mock.patch.multiple(
+        mahler_module,
+        mahler_row=lambda beta: tuple((a, mahler_scale(p, beta) * w) for a, w in true_mahler(beta)),
+        taylor_row=lambda alpha: tuple((b, taylor_scale(p, alpha) * w) for b, w in true_taylor(alpha)),
+    )
+
+
+def _faulted_oracles(p, fault):
+    """(M, T / cap!) under the fault, as the Fraction oracles computed row by row: dicts of nonzero Fractions."""
+
+    def scaled(convert, scale):
+        def apply(terms):
+            out = {}
+            for k, c in terms.items():
+                for i, v in convert({k: 1}).items():
+                    out[i] = out.get(i, 0) + c * scale(p, k) * v
+            return {i: v for i, v in out.items() if v}
+
+        return apply
+
+    return scaled(_fraction_taylor_to_mahler, fault[0]), scaled(_fraction_mahler_to_taylor, fault[1])
+
+
+def _assert_witness_rederives(witness, p, fault):
+    """A mahler witness re-derived from its shape and index alone, with the Fraction oracles under the fault."""
+    forward, backward = _faulted_oracles(p, fault)
+    dim, cap, e = witness["dim"], witness["cap"], tuple(witness["index"])
+    if "side" not in witness:  # the polynomial e does not round-trip
+        assert backward(forward({e: 1})) != {e: 1}
+        return
+    rho = witness["rho"]
+    if witness["side"] == "forward":  # ||M e||_Mahler != ||e||_Gauss
+        gauss = _fraction_gauss_norm(TruncatedSeries(dim, cap, {e: 1}), rho, p)
+        mahler = _fraction_mahler_norm(MahlerFamily(dim, cap, forward({e: 1})), rho, p)
+        assert gauss != mahler
+    else:  # g = T e / cap! has M g = e, and ||g||_Gauss > ||e||_Mahler
+        g = backward({e: 1})
+        assert forward(g) == {e: 1}
+        gauss = _fraction_gauss_norm(TruncatedSeries(dim, cap, g), rho, p)
+        mahler = _fraction_mahler_norm(MahlerFamily(dim, cap, {e: 1}), rho, p)
+        assert gauss > mahler
+    assert (witness["gauss"], witness["mahler"]) == (gauss, mahler)
+
+
+def _oracle_violations(dim, cap, rho, p, fault):
+    """(broken, violations) of the shape at rho as the Fraction oracles decide them under the fault, in the
+    decision's order: the e that do not round-trip, and (e, side, gauss, mahler) with the backward side only if none."""
+    forward, backward = _faulted_oracles(p, fault)
+    broken = [e for e in indices_up_to(dim, cap) if backward(forward({e: 1})) != {e: 1}]
+    found = []
+    for e in indices_up_to(dim, cap):
+        gauss = _fraction_gauss_norm(TruncatedSeries(dim, cap, {e: 1}), rho, p)
+        mahler = _fraction_mahler_norm(MahlerFamily(dim, cap, forward({e: 1})), rho, p)
+        if gauss != mahler:
+            found.append((e, "forward", gauss, mahler))
+        gauss = _fraction_gauss_norm(TruncatedSeries(dim, cap, backward({e: 1})), rho, p)
+        mahler = _fraction_mahler_norm(MahlerFamily(dim, cap, {e: 1}), rho, p)
+        if not broken and gauss > mahler:
+            found.append((e, "backward", gauss, mahler))
+    return broken, found
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 2**32),
+    data=st.data(),
     p=st.sampled_from([2, 3, 5, 7]),
-    shape=st.sampled_from([(1, 12), (2, 6)]),
+    dim=st.integers(1, 2),
+    cap=st.integers(0, 8),
+    kind=st.sampled_from(sorted(_FAULTS)),
 )
-def test_random_poly_draws_what_the_fraction_version_drew(seed, p, shape):
-    dim, deg = shape
-    rng, oracle_rng = random.Random(seed), random.Random(seed)
-    for _ in range(3):
-        f, expect = _random_poly(rng, dim, deg, p, cap=deg), _fraction_random_poly(oracle_rng, dim, deg, p, cap=deg)
-        assert f.terms == expect.terms and f == expect and hash(f) == hash(expect)
-        assert (f.dim, f.cap, f.exact) == (dim, deg, True)
-    assert rng.getstate() == oracle_rng.getstate()
+def test_every_decided_violation_is_a_counterexample_the_fraction_oracles_rederive(data, p, dim, cap, kind):
+    rho = data.draw(st.lists(st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)), min_size=dim, max_size=dim))
+    fault = _row_fault(data.draw(st.sampled_from(indices_up_to(dim, cap)))) if kind == "row" else _FAULTS[kind]
+    nums = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        index = data.draw(st.sampled_from(indices_up_to(dim, cap)))
+        nums[index] = data.draw(st.integers(-(p**3), p**3).filter(bool)) * p ** data.draw(st.integers(0, 2))
+    f = TruncatedSeries.from_numerators(dim, cap, nums, data.draw(st.sampled_from([1, p, p * p, 6])))
+    check = NormIdentity(rho, p)
+    with _faulted_rows(p, fault):
+        images, broken = basis_images(dim, cap)
+        found = check.violations(images, inverse=not broken)
+        norm, round_trip = _trial(check, f)
+    assert (broken, found) == _oracle_violations(dim, cap, rho, p, fault)
+    for e, side, gauss, mahler in found:
+        witness = {"dim": dim, "cap": cap, "rho": rho, "index": e, "side": side, "gauss": gauss, "mahler": mahler}
+        _assert_witness_rederives(witness, p, fault)
+    # every fault is found, and a polynomial the trial finds wrong is covered: a norm only where the inverse is
+    assert bool(found or broken) == (kind != "none")
+    assert round_trip or broken
+    assert norm is None or found or broken
 
 
-# (seed, p, shape) whose terms all cancel, so both draws fall back to the constant 1
-_CANCELLING = [(899, 2, (1, 12)), (1614, 2, (2, 6)), (7069, 3, (1, 12)), (10512, 3, (2, 6))]
+@pytest.mark.parametrize("kind", sorted(_FAULTS))
+@pytest.mark.parametrize("p", [3, 5])
+def test_the_suites_witnesses_rederive_and_its_verdicts_are_the_sampled_suites(p, kind):
+    # the suite's records against the Fraction oracles, and against the sampled suite's on its 1,000 seed-7 draws,
+    # each decided by _trial; under M over 3 at p = 3 every image has Fraction weights, and the sups read ints only
+    G, fault = builtin_heisenberg(p), _FAULTS[kind]
+    with _faulted_rows(p, fault):
+        norm, round_trip = suite_mahler(G, trials=1000, seed=7)
+        sampled = _sampled_records(G, 1000, 7)
+    assert [norm.verdict, round_trip.verdict] == [rec.verdict for rec in sampled]
+    shapes, radii = MAHLER_GRID
+    broken, found = [], []
+    for dim, cap in shapes:
+        broken += [{"dim": dim, "cap": cap, "index": e} for e in _oracle_violations(dim, cap, (1,) * dim, p, fault)[0]]
+        for r in radii:
+            for e, side, gauss, mahler in _oracle_violations(dim, cap, (r,) * dim, p, fault)[1]:
+                found.append({"dim": dim, "cap": cap, "rho": (r,) * dim, "index": e, "side": side})
+                found[-1].update(gauss=gauss, mahler=mahler)
+    assert round_trip.witness == ({"violations": broken[:3]} if broken else None)
+    assert norm.witness == ({"violations": found[:3]} if found else None)
+    assert norm.verdict == ("fail" if found else "inconclusive" if broken else "pass")
+    for witness in found[:3] + broken[:3]:
+        _assert_witness_rederives(witness, p, fault)
 
 
-@pytest.mark.parametrize("seed, p, shape", _CANCELLING)
-def test_random_poly_falls_back_to_one_when_terms_cancel(seed, p, shape):
-    dim, deg = shape
-    rng, oracle_rng = random.Random(seed), random.Random(seed)
-    f = _random_poly(rng, dim, deg, p, cap=deg)
-    assert f.terms == {(0,) * dim: 1}
-    assert f == _fraction_random_poly(oracle_rng, dim, deg, p, cap=deg)
-    assert rng.getstate() == oracle_rng.getstate()
+def test_convert_handles_degree_600_both_ways(tmp_path):
+    # each Stirling and falling-factorial row is built in a loop: degree 500 overflowed the recursion that filled
+    # the cached triangles
+    from sympy.functions.combinatorial.numbers import stirling
+
+    def convert(direction, terms):
+        source, out = tmp_path / "in.json", tmp_path / "out.json"
+        source.write_text(json.dumps({"dim": 1, "cap": 600, "terms": terms}))
+        assert main(["convert", "--direction", direction, "--in", str(source), "--out", str(out)]) == 0
+        return {r["index"][0]: Fraction(r["coeff"]) for r in json.loads(out.read_text())["terms"]}
+
+    top = [{"index": [600], "coeff": 1}]
+    family, series = convert("taylor-to-mahler", top), convert("mahler-to-taylor", top)
+    # 600! binom(X, 600) = X(X - 1)...(X - 599) back to the binomial basis: one dense row per degree
+    assert convert("taylor-to-mahler", [{"index": [k], "coeff": str(c)} for k, c in series.items()]) == {600: 1}
+    for k in (0, 1, 2, 299, 300, 599, 600):  # X^600 = sum_k k! S(600, k) binom(X, k), and its inverse
+        assert family.get(k, 0) == math.factorial(k) * int(stirling(600, k, kind=2))
+        assert series.get(k, 0) == Fraction(int(stirling(600, k, kind=1, signed=True)), math.factorial(600))
